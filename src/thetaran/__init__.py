@@ -18,7 +18,6 @@ from .simplex import (
     enumerate_delta_hom,
     identity_delta,
     identity_pointed,
-    is_active_delta,
     parse_monotone,
     simplicial_circle,
 )

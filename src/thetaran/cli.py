@@ -33,9 +33,10 @@ from .harness import (
     emit_fixture_tables,
     run_suite,
 )
-from .homology import build_category, homology_of_category
+from .homology import _KINDS, build_category, homology_of_category
 from .simplex import CompositionError
 from .theta import (
+    _FILTERS,
     DEFAULT_HOM_CAP,
     ResourceCapError,
     count_theta_hom,
@@ -46,8 +47,6 @@ from .theta import (
     parse_tree,
     prune,
 )
-
-_FILTERS = ("all", "active", "exit", "w")
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--path", required=True, help="JSON exit-path file")
 
     h_p = sub.add_parser("homology", parents=[common], help="category homology")
-    h_p.add_argument("--category", choices=("nord", "w_hlt"), required=True)
+    h_p.add_argument("--category", choices=_KINDS, required=True)
     h_p.add_argument("--n", type=int, required=True, help="tree height")
     h_p.add_argument("--k", type=int, required=True, help="leaf count")
     h_p.add_argument("--out", help="write the JSON report here")

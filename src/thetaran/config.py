@@ -551,7 +551,10 @@ def random_exit_path(
 
 def parse_rational(text) -> Fraction:
     if isinstance(text, (int, str)):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {text!r} has a zero denominator") from None
     raise ValueError(f"rationals must be integers or 'p/q' strings, got {text!r}")
 
 
@@ -580,7 +583,11 @@ def exit_path_from_json(doc: dict) -> ExitPath:
     dimension = int(doc["dimension"])
     src_raw = [tuple(parse_rational(c) for c in row) for row in doc["source"]]
     tgt_raw = [tuple(parse_rational(c) for c in row) for row in doc["target"]]
-    raw_map = [int(v) for v in doc["map"]]
+    raw_map = doc["map"]
+    if not isinstance(raw_map, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in raw_map
+    ):
+        raise ValueError(f"map must be a list of integers, got {raw_map!r}")
     if len(raw_map) != len(tgt_raw):
         raise ValueError("map must assign every target point an origin")
     for v in raw_map:

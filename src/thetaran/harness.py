@@ -169,7 +169,9 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
     pairs = int(params.get("pairs", 1000))
     max_k = int(params.get("max_k", 5))
     dims = params.get("dims", (1, 2, 3))
-    if isinstance(dims, str):
+    if isinstance(dims, int):
+        dims = (dims,)
+    elif isinstance(dims, str):
         dims = tuple(int(v) for v in dims.split(","))
     tally = _Tally()
     for i in range(pairs):
@@ -416,7 +418,7 @@ def _run_homology(params: dict, seed: int) -> _Tally:
 
     for length in range(0, 5):
         cat = chain_poset(length)
-        result = homology_of_cached(cat, max_degree)
+        result = _checked_homology(cat, max_degree)
         tally.record(
             f"chain poset length {length}",
             result.betti == _pad((1,), max_degree + 1)
@@ -425,7 +427,7 @@ def _run_homology(params: dict, seed: int) -> _Tally:
         )
 
     circle = poset_category("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
-    result = homology_of_cached(circle, max_degree)
+    result = _checked_homology(circle, max_degree)
     tally.record(
         "two-minima two-maxima poset",
         result.betti == _pad((1, 1), max_degree + 1)
@@ -449,10 +451,10 @@ def _run_homology(params: dict, seed: int) -> _Tally:
         ("w_hlt32", lambda: build_category("w_hlt", 3, 2)),
     ):
         cat = builder()
-        base = homology_of_cached(cat, max_degree)
+        base = _checked_homology(cat, max_degree)
         perm = list(range(len(cat.objects)))
         Random(seed + 1).shuffle(perm)
-        moved = homology_of_cached(cat.permuted(tuple(perm)), max_degree)
+        moved = _checked_homology(cat.permuted(tuple(perm)), max_degree)
         tally.record(
             f"object order invariance {label}",
             base.betti == moved.betti and base.torsion == moved.torsion,
@@ -461,7 +463,7 @@ def _run_homology(params: dict, seed: int) -> _Tally:
     return tally
 
 
-def homology_of_cached(
+def _checked_homology(
     cat: FiniteCategoryView, max_degree: int
 ) -> HomologyResult:
     """Homology plus the boundary-square check in one pass."""
@@ -476,7 +478,7 @@ def _homology_case(
 ) -> None:
     cat = build_category(kind, n, k)
     validation = cat.validate()
-    result = homology_of_cached(cat, max_degree)
+    result = _checked_homology(cat, max_degree)
     if kind == "nord":
         expected_betti = _pad(ordered_betti_oracle(n, k), max_degree + 1)
         expected_torsion = tuple(() for _ in range(max_degree + 1))

@@ -6,13 +6,17 @@ nerve whose d-chains are composable strings of d non-identity morphisms.
 Boundary matrices over the integers feed a Smith normal form routine, and
 Betti numbers plus torsion coefficients drop out degree by degree.
 
-Two category builders connect back to the tree machinery: ``nord`` takes
-healthy height-n trees with leaves labeled by {1..k} and the active
-leaf-label-preserving morphisms between them, and ``w_hlt`` takes the
-unlabeled healthy trees with all active leaf-bijective morphisms.  Their
-classifying spaces have the homology of ordered and unordered
-configuration spaces of k points in R^n, which is what the acceptance
-fixtures check.
+Two category builders connect back to the tree machinery.  ``w_hlt``
+takes the unlabeled healthy height-n trees with k leaves and all active
+leaf-bijective morphisms between them.  Into a healthy tree such a
+morphism is fixed by its leaf row, so every arrow is stored as its row
+and composition is composition of rows.  ``nord`` is the labeled cover
+of ``w_hlt``: its objects are trees with leaves labeled by {1..k}, and
+each w-arrow lifts to exactly one arrow out of each labeling of its
+source.  Their classifying spaces have the homology of unordered and
+ordered configuration spaces of k points in R^n, which is what the
+acceptance fixtures check.  The enumeration cap (``--cap`` on the
+command line) bounds the number of w rows in each hom-set.
 
 Everything is exact: arbitrary-precision integers, no floats, no modular
 shortcuts.
@@ -20,24 +24,13 @@ shortcuts.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from random import Random
 
-from .theta import (
-    DEFAULT_HOM_CAP,
-    ResourceCapError,
-    ThetaMorphism,
-    Tree,
-    compose_theta,
-    enumerate_theta_hom,
-    format_tree,
-    healthy_trees,
-    identity_theta,
-    leaf_row,
-)
+from .theta import DEFAULT_HOM_CAP, ResourceCapError, healthy_trees, w_hom_rows
 
 DEFAULT_CHAIN_CAP = 500_000
 
@@ -196,26 +189,23 @@ class FiniteCategoryView:
         return self.composition[(second, first)]
 
     @cached_property
-    def hom_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for m, (a, b, _) in enumerate(self.morphisms):
-            buckets[(a, b)].append(m)
-        return {key: tuple(ms) for key, ms in buckets.items()}
-
-    def hom(self, a: int, b: int) -> tuple[int, ...]:
-        return self.hom_index.get((a, b), ())
+    def max_hom_size(self) -> int:
+        sizes = Counter((a, b) for a, b, _ in self.morphisms)
+        return max(sizes.values(), default=0)
 
     @cached_property
-    def max_hom_size(self) -> int:
-        return max((len(ms) for ms in self.hom_index.values()), default=0)
+    def outgoing(self) -> tuple[tuple[int, ...], ...]:
+        """The arrows out of each object, in arrow order."""
+        buckets: list[list[int]] = [[] for _ in self.objects]
+        for m, (a, _, _) in enumerate(self.morphisms):
+            buckets[a].append(m)
+        return tuple(tuple(ms) for ms in buckets)
 
     @cached_property
     def outgoing_non_identity(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in self.objects]
-        for m, (a, _, _) in enumerate(self.morphisms):
-            if not self.is_identity(m):
-                buckets[a].append(m)
-        return tuple(tuple(ms) for ms in buckets)
+        return tuple(
+            tuple(m for m in ms if not self.is_identity(m)) for ms in self.outgoing
+        )
 
     def permuted(self, perm: tuple[int, ...]) -> FiniteCategoryView:
         """Relabel object positions: object i moves to position perm[i]."""
@@ -249,9 +239,7 @@ class FiniteCategoryView:
         composition_ok = True
         pairs = []
         for f, (_, b, _) in enumerate(self.morphisms):
-            for g in range(len(self.morphisms)):
-                if self.morphisms[g][0] != b:
-                    continue
+            for g in self.outgoing[b]:
                 pairs.append((g, f))
                 comp = self.composition.get((g, f))
                 if comp is None:
@@ -260,11 +248,11 @@ class FiniteCategoryView:
                 ca, cb, _ = self.morphisms[comp]
                 if ca != self.morphisms[f][0] or cb != self.morphisms[g][1]:
                     composition_ok = False
-        triples = []
-        for g, f in pairs:
-            for h in range(len(self.morphisms)):
-                if self.morphisms[h][0] == self.morphisms[g][1]:
-                    triples.append((h, g, f))
+        triples = [
+            (h, g, f)
+            for g, f in pairs
+            for h in self.outgoing[self.morphisms[g][1]]
+        ]
         exhaustive = len(triples) <= triple_limit
         if not exhaustive:
             rng = Random(seed)
@@ -354,60 +342,57 @@ def build_category(
 ) -> FiniteCategoryView:
     """Configuration categories on healthy height-n trees with k leaves.
 
-    ``w_hlt``: unlabeled trees, all active leaf-bijective morphisms.
-    ``nord``: trees with leaves labeled by {1..k} (an object per tree and
-    labeling), morphisms the active morphisms matching labels along the
-    leaf map.  Objects and morphisms are listed in a fixed enumeration
-    order, so rebuilt categories are identical.
+    Every arrow is ``(source, target, row)`` with ``row`` the leaf row of
+    an active leaf-bijective morphism (``w_hom_rows``), which determines
+    the morphism because every target is healthy.  Identities are the
+    row (1..k), and "g after f" has the row ``f[v - 1] for v in g``.
+
+    ``w_hlt``: unlabeled trees, all w-arrows.
+    ``nord``: the labeled cover of ``w_hlt``, an object per tree and
+    labeling of its leaves by {1..k}; a w-arrow out of a tree and a
+    labeling ``lab`` of that tree give exactly one arrow, whose target
+    labeling is ``lab[v - 1] for v in row``.  So nord has k! times as
+    many arrows as w_hlt, at most one per object pair.
+
+    ``cap`` bounds the number of w rows in each hom-set.  Objects and
+    arrows come in a fixed order (arrows by source, then target), so
+    rebuilt categories are identical.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown category kind {kind!r}; pick from {_KINDS}")
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     trees = healthy_trees(n, k)
+    rows_out = [
+        [(b, row) for b, tree_b in enumerate(trees)
+         for row in w_hom_rows(tree_a, tree_b, cap)]
+        for tree_a in trees
+    ]
     if kind == "w_hlt":
-        objects: list = list(trees)
-        arrows = [
-            (a, b, m)
-            for a, tree_a in enumerate(trees)
-            for b, tree_b in enumerate(trees)
-            for m in enumerate_theta_hom(tree_a, tree_b, "w", cap)
-        ]
+        objects: tuple = trees
+        arrows = [(a, b, row) for a, out in enumerate(rows_out) for b, row in out]
     else:
         labelings = tuple(permutations(range(1, k + 1)))
-        objects = [(tree, lab) for tree in trees for lab in labelings]
+        position = {lab: i for i, lab in enumerate(labelings)}
+        objects = tuple((tree, lab) for tree in trees for lab in labelings)
+        size = len(labelings)
         arrows = []
-        for a, (tree_a, lab_a) in enumerate(objects):
-            for b, (tree_b, lab_b) in enumerate(objects):
-                for m in enumerate_theta_hom(tree_a, tree_b, "w", cap):
-                    row = leaf_row(m)
-                    if all(
-                        lab_a[row[x] - 1] == lab_b[x] for x in range(len(row))
-                    ):
-                        arrows.append((a, b, m))
-    arrow_index = {(a, b, m): idx for idx, (a, b, m) in enumerate(arrows)}
-    identities = []
-    for idx, obj in enumerate(objects):
-        tree = obj[0] if kind == "nord" else obj
-        identities.append(arrow_index[(idx, idx, identity_theta(tree))])
-    composition = {}
-    for f_idx, (a, b, f) in enumerate(arrows):
-        for g_idx, (b2, c, g) in enumerate(arrows):
-            if b2 != b:
-                continue
-            composition[(g_idx, f_idx)] = arrow_index[(a, c, compose_theta(g, f))]
-    return FiniteCategoryView(
-        tuple(objects), tuple(arrows), tuple(identities), composition
-    )
-
-
-def describe_object(obj) -> str:
-    if isinstance(obj, Tree):
-        return format_tree(obj)
-    if isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], Tree):
-        tree, labeling = obj
-        return f"{format_tree(tree)} labels={list(labeling)}"
-    return repr(obj)
+        for a, (_, lab) in enumerate(objects):
+            arrows.extend(sorted(
+                (a, b * size + position[tuple(lab[v - 1] for v in row)], row)
+                for b, row in rows_out[a // size]
+            ))
+    index = {arrow: i for i, arrow in enumerate(arrows)}
+    unit = tuple(range(1, k + 1))
+    identities = tuple(index[(a, a, unit)] for a in range(len(objects)))
+    cat = FiniteCategoryView(objects, tuple(arrows), identities, {})
+    # composable pairs only, found through the view's own outgoing index
+    for f, (a, b, first) in enumerate(arrows):
+        for g in cat.outgoing[b]:
+            _, c, second = arrows[g]
+            row = tuple(first[v - 1] for v in second)
+            cat.composition[(g, f)] = index[(a, c, row)]
+    return cat
 
 
 # ---------------------------------------------------------------------------

@@ -130,10 +130,6 @@ def enumerate_delta_hom(
     return tuple(maps)
 
 
-def is_active_delta(f: MonotoneMap) -> bool:
-    return f.is_active
-
-
 @dataclass(frozen=True)
 class PointedMap:
     """A map of pointed sets {1..source_size}* -> {1..target_size}*.
@@ -177,23 +173,6 @@ class PointedMap:
     @property
     def is_total(self) -> bool:
         return len(self.pairs) == self.source_size
-
-    @property
-    def is_injective(self) -> bool:
-        images = [i for _, i in self.pairs]
-        return len(set(images)) == len(images)
-
-    @property
-    def is_surjective(self) -> bool:
-        return len({i for _, i in self.pairs}) == self.target_size
-
-    @property
-    def is_bijection(self) -> bool:
-        return (
-            self.source_size == self.target_size
-            and self.is_total
-            and self.is_injective
-        )
 
 
 def identity_pointed(size: int) -> PointedMap:

@@ -424,9 +424,6 @@ class MorphismLadder:
                     return False
         return True
 
-    def row_total(self, d: int) -> bool:
-        return all(v is not None for v in self.rows[d])
-
     def row_surjective(self, d: int) -> bool:
         hit = {v for v in self.rows[d] if v is not None}
         return len(hit) == self.source.sizes[d]

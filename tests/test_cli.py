@@ -177,6 +177,25 @@ class TestConfig:
         assert code == 1
         assert "invalid exit path" in err
 
+    @pytest.mark.parametrize("entry", [0.5, "0", True])
+    def test_map_entries_must_be_integers(self, capsys, tmp_path, entry):
+        doc = {"dimension": 1, "source": [["0"]], "target": [["0"]], "map": [entry]}
+        path = write_json(tmp_path / "map.json", doc)
+        code, _, err = run(capsys, "config", "validate", "--path", path)
+        assert code == 2
+        assert "map must be a list of integers" in err
+
+    def test_zero_denominator_is_usage_error(self, capsys, tmp_path):
+        points = write_json(tmp_path / "pts.json", [["1/0"]])
+        code, _, err = run(capsys, "config", "tree", "--points", points)
+        assert code == 2
+        assert "zero denominator" in err
+        doc = dict(VALID_SPLIT, source=[["1/0"]])
+        path = write_json(tmp_path / "path.json", doc)
+        code, _, err = run(capsys, "config", "validate", "--path", path)
+        assert code == 2
+        assert "zero denominator" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "config", "validate", "--path", str(tmp_path / "no.json")
@@ -213,6 +232,22 @@ class TestHomology:
             capsys, "homology", "--category", "nord", "--n", "0", "--k", "2"
         )
         assert code == 2
+
+    def test_cap_exceeded(self, capsys):
+        code, _, err = run(
+            capsys,
+            "homology",
+            "--category",
+            "w_hlt",
+            "--n",
+            "2",
+            "--k",
+            "2",
+            "--cap",
+            "1",
+        )
+        assert code == 3
+        assert "resource cap" in err
 
 
 class TestVerify:
@@ -261,6 +296,25 @@ class TestVerify:
             "pairs=abc",
         )
         assert code == 2
+
+    def test_single_dimension_param(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "--suite",
+            "functoriality",
+            "--param",
+            "pairs=2",
+            "--param",
+            "dims=2",
+        )
+        assert code == 0
+        assert "suite functoriality: 2/2 passed" in out
+        code, _, err = run(
+            capsys, "verify", "--suite", "functoriality", "--param", "dims=0"
+        )
+        assert code == 2
+        assert "dimension" in err
 
     def test_malformed_param(self, capsys):
         code, _, err = run(

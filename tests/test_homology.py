@@ -8,8 +8,8 @@ integers, no reuse of library code).
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd
+from itertools import combinations, permutations
+from math import factorial, gcd
 from random import Random
 
 import pytest
@@ -19,14 +19,21 @@ from thetaran.homology import (
     IntegerMatrix,
     build_category,
     chain_poset,
-    describe_object,
     homology_from_boundaries,
     homology_of_category,
     nerve_chain_complex,
     poset_category,
     smith_normal_form,
 )
-from thetaran.theta import ResourceCapError, format_tree, parse_tree
+from thetaran.theta import (
+    ResourceCapError,
+    compose_theta,
+    enumerate_theta_hom,
+    format_tree,
+    healthy_trees,
+    identity_theta,
+    leaf_row,
+)
 
 
 def cofactor_determinant(rows: tuple[tuple[int, ...], ...]) -> int:
@@ -140,8 +147,8 @@ class TestFiniteCategories:
         cat = build_category("w_hlt", 2, 2)
         shuffled = cat.permuted((1, 0))
         assert shuffled.validate().ok
-        assert {describe_object(o) for o in shuffled.objects} == {
-            describe_object(o) for o in cat.objects
+        assert {format_tree(o) for o in shuffled.objects} == {
+            format_tree(o) for o in cat.objects
         }
 
 
@@ -184,9 +191,67 @@ class TestBuildCategory:
         with pytest.raises(ValueError):
             build_category("nord", 0, 2)
 
-    def test_describe_object(self):
-        assert describe_object(parse_tree("[1]([2])")) == "[1]([2])"
-        assert "labels=[2, 1]" in describe_object((parse_tree("[1]([2])"), (2, 1)))
+
+def wreath_category(kind: str, n: int, k: int) -> FiniteCategoryView:
+    """Reference build from wreath morphisms: hom-sets from the "w"
+    enumeration, nord arrows found by filtering on labels, composition by
+    ``compose_theta``.  Arrows carry their ``ThetaMorphism``."""
+    trees = healthy_trees(n, k)
+    if kind == "w_hlt":
+        objects = list(trees)
+        arrows = [
+            (a, b, m)
+            for a, tree_a in enumerate(trees)
+            for b, tree_b in enumerate(trees)
+            for m in enumerate_theta_hom(tree_a, tree_b, "w")
+        ]
+    else:
+        labelings = list(permutations(range(1, k + 1)))
+        objects = [(tree, lab) for tree in trees for lab in labelings]
+        arrows = [
+            (a, b, m)
+            for a, (tree_a, lab_a) in enumerate(objects)
+            for b, (tree_b, lab_b) in enumerate(objects)
+            for m in enumerate_theta_hom(tree_a, tree_b, "w")
+            if all(lab_a[v - 1] == lab_b[x] for x, v in enumerate(leaf_row(m)))
+        ]
+    index = {arrow: i for i, arrow in enumerate(arrows)}
+    identities = tuple(
+        index[(i, i, identity_theta(obj if kind == "w_hlt" else obj[0]))]
+        for i, obj in enumerate(objects)
+    )
+    composition = {
+        (g, f): index[(a, c, compose_theta(second, first))]
+        for f, (a, b, first) in enumerate(arrows)
+        for g, (b2, c, second) in enumerate(arrows)
+        if b2 == b
+    }
+    return FiniteCategoryView(tuple(objects), tuple(arrows), identities, composition)
+
+
+ORACLE_CASES = [
+    (kind, n, k) for kind in ("w_hlt", "nord") for n in (1, 2, 3) for k in range(4)
+] + [("w_hlt", 2, 4)]
+
+
+@pytest.mark.parametrize("kind,n,k", ORACLE_CASES)
+def test_leaf_row_build_matches_wreath_build(kind, n, k):
+    cat = build_category(kind, n, k)
+    ref = wreath_category(kind, n, k)
+    assert cat.objects == ref.objects
+    # leaf rows match the reference arrows one to one; carry the identities
+    # and the composition table across that bijection
+    ref_index = {(a, b, leaf_row(m)): i for i, (a, b, m) in enumerate(ref.morphisms)}
+    assert len(ref_index) == len(ref.morphisms) == len(cat.morphisms)
+    to_ref = [ref_index[arrow] for arrow in cat.morphisms]
+    assert tuple(to_ref[m] for m in cat.identities) == ref.identities
+    assert {
+        (to_ref[g], to_ref[f]): to_ref[c] for (g, f), c in cat.composition.items()
+    } == ref.composition
+    assert cat.validate() == ref.validate()
+    if kind == "nord":
+        w_arrows = len(build_category("w_hlt", n, k).morphisms)
+        assert len(cat.morphisms) == factorial(k) * w_arrows
 
 
 class TestNerve:

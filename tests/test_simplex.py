@@ -20,7 +20,6 @@ from thetaran.simplex import (
     enumerate_delta_hom,
     identity_delta,
     identity_pointed,
-    is_active_delta,
     parse_monotone,
     simplicial_circle,
 )
@@ -98,7 +97,7 @@ class TestMonotoneMap:
 
     def test_active_enumeration_matches_predicate(self):
         for p, q in all_pairs():
-            expected = [f for f in enumerate_delta_hom(p, q) if is_active_delta(f)]
+            expected = [f for f in enumerate_delta_hom(p, q) if f.is_active]
             assert list(enumerate_delta_hom(p, q, True)) == expected
 
 
