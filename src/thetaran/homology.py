@@ -3,8 +3,13 @@
 The bridge from combinatorics to topology: a finite category presented as
 an object list, a morphism list, and a composition table has a normalized
 nerve whose d-chains are composable strings of d non-identity morphisms.
-Boundary matrices over the integers feed a Smith normal form routine, and
-Betti numbers plus torsion coefficients drop out degree by degree.
+Boundary matrices are sparse integer columns, one ``{row: coefficient}``
+dict per chain, straight from the nerve.  Smith normal form first
+eliminates the ±1 pivots sparsely, each splitting off a divisor 1, and
+runs a dense reduction only on the block left over.  Betti numbers plus
+torsion coefficients drop out degree by degree.  A dense view of a
+matrix exists for the brute-force oracles and tests; the engine never
+builds one.
 
 Two category builders connect back to the tree machinery.  ``w_hlt``
 takes the unlabeled healthy height-n trees with k leaves and all active
@@ -28,10 +33,16 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from math import factorial
 from random import Random
 
 from .theta import DEFAULT_HOM_CAP, ResourceCapError, healthy_trees, w_hom_rows
 
+# Nerve cells allowed in one build.  Measured peak RSS above the bare
+# interpreter (~18 MB), full degree, Python 3.11: 0.7 KB per cell on
+# nord(2,4) (12,288 cells) and 1.0 KB on w_hlt(2,5) (14,048 cells), where
+# the nerve dominates; 2.4 KB on w_hlt(3,4) (403,853 cells, 988 MB), where
+# Smith-form fill-in does.  So a build at the cap can take about 1.2 GB.
 DEFAULT_CHAIN_CAP = 500_000
 
 
@@ -41,16 +52,27 @@ DEFAULT_CHAIN_CAP = 500_000
 
 @dataclass(frozen=True)
 class IntegerMatrix:
+    """An integer matrix stored as sparse columns.
+
+    ``columns[j]`` maps each row index to the nonzero entry in column j;
+    zero entries are never stored.  ``entries`` is a dense row view for
+    oracles and tests, built on first use and kept; the engine never
+    reads it.
+    """
+
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
+        if len(self.columns) != self.cols:
+            raise ValueError("column count mismatch")
+        for column in self.columns:
+            for i, v in column.items():
+                if not 0 <= i < self.rows:
+                    raise ValueError(f"row index {i} outside {self.rows} rows")
+                if v == 0:
+                    raise ValueError("sparse columns store nonzero entries only")
 
     @classmethod
     def from_rows(cls, data, cols: int | None = None) -> IntegerMatrix:
@@ -59,24 +81,35 @@ class IntegerMatrix:
             if not rows:
                 raise ValueError("cannot infer width of an empty matrix")
             cols = len(rows[0])
-        return cls(len(rows), cols, tuple(rows))
+        if any(len(row) != cols for row in rows):
+            raise ValueError("column count mismatch")
+        columns = tuple(
+            {i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(cols)
+        )
+        return cls(len(rows), cols, columns)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for j, column in enumerate(self.columns):
+            for i, v in column.items():
+                dense[i][j] = v
+        return tuple(tuple(row) for row in dense)
 
     def multiply(self, other: IntegerMatrix) -> IntegerMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
         out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out.append(
-                tuple(
-                    sum(row[k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                )
-            )
+        for column in other.columns:
+            acc: dict[int, int] = {}
+            for k, w in column.items():
+                for i, v in self.columns[k].items():
+                    acc[i] = acc.get(i, 0) + v * w
+            out.append({i: v for i, v in acc.items() if v})
         return IntegerMatrix(self.rows, other.cols, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        return not any(self.columns)
 
 
 @dataclass(frozen=True)
@@ -86,15 +119,67 @@ class SmithNormalForm:
 
 
 def smith_normal_form(matrix: IntegerMatrix) -> SmithNormalForm:
-    """Elementary divisors by integer row and column reduction.
+    """Elementary divisors: sparse unit-pivot elimination, then dense Smith.
 
-    Pivots are chosen smallest in magnitude; after clearing a cross, the
-    pivot is forced to divide the remaining block (a row addition brings
-    any offender into play, shrinking the pivot).  Divisors come out
-    positive and in a divisibility chain.
+    A ±1 entry splits off a divisor 1: clearing its row by column
+    operations and then its column by row operations leaves ``[1]`` plus
+    the Schur complement on the other rows and columns.  Columns are
+    visited shortest first, and each pivots on the unit entry whose row
+    is shortest, which keeps fill-in low.  The residual block, the
+    columns without a unit entry, goes to the dense reduction.  Smith
+    form is unique, so the divisors are exactly ``(1,) * pivots`` followed
+    by the residual's divisors.
     """
-    rows, cols = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
+    columns = [dict(column) for column in matrix.columns]
+    holders: dict[int, set[int]] = defaultdict(set)  # row -> columns with it
+    for j, column in enumerate(columns):
+        for i in column:
+            holders[i].add(j)
+    pivots = 0
+    for j in sorted(range(len(columns)), key=lambda j: len(columns[j])):
+        column = columns[j]
+        units = [i for i, v in column.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        r = min(units, key=lambda i: len(holders[i]))
+        unit = column.pop(r)
+        for i in column:
+            holders[i].discard(j)
+        holders[r].discard(j)
+        for other in holders.pop(r):
+            target = columns[other]
+            factor = -unit * target.pop(r)
+            for i, v in column.items():
+                value = target.get(i, 0) + factor * v
+                if value:
+                    if i not in target:
+                        holders[i].add(other)
+                    target[i] = value
+                else:
+                    del target[i]
+                    holders[i].discard(other)
+        columns[j] = {}
+        pivots += 1
+    residual = [column for column in columns if column]
+    index = {i: p for p, i in enumerate(sorted({i for c in residual for i in c}))}
+    block = [[0] * len(residual) for _ in index]
+    for j, column in enumerate(residual):
+        for i, v in column.items():
+            block[index[i]][j] = v
+    divisors = (1,) * pivots + _dense_divisors(block)
+    return SmithNormalForm(divisors, len(divisors))
+
+
+def _dense_divisors(a: list[list[int]]) -> tuple[int, ...]:
+    """Elementary divisors of a dense matrix by row and column reduction.
+
+    Works in place on ``a``.  Pivots are chosen smallest in magnitude;
+    after clearing a cross, the pivot is forced to divide the remaining
+    block (a row addition brings any offender into play, shrinking the
+    pivot).  Divisors come out positive and in a divisibility chain.
+    """
+    rows = len(a)
+    cols = len(a[0]) if a else 0
     divisors: list[int] = []
     t = 0
     while t < min(rows, cols):
@@ -121,7 +206,7 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithNormalForm:
             a[t] = [-v for v in a[t]]
         divisors.append(a[t][t])
         t += 1
-    return SmithNormalForm(tuple(divisors), len(divisors))
+    return tuple(divisors)
 
 
 def _clear_cross(a, t: int, rows: int, cols: int) -> bool:
@@ -357,17 +442,27 @@ def build_category(
     ``cap`` bounds the number of w rows in each hom-set.  Objects and
     arrows come in a fixed order (arrows by source, then target), so
     rebuilt categories are identical.
+
+    Objects are the nerve's 0-cells and non-identity arrows its 1-cells,
+    so a category with more than ``DEFAULT_CHAIN_CAP`` arrows has a nerve
+    over that cap.  Both counts are checked before they are materialized:
+    the objects before any row is listed, the arrows (k! per w-arrow in
+    ``nord``) before the cover is built.  Either raises
+    ``ResourceCapError``.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown category kind {kind!r}; pick from {_KINDS}")
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     trees = healthy_trees(n, k)
+    lifts = factorial(k) if kind == "nord" else 1
+    _cap_cells(f"{kind}({n},{k}) objects", len(trees) * lifts)
     rows_out = [
         [(b, row) for b, tree_b in enumerate(trees)
          for row in w_hom_rows(tree_a, tree_b, cap)]
         for tree_a in trees
     ]
+    _cap_cells(f"{kind}({n},{k}) arrows", lifts * sum(map(len, rows_out)))
     if kind == "w_hlt":
         objects: tuple = trees
         arrows = [(a, b, row) for a, out in enumerate(rows_out) for b, row in out]
@@ -393,6 +488,13 @@ def build_category(
             row = tuple(first[v - 1] for v in second)
             cat.composition[(g, f)] = index[(a, c, row)]
     return cat
+
+
+def _cap_cells(what: str, count: int) -> None:
+    if count > DEFAULT_CHAIN_CAP:
+        raise ResourceCapError(
+            f"{count} {what} exceed the {DEFAULT_CHAIN_CAP}-cell nerve cap"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +558,8 @@ def nerve_chain_complex(
                         coeffs[position[face]] += sign
                     sign = -sign
                 coeffs[position[chain[:-1]]] += sign
-            columns.append(coeffs)
-        entries = tuple(
-            tuple(columns[j].get(i, 0) for j in range(len(upper)))
-            for i in range(len(lower))
-        )
-        matrices.append(IntegerMatrix(len(lower), len(upper), entries))
+            columns.append({i: v for i, v in coeffs.items() if v})
+        matrices.append(IntegerMatrix(len(lower), len(upper), tuple(columns)))
     return matrices
 
 
@@ -511,7 +609,12 @@ def homology_of_category(
 def homology_from_boundaries(
     matrices: list[IntegerMatrix], max_degree: int
 ) -> HomologyResult:
-    """Homology of a chain complex given as boundaries for degrees 1..D+1."""
+    """Homology of a chain complex given as boundaries for degrees 1..D+1.
+
+    When no cells lie above degree D the complex is complete, and the
+    Euler characteristic of the cells must equal that of the Betti
+    numbers; a mismatch raises ``AssertionError``.
+    """
     if len(matrices) < max_degree + 1:
         raise ValueError(
             f"need boundaries through degree {max_degree + 1}, got {len(matrices)}"
@@ -527,6 +630,14 @@ def homology_from_boundaries(
             raise AssertionError("negative Betti number; the complex is broken")
         betti.append(betti_d)
         torsion.append(tuple(v for v in forms[d].divisors if v > 1))
+    if not any(sizes[max_degree + 1 :]):
+        cells_chi = sum((-1) ** d * size for d, size in enumerate(sizes))
+        betti_chi = sum((-1) ** d * b for d, b in enumerate(betti))
+        if cells_chi != betti_chi:
+            raise AssertionError(
+                f"Euler characteristic {cells_chi} of the cells is not "
+                f"{betti_chi} of the Betti numbers; the complex is broken"
+            )
     return HomologyResult(
         max_degree, tuple(betti), tuple(torsion), tuple(sizes)
     )

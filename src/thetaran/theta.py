@@ -48,6 +48,11 @@ from .simplex import (
 
 DEFAULT_HOM_CAP = 10**6
 
+# Nesting depth ``parse_tree`` accepts.  Tree walks (formatting, leaves,
+# pruning) recurse once per level, so this stays far below the
+# interpreter's recursion limit.
+MAX_TREE_DEPTH = 200
+
 
 class ResourceCapError(RuntimeError):
     """Raised when an enumeration would exceed its configured cap."""
@@ -161,7 +166,7 @@ def parse_tree(text: str, height: int | None = None) -> Tree:
     Heights are inferred minimally; rank-0 subtrees are lifted to match
     their siblings, and the optional ``height`` lifts the final result.
     """
-    tree, pos = _parse_tree(text, 0)
+    tree, pos = _parse_tree(text, 0, 1)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ValueError(f"trailing input at position {pos}: {text[pos:]!r}")
@@ -176,7 +181,9 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
+def _parse_tree(text: str, pos: int, depth: int) -> tuple[Tree, int]:
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"tree nested deeper than {MAX_TREE_DEPTH} levels")
     pos = _skip_ws(text, pos)
     if pos >= len(text) or text[pos] != "[":
         raise ValueError(f"expected '[' at position {pos} in {text!r}")
@@ -196,7 +203,7 @@ def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
         pos += 1  # "[0]()" style: an explicit, empty child list
     else:
         while True:
-            child, pos = _parse_tree(text, pos)
+            child, pos = _parse_tree(text, pos, depth + 1)
             children.append(child)
             pos = _skip_ws(text, pos)
             if pos >= len(text):

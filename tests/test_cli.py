@@ -68,6 +68,12 @@ class TestTree:
         assert code == 2
         assert "error:" in err
 
+    def test_deep_nesting_is_usage_error(self, capsys):
+        deep = "[1](" * 1199 + "[1]" + ")" * 1199
+        code, _, err = run(capsys, "tree", "--tree", deep)
+        assert code == 2
+        assert "nested deeper than" in err
+
 
 class TestHom:
     def test_count(self, capsys):
@@ -248,6 +254,15 @@ class TestHomology:
         )
         assert code == 3
         assert "resource cap" in err
+
+    @pytest.mark.parametrize("k,what", [("9", "objects"), ("6", "arrows")])
+    def test_category_over_cell_cap(self, capsys, k, what):
+        # nord(2,9): 256 trees x 9! objects; nord(2,6): 6! x 6,992 arrows
+        code, _, err = run(
+            capsys, "homology", "--category", "nord", "--n", "2", "--k", k
+        )
+        assert code == 3
+        assert "resource cap" in err and what in err
 
 
 class TestVerify:

@@ -8,15 +8,18 @@ integers, no reuse of library code).
 
 from __future__ import annotations
 
+import time
 from itertools import combinations, permutations
 from math import factorial, gcd
 from random import Random
 
 import pytest
 
+from thetaran.harness import minor_gcd, ordered_betti_oracle
 from thetaran.homology import (
     FiniteCategoryView,
     IntegerMatrix,
+    _dense_divisors,
     build_category,
     chain_poset,
     homology_from_boundaries,
@@ -72,7 +75,7 @@ class TestSmithNormalForm:
         # gcd of entries 2, determinant -8, so divisors 2 and 8/2
         two_by_two = IntegerMatrix.from_rows([[2, 4], [6, 8]])
         assert smith_normal_form(two_by_two).divisors == (2, 4)
-        zero = IntegerMatrix(2, 3, ((0, 0, 0), (0, 0, 0)))
+        zero = IntegerMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
         form = smith_normal_form(zero)
         assert form.divisors == () and form.rank == 0
 
@@ -107,13 +110,43 @@ class TestSmithNormalForm:
             if form.rank < min(rows, cols):
                 assert minor_gcd_oracle(m, form.rank + 1) == 0
 
+    def test_unit_elimination_matches_oracles(self):
+        # sparse entries in -2..2, so most matrices carry unit pivots
+        rng = Random(23)
+        for _ in range(200):
+            rows = rng.randint(1, 8)
+            cols = rng.randint(1, 8)
+            m = IntegerMatrix.from_rows(
+                [
+                    [rng.randint(-2, 2) if rng.random() < 0.3 else 0
+                     for _ in range(cols)]
+                    for _ in range(rows)
+                ],
+                cols,
+            )
+            form = smith_normal_form(m)
+            assert form.divisors == _dense_divisors([list(r) for r in m.entries])
+            product = 1
+            for k, d in enumerate(form.divisors, start=1):
+                product *= d
+                assert product == minor_gcd(m, k)
+            if form.rank < min(rows, cols):
+                assert minor_gcd(m, form.rank + 1) == 0
+
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
-            IntegerMatrix(2, 2, ((1, 2),))
+            IntegerMatrix(2, 2, ({0: 1},))
         with pytest.raises(ValueError):
-            IntegerMatrix(1, 2, ((1,),))
+            IntegerMatrix(1, 2, ({0: 1}, {1: 1}))
+        with pytest.raises(ValueError):
+            IntegerMatrix(1, 1, ({0: 0},))
+        with pytest.raises(ValueError):
+            IntegerMatrix.from_rows([[1, 2], [3]])
         with pytest.raises(ValueError):
             IntegerMatrix.from_rows([])
+        sparse = IntegerMatrix.from_rows([[0, 2], [0, 0], [-1, 0]])
+        assert sparse.columns == ({2: -1}, {0: 2})
+        assert sparse.entries == ((0, 2), (0, 0), (-1, 0))
         a = IntegerMatrix.from_rows([[1, 2]])
         b = IntegerMatrix.from_rows([[3], [4]])
         assert a.multiply(b).entries == ((11,),)
@@ -268,10 +301,18 @@ class TestNerve:
             chain_poset(3),
             build_category("w_hlt", 2, 3),
             build_category("nord", 2, 2),
+            build_category("w_hlt", 3, 3),
         ]:
             matrices = nerve_chain_complex(cat, 4)
             for lower, upper in zip(matrices, matrices[1:]):
                 assert lower.multiply(upper).is_zero()
+
+    def test_engine_never_builds_dense_view(self):
+        matrices = nerve_chain_complex(build_category("w_hlt", 3, 2), 4)
+        homology_from_boundaries(matrices, 3)
+        assert all(lower.multiply(upper).is_zero()
+                   for lower, upper in zip(matrices, matrices[1:]))
+        assert not any("entries" in vars(m) for m in matrices)
 
     def test_chain_cap(self):
         cat = build_category("w_hlt", 2, 3)
@@ -334,5 +375,59 @@ class TestHomology:
     def test_boundary_list_too_short(self):
         with pytest.raises(ValueError):
             homology_from_boundaries(
-                [IntegerMatrix(1, 0, (() ,))], max_degree=1
+                [IntegerMatrix.from_rows([()], 0)], max_degree=1
             )
+
+
+def nerve_cell_counts(cat: FiniteCategoryView) -> tuple[int, ...]:
+    """Cells of the whole nerve by dimension, counted without listing them:
+    strings of d non-identity arrows, tallied by the object they end at."""
+    counts = [len(cat.objects)]
+    ending = [1] * len(cat.objects)
+    while True:
+        step = [0] * len(cat.objects)
+        for a, arrows in enumerate(cat.outgoing_non_identity):
+            for m in arrows:
+                step[cat.target(m)] += ending[a]
+        if not any(step):
+            return tuple(counts)
+        counts.append(sum(step))
+        ending = step
+
+
+def euler(values) -> int:
+    return sum((-1) ** d * v for d, v in enumerate(values))
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in (1, 2, 3) for k in range(4)] + [(2, 4)]
+)
+def test_cover_euler_characteristics(n, k):
+    ordered = euler(nerve_cell_counts(build_category("nord", n, k)))
+    unordered = euler(nerve_cell_counts(build_category("w_hlt", n, k)))
+    assert ordered == factorial(k) * unordered == euler(ordered_betti_oracle(n, k))
+
+
+# Full-degree homology: max_degree is the nerve's top nonempty dimension,
+# so the Euler check runs.  Each case has a 10 s budget.
+FULL_DEGREE_CASES = [
+    ("nord", 3, 3, (1, 0, 3, 0, 2), ((),) * 5),
+    ("nord", 2, 4, (1, 6, 11, 6), ((),) * 4),
+    ("w_hlt", 2, 5, (1, 1, 0, 0, 0), ((), (), (2,), (), ())),
+]
+
+
+@pytest.mark.parametrize("kind,n,k,betti,torsion", FULL_DEGREE_CASES)
+def test_full_degree_homology(kind, n, k, betti, torsion):
+    started = time.perf_counter()
+    cat = build_category(kind, n, k)
+    cells = nerve_cell_counts(cat)
+    result = homology_of_category(cat, len(cells) - 1)
+    assert time.perf_counter() - started < 10.0
+    assert result.chain_sizes == cells + (0,)
+    assert result.betti == betti
+    assert result.torsion == torsion
+    if kind == "nord":
+        assert betti == ordered_betti_oracle(n, k)
+    else:
+        assert euler(betti) == 0
