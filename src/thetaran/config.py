@@ -550,7 +550,8 @@ def random_exit_path(
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, (int, str)):
+    # bool is an int subclass; a JSON true is not the number 1
+    if isinstance(text, (int, str)) and not isinstance(text, bool):
         try:
             return Fraction(text)
         except ZeroDivisionError:
@@ -558,9 +559,17 @@ def parse_rational(text) -> Fraction:
     raise ValueError(f"rationals must be integers or 'p/q' strings, got {text!r}")
 
 
+def _points_from_json(doc, what: str) -> list[tuple[Fraction, ...]]:
+    if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
+        raise ValueError(
+            f"{what} must be an array of points, each an array of coordinates"
+        )
+    return [tuple(parse_rational(c) for c in row) for row in doc]
+
+
 def configuration_from_json(doc, dimension: int | None = None) -> Configuration:
     """A JSON array of points, each an array of rational strings."""
-    points = [tuple(parse_rational(c) for c in row) for row in doc]
+    points = _points_from_json(doc, "points")
     if dimension is None:
         if not points:
             raise ValueError(
@@ -580,9 +589,16 @@ def exit_path_from_json(doc: dict) -> ExitPath:
     ``map`` pairs target file positions with source file positions; both
     sides are re-indexed into canonical sorted order on load.
     """
-    dimension = int(doc["dimension"])
-    src_raw = [tuple(parse_rational(c) for c in row) for row in doc["source"]]
-    tgt_raw = [tuple(parse_rational(c) for c in row) for row in doc["target"]]
+    if not isinstance(doc, dict):
+        raise ValueError(
+            "an exit path must be a JSON object with dimension, source, "
+            "target and map"
+        )
+    dimension = doc["dimension"]
+    if not isinstance(dimension, int) or isinstance(dimension, bool):
+        raise ValueError(f"dimension must be a JSON integer, got {dimension!r}")
+    src_raw = _points_from_json(doc["source"], "source")
+    tgt_raw = _points_from_json(doc["target"], "target")
     raw_map = doc["map"]
     if not isinstance(raw_map, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in raw_map

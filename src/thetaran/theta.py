@@ -32,9 +32,11 @@ cache aggressively, so concurrent readers are safe.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, islice, product
+from math import comb
 
 from .simplex import (
     CompositionError,
@@ -442,10 +444,6 @@ class MorphismLadder:
         hit = {v for v in row if v is not None}
         return len(hit) == len(row) == self.source.sizes[d]
 
-    @property
-    def leaf_map(self) -> tuple[int | None, ...]:
-        return self.rows[0]
-
 
 @lru_cache(maxsize=None)
 def morphism_ladder(m: ThetaMorphism) -> MorphismLadder:
@@ -590,7 +588,15 @@ def count_theta_hom(source: Tree, target: Tree, active_only: bool = False) -> in
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
     if source.height == 1:
-        return len(enumerate_delta_hom(source.rank, target.rank, active_only))
+        # closed form, so a cap is compared before anything is listed: a
+        # map [p] -> [q] is a multiset of p + 1 values in [q], and an
+        # active one fixes f(0) = 0 and f(p) = q, leaving p - 1 values
+        p, q = source.rank, target.rank
+        if not active_only:
+            return comb(p + q + 1, p + 1)
+        if p == 0:
+            return int(q == 0)
+        return comb(p + q - 1, p - 1)
     total = 0
     for base in enumerate_delta_hom(source.rank, target.rank, active_only):
         term = 1
@@ -649,7 +655,7 @@ def _enumerate_w(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
             return (identity_theta(source),)
         return ()
     out = []
-    for base in _feasible_w_bases(
+    for base in _injective_bases(
         tuple(c.leaf_count for c in source.children),
         tuple(c.leaf_count for c in target.children),
     ):
@@ -826,15 +832,19 @@ def verify_initiality(
 
 
 @lru_cache(maxsize=None)
-def _feasible_w_bases(
+def _injective_bases(
     src_profile: tuple[int, ...], tgt_profile: tuple[int, ...]
 ) -> tuple[MonotoneMap, ...]:
-    """Active bases whose fibers cut the target leaf profile into
-    consecutive blocks matching the source leaf profile.
+    """Active bases under which each source child receives at most as
+    many target leaves as it has.
 
-    Every leaf-bijective morphism satisfies this block condition, so
-    filtering the full active enumeration loses nothing; keying the scan
-    by the two profiles amortizes it across all tree pairs sharing them.
+    An injective leaf map sends the target leaves over a fiber into its
+    source child, so every morphism with one passes, and filtering the
+    active enumeration loses nothing.  Active fibers partition the target
+    children, so when the two leaf totals are equal "at most" forces
+    "exactly": the fibers then cut the target profile into blocks
+    matching the source profile.  Keying the scan by the two profiles
+    amortizes it across all tree pairs sharing them.
     """
     tgt_prefix = [0]
     for c in tgt_profile:
@@ -843,7 +853,7 @@ def _feasible_w_bases(
     for base in enumerate_delta_hom(len(src_profile), len(tgt_profile), True):
         values = base.values
         if all(
-            tgt_prefix[values[i]] - tgt_prefix[values[i - 1]] == src_profile[i - 1]
+            tgt_prefix[values[i]] - tgt_prefix[values[i - 1]] <= src_profile[i - 1]
             for i in range(1, len(src_profile) + 1)
         ):
             out.append(base)
@@ -868,19 +878,19 @@ def _masked_rows(
 
 def _assemble_disjoint(
     masked_lists: list[tuple[tuple[tuple[int, ...], int], ...]],
-) -> list[tuple[tuple[int, ...], int]]:
+) -> list[tuple[int, ...]]:
     """One row from each list, masks pairwise disjoint, concatenated.
 
-    Returns (concatenated row, union mask) pairs; prunes as soon as a
-    prefix of choices collides, which the plain cartesian product cannot.
+    Prunes as soon as a prefix of choices collides, which the plain
+    cartesian product cannot.
     """
     n = len(masked_lists)
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: list[tuple[int, ...]] = []
     chosen: list[tuple[int, ...]] = [()] * n
 
     def walk(idx: int, acc: int) -> None:
         if idx == n:
-            out.append((tuple(chain.from_iterable(chosen)), acc))
+            out.append(tuple(chain.from_iterable(chosen)))
             return
         for row, mask in masked_lists[idx]:
             if acc & mask:
@@ -892,52 +902,69 @@ def _assemble_disjoint(
     return out
 
 
-@lru_cache(maxsize=None)
-def _injective_hom_rows(source: Tree, target: Tree) -> tuple[tuple[int, ...], ...]:
+def _injective_rows(source: Tree, target: Tree) -> Iterator[tuple[int, ...]]:
     """Leaf rows of the active morphisms source -> target whose leaf map
-    is injective, for a healthy target.
+    is injective, for a healthy target, in wreath enumeration order.
 
     A healthy target has a leaf above every vertex, so the whole ladder
     of an active morphism into it is recoverable from its top row; rows
-    therefore stand in for morphisms one to one.  The recursion mirrors
-    the wreath enumeration (one row per base and component choice) and
-    raises if it ever produces a duplicate row, which would refute that
-    correspondence.
+    therefore stand in for morphisms one to one.  The walk mirrors the
+    wreath enumeration (one row per base and component choice) over the
+    bases of _injective_bases, and raises if it ever produces a
+    duplicate row, which would refute that correspondence.  Nothing is
+    cached at this level: decorated sources are visited once, so only
+    _injective_hom_rows caches, for child pairs and healthy sources.
     """
     if source.height == 1:
         # rows of active maps [p] -> [q] are weakly increasing, so the
         # injective ones are exactly the strictly increasing q-tuples
-        return tuple(combinations(range(1, source.rank + 1), target.rank))
-    offsets = []
-    total = 0
-    for c in source.children:
-        offsets.append(total)
-        total += c.leaf_count
-    out: list[tuple[int, ...]] = []
+        yield from combinations(range(1, source.rank + 1), target.rank)
+        return
+    offsets = tuple(accumulate((c.leaf_count for c in source.children), initial=0))
     seen_rows: set[tuple[int, ...]] = set()
-    for base in enumerate_delta_hom(source.rank, target.rank, True):
+    for base in _injective_bases(
+        tuple(c.leaf_count for c in source.children),
+        tuple(c.leaf_count for c in target.children),
+    ):
         masked_lists = []
-        dead = False
         for i, j in fiber_pairs(base):
             masked = _masked_rows(
                 source.children[i - 1], target.children[j - 1], offsets[i - 1]
             )
             if not masked:
-                dead = True
                 break
             masked_lists.append(masked)
-        if dead:
-            continue
-        for row, _ in _assemble_disjoint(masked_lists):
-            if row in seen_rows:
-                raise RuntimeError(
-                    f"duplicate leaf row {row} for distinct morphisms "
-                    f"{format_tree(source)} -> {format_tree(target)}; rows "
-                    "do not determine morphisms here"
-                )
-            seen_rows.add(row)
-            out.append(row)
-    return tuple(out)
+        else:
+            for row in _assemble_disjoint(masked_lists):
+                if row in seen_rows:
+                    raise RuntimeError(
+                        f"duplicate leaf row {row} for distinct morphisms "
+                        f"{format_tree(source)} -> {format_tree(target)}; "
+                        "rows do not determine morphisms here"
+                    )
+                seen_rows.add(row)
+                yield row
+
+
+@lru_cache(maxsize=None)
+def _injective_hom_rows(source: Tree, target: Tree) -> tuple[tuple[int, ...], ...]:
+    """The rows of _injective_rows, cached: child pairs and healthy
+    sources recur across many trees."""
+    return tuple(_injective_rows(source, target))
+
+
+def _capped_rows(
+    rows: Iterable[tuple[int, ...]], cap: int, source: Tree, target: Tree
+) -> tuple[tuple[int, ...], ...]:
+    """The rows as a tuple, raising ResourceCapError on the first row
+    past ``cap``."""
+    out = tuple(islice(rows, cap + 1))
+    if len(out) > cap:
+        raise ResourceCapError(
+            f"row enumeration exceeded cap {cap} for "
+            f"{format_tree(source)} -> {format_tree(target)}"
+        )
+    return out
 
 
 def w_hom_rows(
@@ -946,10 +973,12 @@ def w_hom_rows(
     """Leaf rows of the leaf-bijective active morphisms source -> target.
 
     The target must be healthy, so rows determine morphisms (see
-    _injective_hom_rows) and this walks the same search tree as the "w"
-    enumeration without materializing any wreath data.  The verification
-    suite checks the two against each other, row for row, wherever the
-    direct enumeration is affordable.
+    _injective_rows).  Between trees with equal leaf counts an injective
+    leaf map is a bijection, so these are exactly the injective rows;
+    with unequal counts there are none.  Raises ResourceCapError once
+    there are more than ``cap`` rows.  The verification suite checks the
+    rows against the "w" enumeration, row for row, wherever the direct
+    enumeration is affordable.
     """
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
@@ -960,62 +989,7 @@ def w_hom_rows(
         )
     if source.leaf_count != target.leaf_count:
         return ()
-    if source.height == 1:
-        if source.rank == target.rank:
-            return (tuple(range(1, source.rank + 1)),)
-        return ()
-    offsets = []
-    total = 0
-    for c in source.children:
-        offsets.append(total)
-        total += c.leaf_count
-    # disjoint segments of total length leaf_count cover everything, so
-    # the bijectivity check reduces to disjointness
-    full = (1 << (source.leaf_count + 1)) - 2
-    out: list[tuple[int, ...]] = []
-    seen_rows: set[tuple[int, ...]] = set()
-    for base in _feasible_w_bases(
-        tuple(c.leaf_count for c in source.children),
-        tuple(c.leaf_count for c in target.children),
-    ):
-        masked_lists = []
-        dead = False
-        for i, j in fiber_pairs(base):
-            masked = _masked_rows(
-                source.children[i - 1], target.children[j - 1], offsets[i - 1]
-            )
-            if not masked:
-                dead = True
-                break
-            masked_lists.append(masked)
-        if dead:
-            continue
-        for row, acc in _assemble_disjoint(masked_lists):
-            if acc != full:
-                continue
-            if row in seen_rows:
-                raise RuntimeError(
-                    f"duplicate leaf row {row} for distinct morphisms "
-                    f"{format_tree(source)} -> {format_tree(target)}; rows "
-                    "do not determine morphisms here"
-                )
-            seen_rows.add(row)
-            out.append(row)
-            if len(out) > cap:
-                raise ResourceCapError(
-                    f"row enumeration exceeded cap {cap} for "
-                    f"{format_tree(source)} -> {format_tree(target)}"
-                )
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _w_rows_between_healthy(
-    source: Tree, target: Tree, cap: int
-) -> tuple[tuple[int, ...], ...]:
-    # healthy sources recur across many decorated trees; cache only these,
-    # the decorated side is visited once and would bloat the cache
-    return w_hom_rows(source, target, cap)
+    return _capped_rows(_injective_rows(source, target), cap, source, target)
 
 
 def verify_initiality_by_rows(
@@ -1043,7 +1017,11 @@ def verify_initiality_by_rows(
     for target in healthy_trees(tree.height, tree.leaf_count):
         targets_checked += 1
         direct = w_hom_rows(tree, target, cap)
-        factored = _w_rows_between_healthy(result.pruned, target, cap)
+        # the pruned side is healthy and recurs across many trees, so it
+        # reads the cached rows; equal leaf counts make them its w rows
+        factored = _capped_rows(
+            _injective_hom_rows(result.pruned, target), cap, result.pruned, target
+        )
         transported = {
             tuple(alpha_row[v - 1] for v in row) for row in factored
         }

@@ -122,6 +122,27 @@ class TestHom:
         assert code == 3
         assert "resource cap" in err
 
+    def test_height_one_count_is_closed_form(self, capsys):
+        # C(29, 15) maps [14] -> [14]; none of them is built
+        code, out, _ = run(
+            capsys, "hom", "--source", "[14]", "--target", "[14]", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 77558760
+        code, _, err = run(
+            capsys,
+            "hom",
+            "--source",
+            "[30]",
+            "--target",
+            "[30]",
+            "--enumerate",
+            "--cap",
+            "10",
+        )
+        assert code == 3
+        assert "resource cap" in err
+
     def test_height_mismatch(self, capsys):
         code, _, err = run(
             capsys, "hom", "--source", "[2]", "--target", "[1]([1])"
@@ -190,6 +211,30 @@ class TestConfig:
         code, _, err = run(capsys, "config", "validate", "--path", path)
         assert code == 2
         assert "map must be a list of integers" in err
+
+    @pytest.mark.parametrize(
+        "action,doc,message",
+        [
+            ("validate", [], "must be a JSON object"),
+            ("validate", dict(VALID_SPLIT, dimension=None), "dimension must be"),
+            ("validate", dict(VALID_SPLIT, dimension=1.5), "dimension must be"),
+            ("validate", dict(VALID_SPLIT, source=5), "source must be"),
+            ("validate", dict(VALID_SPLIT, source=[[True]]), "rationals must be"),
+            ("tree", 5, "points must be"),
+            ("tree", ["12"], "points must be"),
+            ("tree", [[True]], "rationals must be"),
+            ("tree", [[1.5]], "rationals must be"),
+        ],
+    )
+    def test_malformed_json_is_usage_error(
+        self, capsys, tmp_path, action, doc, message
+    ):
+        flag = "--points" if action == "tree" else "--path"
+        path = write_json(tmp_path / "input.json", doc)
+        code, out, err = run(capsys, "config", action, flag, path)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in out + err
 
     def test_zero_denominator_is_usage_error(self, capsys, tmp_path):
         points = write_json(tmp_path / "pts.json", [["1/0"]])

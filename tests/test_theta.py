@@ -12,8 +12,10 @@ from itertools import product
 
 import pytest
 
-from thetaran.simplex import MonotoneMap, compose_delta
+from thetaran.simplex import MonotoneMap, compose_delta, enumerate_delta_hom
 from thetaran.theta import (
+    _enumerate_plain,
+    _injective_hom_rows,
     CompositionError,
     ResourceCapError,
     ThetaMorphism,
@@ -231,6 +233,13 @@ class TestEnumeration:
             m for m in active if classify_morphism(m).exit
         )
 
+    def test_height_one_counts_in_closed_form(self):
+        for p, q in product(range(7), repeat=2):
+            for active in (False, True):
+                assert count_theta_hom(Tree(1, p), Tree(1, q), active) == len(
+                    enumerate_delta_hom(p, q, active)
+                )
+
     def test_unknown_filter(self):
         t = parse_tree("[1]([1])")
         with pytest.raises(ValueError):
@@ -376,6 +385,25 @@ class TestHomRows:
                     rows = w_hom_rows(source, target)
                     assert len(rows) == len(direct)
                     assert set(rows) == {leaf_row(m) for m in direct}
+
+    def test_injective_rows_match_plain_enumeration(self):
+        # the base filter skips bases that cannot carry an injective leaf
+        # map; against the unfiltered active enumeration, nothing is lost,
+        # also between unequal leaf counts
+        for height, k in product((1, 2, 3), range(5)):
+            for source in decorated_trees(height, k, 1):
+                for target_k in range(k + 1):
+                    for target in healthy_trees(height, target_k):
+                        oracle = [
+                            row
+                            for row in map(
+                                leaf_row, _enumerate_plain(source, target, True)
+                            )
+                            if len(set(row)) == len(row)
+                        ]
+                        rows = _injective_hom_rows(source, target)
+                        assert len(rows) == len(oracle)
+                        assert set(rows) == set(oracle)
 
     def test_frozen_shuffle_rows(self):
         src = parse_tree("[1]([2])")
