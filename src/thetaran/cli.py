@@ -46,38 +46,33 @@ from .theta import (
     morphism_to_json,
     parse_tree,
     prune,
+    w_hom_rows,
 )
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="suite PRNG seed")
-    common.add_argument("--json", action="store_true", help="machine output")
-    common.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    # each subcommand takes only the flags its handler reads
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="machine output")
+    cap_flag = argparse.ArgumentParser(add_help=False)
+    cap_flag.add_argument(
         "--cap", type=int, default=DEFAULT_HOM_CAP, help="enumeration size cap"
     )
-    common.add_argument(
-        "--max-degree", type=int, default=3, dest="max_degree",
-        help="top homology degree",
-    )
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="theta-ran",
         description="planar level trees, exit paths, and nerve homology",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tree_p = sub.add_parser("tree", parents=[common], help="inspect a tree")
+    tree_p = sub.add_parser("tree", parents=[json_flag], help="inspect a tree")
     tree_p.add_argument("--tree", required=True, help="tree text, e.g. [2]([1],[1])")
     tree_p.add_argument("--height", type=int, help="lift rank-0 trees")
     tree_p.add_argument("--prune", action="store_true", help="show the pruning")
     tree_p.add_argument("--leaves", action="store_true", help="show layer sizes")
 
-    hom_p = sub.add_parser("hom", parents=[common], help="hom-sets between trees")
+    hom_p = sub.add_parser(
+        "hom", parents=[json_flag, cap_flag], help="hom-sets between trees"
+    )
     hom_p.add_argument("--source", required=True)
     hom_p.add_argument("--target", required=True)
     hom_p.add_argument("--height", type=int)
@@ -88,33 +83,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     config_p = sub.add_parser("config", help="configurations and exit paths")
     config_sub = config_p.add_subparsers(dest="action", required=True)
-    ct = config_sub.add_parser("tree", parents=[common], help="points to tree")
+    ct = config_sub.add_parser("tree", parents=[json_flag], help="points to tree")
     ct.add_argument("--points", required=True, help="JSON point file")
     ct.add_argument("--dimension", type=int, help="needed for empty files")
     cm = config_sub.add_parser(
-        "morphism", parents=[common], help="exit path to tree morphism"
+        "morphism", parents=[json_flag], help="exit path to tree morphism"
     )
     cm.add_argument("--path", required=True, help="JSON exit-path file")
     cv = config_sub.add_parser(
-        "validate", parents=[common], help="check an exit path"
+        "validate", parents=[json_flag], help="check an exit path"
     )
     cv.add_argument("--path", required=True, help="JSON exit-path file")
 
-    h_p = sub.add_parser("homology", parents=[common], help="category homology")
+    h_p = sub.add_parser(
+        "homology", parents=[json_flag, cap_flag], help="category homology"
+    )
     h_p.add_argument("--category", choices=_KINDS, required=True)
     h_p.add_argument("--n", type=int, required=True, help="tree height")
     h_p.add_argument("--k", type=int, required=True, help="leaf count")
+    h_p.add_argument(
+        "--max-degree", type=int, default=3, dest="max_degree",
+        help="top homology degree",
+    )
     h_p.add_argument("--out", help="write the JSON report here")
 
-    v_p = sub.add_parser("verify", parents=[common], help="run a suite")
+    v_p = sub.add_parser("verify", parents=[json_flag], help="run a suite")
     v_p.add_argument("--suite", choices=SUITE_NAMES, default="all")
+    v_p.add_argument("--seed", type=int, default=0, help="suite PRNG seed")
     v_p.add_argument(
         "--param", action="append", default=[], metavar="KEY=VALUE",
         help="suite parameter override, repeatable",
     )
     v_p.add_argument("--out", help="write the canonical report here")
 
-    f_p = sub.add_parser("fixtures", parents=[common], help="oracle tables")
+    f_p = sub.add_parser("fixtures", help="oracle tables")
     f_p.add_argument("--out", help="write the tables here")
     return parser
 
@@ -190,6 +192,10 @@ def _handle_hom(args) -> int:
     else:
         if args.filter in ("all", "active"):
             count = count_theta_hom(source, target, args.filter == "active")
+        elif args.filter == "w" and target.is_healthy:
+            # rows stand for w morphisms into a healthy target, so this
+            # never lists, or caps by, the larger active hom-set
+            count = len(w_hom_rows(source, target, args.cap))
         else:
             count = len(enumerate_theta_hom(source, target, args.filter, args.cap))
         doc = {

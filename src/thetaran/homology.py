@@ -615,6 +615,8 @@ def homology_from_boundaries(
     Euler characteristic of the cells must equal that of the Betti
     numbers; a mismatch raises ``AssertionError``.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     if len(matrices) < max_degree + 1:
         raise ValueError(
             f"need boundaries through degree {max_degree + 1}, got {len(matrices)}"

@@ -10,16 +10,18 @@ A morphism T -> S is a wreath datum: a monotone base map between the root
 ranks together with, for every pair (i, j) such that the circle
 construction sends target child j onto source child i, a morphism
 T_i -> S_j one height down.  Composition matches fiber indices through the
-circle construction, which runs contravariantly; consequently all the
-finite-set maps extracted from a morphism (leaf maps, layer ladders) go
-from the target's vertex sets to the source's.
+circle construction, which runs contravariantly; consequently the
+finite-set map a morphism induces on each level (the leaf row of its
+truncation to that level) goes from the target's vertex set to the
+source's.
 
 The module also provides the classification flags used downstream:
 
 * active: every level of the wreath datum is an active monotone map;
-* in_w:   active and the leaf map is a bijection;
-* exit:   active, both endpoints healthy and nonempty, and every row of
-          the layer ladder surjective;
+* in_w:   active and the leaf row is a bijection;
+* exit:   active, both endpoints healthy and nonempty, and the map on
+          every level surjective, which for such endpoints the leaf row
+          alone decides (see classify_morphism);
 
 together with truncation (dropping top levels), pruning (the left adjoint
 onto healthy trees, with its unit), hom-set enumeration under a resource
@@ -35,7 +37,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from math import comb
 
 from .simplex import (
@@ -405,84 +407,14 @@ def compose_theta(second: ThetaMorphism, first: ThetaMorphism) -> ThetaMorphism:
 
 
 # ---------------------------------------------------------------------------
-# ladders and classification
-
-
-@dataclass(frozen=True)
-class MorphismLadder:
-    """Levelwise finite-set maps extracted from a morphism.
-
-    Each row sends the target's vertices at one level to the source's
-    vertices at the same level (None marks a basepoint hit, which only
-    non-active morphisms produce).  Rows are listed top level first and
-    form a commuting ladder with the two layer diagrams.
-    """
-
-    source: LayerDiagram
-    target: LayerDiagram
-    rows: tuple[tuple[int | None, ...], ...]
-
-    def commutes(self) -> bool:
-        for d in range(len(self.rows) - 1):
-            for x, image in enumerate(self.rows[d], start=1):
-                if image is None:
-                    continue
-                below_target = self.target.parent_maps[d][x - 1]
-                below_image = self.source.parent_maps[d][image - 1]
-                if self.rows[d + 1][below_target - 1] != below_image:
-                    return False
-        return True
-
-    def row_surjective(self, d: int) -> bool:
-        hit = {v for v in self.rows[d] if v is not None}
-        return len(hit) == self.source.sizes[d]
-
-    def row_bijective(self, d: int) -> bool:
-        row = self.rows[d]
-        if len(row) != self.source.sizes[d]:
-            return False
-        hit = {v for v in row if v is not None}
-        return len(hit) == len(row) == self.source.sizes[d]
-
-
-@lru_cache(maxsize=None)
-def morphism_ladder(m: ThetaMorphism) -> MorphismLadder:
-    src_diag = leaves(m.source)
-    tgt_diag = leaves(m.target)
-    circ = simplicial_circle(m.base)
-    bottom = tuple(circ.apply(j) for j in range(1, m.target.rank + 1))
-    if m.height == 1:
-        return MorphismLadder(src_diag, tgt_diag, (bottom,))
-    pairs = fiber_pairs(m.base)
-    i_of = {j: i for i, j in pairs}
-    comp_ladders = {j: morphism_ladder(c) for (_, j), c in zip(pairs, m.components)}
-    src_child = [leaves(c) for c in m.source.children]
-    tgt_child = [leaves(c) for c in m.target.children]
-    rows: list[tuple[int | None, ...]] = []
-    for d in range(m.height - 1):
-        offsets = []
-        total = 0
-        for cd in src_child:
-            offsets.append(total)
-            total += cd.sizes[d]
-        row: list[int | None] = []
-        for j in range(1, m.target.rank + 1):
-            if j in comp_ladders:
-                off = offsets[i_of[j] - 1]
-                row.extend(
-                    None if v is None else v + off
-                    for v in comp_ladders[j].rows[d]
-                )
-            else:
-                row.extend([None] * tgt_child[j - 1].sizes[d])
-        rows.append(tuple(row))
-    rows.append(bottom)
-    return MorphismLadder(src_diag, tgt_diag, tuple(rows))
+# leaf rows and classification
 
 
 @lru_cache(maxsize=None)
 def leaf_row(m: ThetaMorphism) -> tuple[int | None, ...]:
-    """Top ladder row only; cheaper than the full ladder in hot loops."""
+    """The top-level finite-set map of a morphism, target leaves to
+    source leaves, with None for a leaf sent to the basepoint (only
+    non-active morphisms have one)."""
     if m.height == 1:
         circ = simplicial_circle(m.base)
         return tuple(circ.apply(j) for j in range(1, m.target.rank + 1))
@@ -513,23 +445,38 @@ class MorphismFlags:
     active: bool
     exit: bool
     in_w: bool
-    ladder: MorphismLadder
 
 
 def classify_morphism(m: ThetaMorphism) -> MorphismFlags:
-    """Activeness, exit membership, and leaf-bijectivity, plus the ladder."""
-    ladder = morphism_ladder(m)
-    active = _is_active(m)
-    in_w = active and ladder.row_bijective(0)
+    """Activeness, exit membership and leaf-bijectivity, from the leaf row.
+
+    Truncating ``m`` to a level gives a finite-set map from the target's
+    vertices at that level to the source's (the truncation's leaf row),
+    and these maps commute with the parent maps of the two layer
+    diagrams.  An active morphism hits no basepoint at any level, so its
+    leaf row is a map from the target leaves to the source leaves.
+
+    * in_w: active, and the leaf row is a bijection onto the source leaves.
+    * exit: active, both endpoints healthy and nonempty, and every level's
+      map surjective.  The leaf row alone decides the last condition: in
+      a healthy nonempty source every vertex v has a leaf l above it; if
+      the leaf row sends the target leaf x to l, then commutation sends
+      the vertex below x at v's level to v.  So a surjective leaf row
+      makes every lower level surjective.
+    """
+    if not _is_active(m):
+        return MorphismFlags(active=False, exit=False, in_w=False)
+    row = leaf_row(m)
+    hit = len(set(row))
+    in_w = hit == len(row) == m.source.leaf_count
+    # hit > 0 makes both endpoints nonempty: the row then has a target
+    # leaf, and a surjective row a source leaf
     exit_flag = (
-        active
+        0 < hit == m.source.leaf_count
         and m.source.is_healthy
         and m.target.is_healthy
-        and m.source.leaf_count > 0
-        and m.target.leaf_count > 0
-        and all(ladder.row_surjective(d) for d in range(len(ladder.rows)))
     )
-    return MorphismFlags(active=active, exit=exit_flag, in_w=in_w, ladder=ladder)
+    return MorphismFlags(active=True, exit=exit_flag, in_w=in_w)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +645,7 @@ def enumerate_theta_hom(
     """All morphisms source -> target passing the filter, canonical order.
 
     Filters: "all", "active", "exit" (active, healthy nonempty endpoints,
-    surjective ladder rows), "w" (active with bijective leaf map).  The
+    surjective on every level), "w" (active with bijective leaf row).  The
     projected enumeration size (counted before materializing; the active
     count bounds the filtered ones) must stay within ``cap``.
     """
@@ -879,41 +826,37 @@ def _masked_rows(
 def _assemble_disjoint(
     masked_lists: list[tuple[tuple[tuple[int, ...], int], ...]],
 ) -> list[tuple[int, ...]]:
-    """One row from each list, masks pairwise disjoint, concatenated.
+    """One row from each list, masks pairwise disjoint, concatenated, in
+    lexicographic order of the choices.
 
-    Prunes as soon as a prefix of choices collides, which the plain
-    cartesian product cannot.
+    Extends every surviving prefix by one list at a time and drops a
+    prefix as soon as it collides, which the plain cartesian product
+    cannot.
     """
-    n = len(masked_lists)
-    out: list[tuple[int, ...]] = []
-    chosen: list[tuple[int, ...]] = [()] * n
-
-    def walk(idx: int, acc: int) -> None:
-        if idx == n:
-            out.append(tuple(chain.from_iterable(chosen)))
-            return
-        for row, mask in masked_lists[idx]:
-            if acc & mask:
-                continue
-            chosen[idx] = row
-            walk(idx + 1, acc | mask)
-
-    walk(0, 0)
-    return out
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for masked in masked_lists:
+        prefixes = [
+            (prefix + row, acc | mask)
+            for prefix, acc in prefixes
+            for row, mask in masked
+            if not acc & mask
+        ]
+    return [prefix for prefix, _ in prefixes]
 
 
 def _injective_rows(source: Tree, target: Tree) -> Iterator[tuple[int, ...]]:
     """Leaf rows of the active morphisms source -> target whose leaf map
     is injective, for a healthy target, in wreath enumeration order.
 
-    A healthy target has a leaf above every vertex, so the whole ladder
-    of an active morphism into it is recoverable from its top row; rows
-    therefore stand in for morphisms one to one.  The walk mirrors the
-    wreath enumeration (one row per base and component choice) over the
-    bases of _injective_bases, and raises if it ever produces a
-    duplicate row, which would refute that correspondence.  Nothing is
-    cached at this level: decorated sources are visited once, so only
-    _injective_hom_rows caches, for child pairs and healthy sources.
+    A healthy target has a leaf above every vertex, so the map on every
+    level of an active morphism into it is recoverable from its leaf
+    row; rows therefore stand in for morphisms one to one.  The walk
+    mirrors the wreath enumeration (one row per base and component
+    choice) over the bases of _injective_bases, and raises if it ever
+    produces a duplicate row, which would refute that correspondence.
+    Nothing is cached at this level: decorated sources are visited
+    once, so only _injective_hom_rows caches, for child pairs and
+    healthy sources.
     """
     if source.height == 1:
         # rows of active maps [p] -> [q] are weakly increasing, so the

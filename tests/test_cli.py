@@ -143,6 +143,23 @@ class TestHom:
         assert code == 3
         assert "resource cap" in err
 
+    def test_w_count_reads_rows(self, capsys):
+        # the active hom-set [30] -> [30] has C(59, 29) maps; only the
+        # identity is leaf-bijective, and the count lists no active map
+        code, out, _ = run(
+            capsys,
+            "hom",
+            "--source",
+            "[30]",
+            "--target",
+            "[30]",
+            "--filter",
+            "w",
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 1
+
     def test_height_mismatch(self, capsys):
         code, _, err = run(
             capsys, "hom", "--source", "[2]", "--target", "[1]([1])"
@@ -300,6 +317,27 @@ class TestHomology:
         assert code == 3
         assert "resource cap" in err
 
+    def test_negative_degree_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys,
+            "homology",
+            "--category",
+            "w_hlt",
+            "--n",
+            "2",
+            "--k",
+            "2",
+            "--max-degree",
+            "-1",
+        )
+        assert code == 2
+        assert "max_degree" in err
+        code, _, err = run(
+            capsys, "verify", "--suite", "homology", "--param", "max_degree=-1"
+        )
+        assert code == 2
+        assert "max_degree" in err
+
     @pytest.mark.parametrize("k,what", [("9", "objects"), ("6", "arrows")])
     def test_category_over_cell_cap(self, capsys, k, what):
         # nord(2,9): 256 trees x 9! objects; nord(2,6): 6! x 6,992 arrows
@@ -395,3 +433,26 @@ class TestFixtures:
         assert code == 0
         assert out == ""
         assert "RP^2" in out_file.read_text(encoding="utf-8")
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fixtures", "--json"),
+            ("verify", "--suite", "delta-laws", "--cap", "1"),
+            ("verify", "--suite", "delta-laws", "--max-degree", "2"),
+            ("tree", "--tree", "[1]", "--max-degree", "9"),
+            ("tree", "--tree", "[1]", "--seed", "1"),
+            ("hom", "--source", "[1]", "--target", "[1]", "--seed", "1"),
+            ("homology", "--category", "w_hlt", "--n", "2", "--k", "2",
+             "--seed", "1"),
+            ("config", "validate", "--path", "p.json", "--cap", "1"),
+        ],
+    )
+    def test_unread_flags_are_usage_errors(self, capsys, argv):
+        # each subcommand takes only the flags its handler reads
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -33,7 +33,6 @@ from thetaran.theta import (
     leaves,
     level_projection,
     morphism_from_json,
-    morphism_ladder,
     morphism_to_json,
     parse_tree,
     prune,
@@ -275,10 +274,24 @@ class TestClassification:
         assert not flags.in_w and not flags.exit
 
     def test_ladders_commute(self):
-        s = parse_tree("[2]([1],[2])")
-        t = parse_tree("[2]([2],[1])")
-        for m in enumerate_theta_hom(s, t):
-            assert morphism_ladder(m).commutes()
+        # the map on each level is the leaf row of the truncation to that
+        # level; these maps commute with the layer diagrams' parent maps
+        pairs = [
+            ("[2]([1],[2])", "[2]([2],[1])"),
+            ("[2]([1]([2]),[2]([1],[1]))", "[1]([2]([2],[1]))"),
+        ]
+        for src_text, tgt_text in pairs:
+            s, t = parse_tree(src_text), parse_tree(tgt_text)
+            src, tgt = leaves(s), leaves(t)
+            for m in enumerate_theta_hom(s, t):
+                rows = [leaf_row(truncate(m, lvl)) for lvl in range(m.height, 0, -1)]
+                for d in range(m.height - 1):
+                    for x, image in enumerate(rows[d], start=1):
+                        if image is None:
+                            continue
+                        below_target = tgt.parent_maps[d][x - 1]
+                        below_image = src.parent_maps[d][image - 1]
+                        assert rows[d + 1][below_target - 1] == below_image
 
     def test_flags_closed_under_composition(self):
         a = parse_tree("[2]([1],[1])")
@@ -324,13 +337,56 @@ class TestTruncation:
                         truncate(g, lvl), truncate(f, lvl)
                     )
 
-    def test_truncation_rows_match_ladder(self):
-        s = parse_tree("[2]([1]([2]),[2]([1],[1]))")
-        t = parse_tree("[1]([2]([2],[1]))")
-        for m in enumerate_theta_hom(s, t):
-            lad = morphism_ladder(m)
-            for lvl in range(1, m.height + 1):
-                assert leaf_row(truncate(m, lvl)) == lad.rows[m.height - lvl]
+    def test_classification_matches_levelwise_definition(self):
+        # the definitions level by level, each level's map read from the
+        # leaf row of the truncation to it: active = no level hits the
+        # basepoint; in_w = active with a bijective leaf row; exit =
+        # active, healthy nonempty endpoints, every level surjective.
+        # classify_morphism reads the top row only.
+        seen = set()
+        for height in (2, 3):
+            family = [t for k in range(3) for t in decorated_trees(height, k, 1)]
+            for s in family:
+                sizes = leaves(s).sizes
+                for t in family:
+                    if count_theta_hom(s, t) > 60:
+                        continue
+                    for m in enumerate_theta_hom(s, t):
+                        rows = [
+                            leaf_row(truncate(m, lvl))
+                            for lvl in range(height, 0, -1)
+                        ]
+                        active = all(None not in row for row in rows)
+                        in_w = active and sorted(rows[0]) == list(
+                            range(1, sizes[0] + 1)
+                        )
+                        exit_flag = (
+                            active
+                            and s.is_healthy
+                            and t.is_healthy
+                            and s.leaf_count > 0
+                            and t.leaf_count > 0
+                            and all(
+                                set(row) == set(range(1, size + 1))
+                                for row, size in zip(rows, sizes)
+                            )
+                        )
+                        flags = classify_morphism(m)
+                        assert (flags.active, flags.in_w, flags.exit) == (
+                            active,
+                            in_w,
+                            exit_flag,
+                        ), (format_tree(s), format_tree(t), m)
+                        seen.add((active, in_w, exit_flag, s.is_healthy))
+        # every kind of case occurred, unhealthy and non-active included
+        assert {key[:3] for key in seen} == {
+            (False, False, False),
+            (True, False, False),
+            (True, True, False),
+            (True, False, True),
+            (True, True, True),
+        }
+        assert any(not healthy and w for (_, w, _, healthy) in seen)
 
 
 class TestPruning:
