@@ -39,14 +39,13 @@ from .theta import (
     _FILTERS,
     DEFAULT_HOM_CAP,
     ResourceCapError,
-    count_theta_hom,
+    count_filtered_hom,
     enumerate_theta_hom,
     format_tree,
     leaves,
     morphism_to_json,
     parse_tree,
     prune,
-    w_hom_rows,
 )
 
 
@@ -190,14 +189,7 @@ def _handle_hom(args) -> int:
             for m in morphisms
         )
     else:
-        if args.filter in ("all", "active"):
-            count = count_theta_hom(source, target, args.filter == "active")
-        elif args.filter == "w" and target.is_healthy:
-            # rows stand for w morphisms into a healthy target, so this
-            # never lists, or caps by, the larger active hom-set
-            count = len(w_hom_rows(source, target, args.cap))
-        else:
-            count = len(enumerate_theta_hom(source, target, args.filter, args.cap))
+        count = count_filtered_hom(source, target, args.filter, args.cap)
         doc = {
             "source": format_tree(source),
             "target": format_tree(target),

@@ -248,27 +248,6 @@ class LayerDiagram:
     sizes: tuple[int, ...]
     parent_maps: tuple[tuple[int, ...], ...]
 
-    @property
-    def height(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def leaf_size(self) -> int:
-        return self.sizes[0]
-
-    def fiber_sizes(self, d: int = 0) -> tuple[int, ...]:
-        """Sizes of the fibers of parent_maps[d] over the lower level."""
-        counts = [0] * self.sizes[d + 1]
-        for parent in self.parent_maps[d]:
-            counts[parent - 1] += 1
-        return tuple(counts)
-
-    def is_surjective_everywhere(self) -> bool:
-        return all(
-            len(set(row)) == below
-            for row, below in zip(self.parent_maps, self.sizes[1:])
-        )
-
 
 @lru_cache(maxsize=None)
 def leaves(tree: Tree) -> LayerDiagram:
@@ -291,17 +270,6 @@ def leaves(tree: Tree) -> LayerDiagram:
         bottom.extend([c_index] * cd.sizes[tree.height - 2])
     maps.append(tuple(bottom))
     return LayerDiagram(tuple(sizes), tuple(maps))
-
-
-def level_projection(tree: Tree, level: int) -> tuple[int, ...]:
-    """Send each leaf to the vertex below it at the given level."""
-    if not (1 <= level <= tree.height):
-        raise ValueError(f"level {level} outside 1..{tree.height}")
-    diagram = leaves(tree)
-    current = tuple(range(1, diagram.leaf_size + 1))
-    for d in range(tree.height - level):
-        current = tuple(diagram.parent_maps[d][v - 1] for v in current)
-    return current
 
 
 # ---------------------------------------------------------------------------
@@ -823,25 +791,47 @@ def _masked_rows(
     return tuple(out)
 
 
+# the one choice of an empty row, padding short lists of lists
+_NO_ROW = (((), 0),)
+
+
 def _assemble_disjoint(
     masked_lists: list[tuple[tuple[tuple[int, ...], int], ...]],
 ) -> list[tuple[int, ...]]:
     """One row from each list, masks pairwise disjoint, concatenated, in
     lexicographic order of the choices.
 
-    Extends every surviving prefix by one list at a time and drops a
-    prefix as soon as it collides, which the plain cartesian product
-    cannot.
+    Depth first from a stack, dropping a prefix as soon as it collides,
+    which the plain cartesian product cannot; one comprehension pairs the
+    last two lists.  The stack holds at most one list's choices per level,
+    so a prefix that dies on a later list costs no memory.
     """
-    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for masked in masked_lists:
-        prefixes = [
-            (prefix + row, acc | mask)
-            for prefix, acc in prefixes
-            for row, mask in masked
-            if not acc & mask
-        ]
-    return [prefix for prefix, _ in prefixes]
+    *heads, second, last = [_NO_ROW] * (2 - len(masked_lists)) + masked_lists
+    out: list[tuple[int, ...]] = []
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    while stack:
+        prefix, acc, depth = stack.pop()
+        if depth == len(heads):
+            out.extend(
+                [
+                    prefix + row + row2
+                    for row, mask in second
+                    if not acc & mask
+                    for row2, mask2 in last
+                    if not (acc | mask) & mask2
+                ]
+            )
+        else:
+            stack.extend(
+                reversed(
+                    [
+                        (prefix + row, acc | mask, depth + 1)
+                        for row, mask in heads[depth]
+                        if not acc & mask
+                    ]
+                )
+            )
+    return out
 
 
 def _injective_rows(source: Tree, target: Tree) -> Iterator[tuple[int, ...]]:
@@ -933,6 +923,68 @@ def w_hom_rows(
     if source.leaf_count != target.leaf_count:
         return ()
     return _capped_rows(_injective_rows(source, target), cap, source, target)
+
+
+@lru_cache(maxsize=None)
+def _injective_row_bound(source: Tree, target: Tree) -> int:
+    """Closed-form upper bound on every list that listing the injective
+    rows source -> target builds: the rows themselves, and each child
+    pair's cached rows.
+
+    At height 1 the rows are the q-subsets of the p source leaves.  Above
+    it each base of _injective_bases adds the product of its child pairs'
+    bounds (disjointness only removes rows); the walk lists child pairs up
+    to the first empty one, and the scan up to the first zero bound.
+    """
+    if source.height == 1:
+        return comb(source.rank, target.rank)
+    rows = largest = 0
+    for base in _injective_bases(
+        tuple(c.leaf_count for c in source.children),
+        tuple(c.leaf_count for c in target.children),
+    ):
+        term = 1
+        for i, j in fiber_pairs(base):
+            child = _injective_row_bound(
+                source.children[i - 1], target.children[j - 1]
+            )
+            largest = max(largest, child)
+            term *= child
+            if term == 0:
+                break
+        rows += term
+    return max(rows, largest)
+
+
+def count_filtered_hom(
+    source: Tree,
+    target: Tree,
+    morphism_filter: str = "all",
+    cap: int = DEFAULT_HOM_CAP,
+) -> int:
+    """Size of the hom-set source -> target under a filter of
+    enumerate_theta_hom, raising ResourceCapError past ``cap``.
+
+    "all" and "active" are closed forms.  "w" into a healthy target counts
+    leaf rows, which stand for its morphisms (see _injective_rows), once
+    _injective_row_bound is within the cap; every other count is the
+    length of enumerate_theta_hom.
+    """
+    if source.height != target.height:
+        raise ValueError("hom-sets only exist between trees of equal height")
+    if morphism_filter in ("all", "active"):
+        return count_theta_hom(source, target, morphism_filter == "active")
+    if morphism_filter == "w" and target.is_healthy:
+        if source.leaf_count != target.leaf_count:
+            return 0
+        projected = _injective_row_bound(source, target)
+        if projected > cap:
+            raise ResourceCapError(
+                f"projected leaf-row list size {projected} exceeds cap {cap} "
+                f"for {format_tree(source)} -> {format_tree(target)}"
+            )
+        return len(w_hom_rows(source, target, cap))
+    return len(enumerate_theta_hom(source, target, morphism_filter, cap))
 
 
 def verify_initiality_by_rows(

@@ -160,6 +160,22 @@ class TestHom:
         assert code == 0
         assert json.loads(out)["count"] == 1
 
+    def test_w_count_caps_before_listing_rows(self, capsys):
+        # each child pair [30] -> [15] has C(30, 15) rows, so the bound
+        # C(30, 15)**2 exceeds the cap before any row is listed
+        code, _, err = run(
+            capsys,
+            "hom",
+            "--source",
+            "[1]([30])",
+            "--target",
+            "[2]([15],[15])",
+            "--filter",
+            "w",
+        )
+        assert code == 3
+        assert "resource cap" in err
+
     def test_height_mismatch(self, capsys):
         code, _, err = run(
             capsys, "hom", "--source", "[2]", "--target", "[1]([1])"

@@ -8,20 +8,25 @@ obtained.
 
 from __future__ import annotations
 
-from itertools import product
+import random
+from itertools import chain, product
+from math import comb
 
 import pytest
 
 from thetaran.simplex import MonotoneMap, compose_delta, enumerate_delta_hom
 from thetaran.theta import (
+    _assemble_disjoint,
     _enumerate_plain,
     _injective_hom_rows,
+    _injective_row_bound,
     CompositionError,
     ResourceCapError,
     ThetaMorphism,
     Tree,
     classify_morphism,
     compose_theta,
+    count_filtered_hom,
     count_theta_hom,
     decorated_trees,
     empty_tree,
@@ -31,7 +36,6 @@ from thetaran.theta import (
     identity_theta,
     leaf_row,
     leaves,
-    level_projection,
     morphism_from_json,
     morphism_to_json,
     parse_tree,
@@ -103,7 +107,6 @@ class TestLayerDiagrams:
         # four leaves over three root children, fiber sizes 1, 3, 0
         d = leaves(parse_tree("[3]([1],[3],[0])"))
         assert d.sizes == (4, 3)
-        assert d.fiber_sizes(0) == (1, 3, 0)
         assert d.parent_maps == ((1, 2, 2, 2),)
 
     def test_empty_tree_layers(self):
@@ -123,16 +126,21 @@ class TestLayerDiagrams:
             assert d.sizes[t.height - lvl] == truncate(t, lvl).leaf_count
 
     def test_level_projection_composes_parent_maps(self):
+        # each leaf followed down the parent maps to the vertex below it
         t = parse_tree("[2]([2]([1],[1]),[2]([2],[1]))")
-        assert level_projection(t, t.height) == (1, 2, 3, 4, 5)
-        assert level_projection(t, 2) == (1, 2, 3, 3, 4)
-        assert level_projection(t, 1) == (1, 1, 2, 2, 2)
-        with pytest.raises(ValueError):
-            level_projection(t, 0)
+        d = leaves(t)
+        projections = [tuple(range(1, d.sizes[0] + 1))]
+        for row in d.parent_maps:
+            projections.append(tuple(row[v - 1] for v in projections[-1]))
+        assert projections == [(1, 2, 3, 4, 5), (1, 2, 3, 3, 4), (1, 1, 2, 2, 2)]
 
     def test_health_iff_all_layers_surjective(self):
         for t in decorated_trees(3, 3, 1):
-            assert t.is_healthy == leaves(t).is_surjective_everywhere()
+            d = leaves(t)
+            assert t.is_healthy == all(
+                len(set(row)) == below
+                for row, below in zip(d.parent_maps, d.sizes[1:])
+            )
 
 
 class TestComposition:
@@ -238,6 +246,39 @@ class TestEnumeration:
                 assert count_theta_hom(Tree(1, p), Tree(1, q), active) == len(
                     enumerate_delta_hom(p, q, active)
                 )
+
+    def test_filtered_counts_match_enumeration(self):
+        # healthy and unhealthy targets, equal and unequal leaf counts
+        trees = [
+            parse_tree(text)
+            for text in [
+                "[1]([1])",
+                "[1]([2])",
+                "[2]([1],[1])",
+                "[2]([0],[2])",
+                "[2]([1],[2])",
+                "[3]([1],[1],[1])",
+            ]
+        ]
+        for s, t in product(trees, repeat=2):
+            for morphism_filter in ("all", "active", "exit", "w"):
+                assert count_filtered_hom(s, t, morphism_filter) == len(
+                    enumerate_theta_hom(s, t, morphism_filter)
+                )
+
+    def test_filtered_count_caps_before_listing(self):
+        # 155,117,520 rows [30] -> [15] per child pair; nothing is listed
+        s, t = parse_tree("[1]([30])"), parse_tree("[2]([15],[15])")
+        with pytest.raises(ResourceCapError):
+            count_filtered_hom(s, t, "w")
+        assert count_filtered_hom(Tree(1, 30), Tree(1, 30), "w") == 1
+        # no row reaches [1]([2]) from [2]([1],[1]), but the walk lists the
+        # rows of the first child pair before it meets the empty second
+        s = parse_tree("[2]([1]([30]),[2]([1],[1]))")
+        t = parse_tree("[2]([2]([15],[15]),[1]([2]))")
+        assert _injective_row_bound(s, t) == comb(30, 15) ** 2
+        with pytest.raises(ResourceCapError):
+            count_filtered_hom(s, t, "w")
 
     def test_unknown_filter(self):
         t = parse_tree("[1]([1])")
@@ -460,6 +501,37 @@ class TestHomRows:
                         rows = _injective_hom_rows(source, target)
                         assert len(rows) == len(oracle)
                         assert set(rows) == set(oracle)
+
+    def test_row_bounds_cover_rows(self):
+        for height, k in product((1, 2, 3), range(4)):
+            for source in decorated_trees(height, k, 1):
+                for target_k in range(k + 1):
+                    for target in healthy_trees(height, target_k):
+                        rows = len(_injective_hom_rows(source, target))
+                        bound = _injective_row_bound(source, target)
+                        assert rows <= bound
+                        if height == 1:
+                            assert rows == bound
+
+    def test_disjoint_assembly_is_filtered_product(self):
+        # against the cartesian product in lexicographic order, keeping
+        # the choices whose rows share no value (rows have no repeats)
+        rng = random.Random(5)
+        for _ in range(300):
+            masked_lists = []
+            for _ in range(rng.randrange(6)):
+                masked = []
+                for _ in range(rng.randrange(5)):
+                    row = tuple(rng.sample(range(8), rng.randrange(3)))
+                    masked.append((row, sum(1 << v for v in row)))
+                masked_lists.append(tuple(masked))
+            oracle = [
+                tuple(chain.from_iterable(row for row, _ in combo))
+                for combo in product(*masked_lists)
+                if len({v for row, _ in combo for v in row})
+                == sum(len(row) for row, _ in combo)
+            ]
+            assert _assemble_disjoint(masked_lists) == oracle
 
     def test_frozen_shuffle_rows(self):
         src = parse_tree("[1]([2])")
