@@ -11,8 +11,10 @@ target point an origin in S and moves it there-to-here along a straight
 line, p_t(u) = (1-u) f(t) + u t.  The path is valid when, at every
 projection level, strands that end apart stay apart on (0, 1] (they may
 share their start: points split instantly) and strands that end together
-started together.  Validation is exact: every collision test solves a
-rational linear system, and floating point never enters a verdict.
+started together.  Validation is exact: coordinates are scaled once to
+integers by a common denominator, each collision test is a rational
+linear system solved by cross-multiplication, and floating point never
+enters a verdict.
 
 A valid path induces a morphism of the two trees one level at a time: the
 base map counts, for each source prefix, how many target prefixes sit
@@ -27,6 +29,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, pairwise
+from math import lcm
 from random import Random
 
 from .theta import MonotoneMap, ThetaMorphism, Tree, empty_tree, leaf_row
@@ -230,6 +234,15 @@ class ExitPath:
         )
 
 
+def _common_denominator(points: tuple[Point, ...]) -> int:
+    return lcm(*{c.denominator for p in points for c in p})
+
+
+def _scaled(points: tuple[Point, ...], scale: int) -> list[tuple[int, ...]]:
+    """The points times ``scale``, a multiple of every denominator."""
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+
+
 def validate_exit_path(
     source: Configuration, target: Configuration, mapping: tuple[int, ...]
 ) -> PathVerdict:
@@ -237,69 +250,59 @@ def validate_exit_path(
 
     Level k checks, with prefixes p[:k]: (a) target pairs with distinct
     prefixes never share one at any u in (0, 1]; (b) target pairs with
-    equal prefixes have origins with equal prefixes.
+    equal prefixes have origins with equal prefixes.  Each level reports
+    its first offending pair.
+
+    Coordinates are scaled once to integers by a common denominator.  One
+    pass per pair walks them, carrying the common collision root num/den
+    and whether the targets and the origins still agree; the state after
+    k coordinates is the verdict at level k.  In a coordinate whose gap is
+    s at u = 0 and e at u = 1 the strands meet at u = s/(s-e), nowhere
+    when s = e != 0, and everywhere when s = e = 0.
     """
     path = ExitPath(source, target, tuple(mapping))
-    levels = []
-    for k in range(1, source.dimension + 1):
-        levels.append(_check_level(path, k))
-    return PathVerdict(all(lv.ok for lv in levels), tuple(levels))
-
-
-def _check_level(path: ExitPath, k: int) -> LevelCheck:
-    tgt = path.target.points
-    src = path.source.points
-    collision = None
-    incompatible = None
-    for a in range(len(tgt)):
-        for b in range(a + 1, len(tgt)):
-            t_pref = tgt[a][:k]
-            u_pref = tgt[b][:k]
-            fa = src[path.mapping[a]][:k]
-            fb = src[path.mapping[b]][:k]
-            if t_pref == u_pref:
-                if incompatible is None and fa != fb:
-                    incompatible = (a, b)
-                continue
-            if collision is not None:
-                continue
-            hit = _strand_collision(fa, fb, t_pref, u_pref)
-            if hit is not None:
-                collision = (a, b, hit)
-    return LevelCheck(
-        level=k,
-        separation_ok=collision is None,
-        compatibility_ok=incompatible is None,
-        collision=collision,
-        incompatible=incompatible,
+    scale = _common_denominator(source.points + target.points)
+    src = _scaled(source.points, scale)
+    ends = _scaled(target.points, scale)
+    origins = path.mapping
+    starts = [src[s_idx] for s_idx in origins]
+    dims = range(path.dimension)
+    collision: list[tuple[int, int, Fraction] | None] = [None] * len(dims)
+    incompatible: list[tuple[int, int] | None] = [None] * len(dims)
+    for a, (start_a, end_a) in enumerate(zip(starts, ends)):
+        origin_a = origins[a]
+        for b in range(a + 1, len(ends)):
+            if origins[b] == origin_a:
+                continue  # a shared origin: the only root is u = 0
+            start_b = starts[b]
+            end_b = ends[b]
+            den = 0  # 0 until some coordinate fixes the root num/den
+            apart = split = False
+            # a break needs e != 0, so the pair stays apart and rootless
+            for k in dims:
+                s = start_a[k] - start_b[k]
+                e = end_a[k] - end_b[k]
+                if s != e:
+                    if not den:
+                        num, den = (s, s - e) if s > e else (-s, e - s)
+                    elif num * (s - e) != s * den:
+                        break  # two coordinates meet at different times
+                elif s:
+                    break  # a constant nonzero gap in this coordinate
+                if e or apart:
+                    apart = True
+                    # den > 0 here, so 0 < u <= 1 is a sign test
+                    if 0 < num <= den and collision[k] is None:
+                        collision[k] = (a, b, Fraction(num, den))
+                elif s or split:
+                    split = True
+                    if incompatible[k] is None:
+                        incompatible[k] = (a, b)
+    levels = tuple(
+        LevelCheck(k + 1, hit is None, merge is None, hit, merge)
+        for k, (hit, merge) in enumerate(zip(collision, incompatible))
     )
-
-
-def _strand_collision(
-    start_a: Point, start_b: Point, end_a: Point, end_b: Point
-) -> Fraction | None:
-    """First u in (0, 1] where (1-u) start + u end coincide, if any.
-
-    Coordinatewise the difference is linear in u; the strands meet exactly
-    on the intersection of the coordinate solution sets.
-    """
-    root: Fraction | None = None
-    for sa, sb, ea, eb in zip(start_a, start_b, end_a, end_b):
-        a = sa - sb  # difference at u = 0
-        b = ea - eb  # difference at u = 1
-        if a == b:
-            if a != 0:
-                return None  # constant nonzero gap in this coordinate
-            continue  # identically zero, no constraint
-        candidate = a / (a - b)
-        if root is None:
-            root = candidate
-        elif root != candidate:
-            return None
-    # some coordinate separates the prefixes at u = 1, so root is not None
-    if root is not None and 0 < root <= 1:
-        return root
-    return None
+    return PathVerdict(all(lv.ok for lv in levels), levels)
 
 
 def build_exit_path(
@@ -355,42 +358,31 @@ def induced_morphism(
     """
     if source.dimension != target.dimension:
         raise ValueError("endpoints must share a dimension")
-    mapping = tuple(mapping)
-    return _induced(source.points, target.points, mapping, source.dimension)
+    return _induced(
+        tuple(mapping), tree_of_configuration(source), tree_of_configuration(target)
+    )
 
 
 def _induced(
-    src: tuple[Point, ...],
-    tgt: tuple[Point, ...],
-    mapping: tuple[int, ...],
-    dimension: int,
+    mapping: tuple[int, ...], src_tree: Tree, tgt_tree: Tree
 ) -> ThetaMorphism:
-    src_tree = _tree_of_points(src, dimension)
-    tgt_tree = _tree_of_points(tgt, dimension)
-    if dimension == 1:
-        counts = [0] * len(src)
-        for s_idx in mapping:
-            counts[s_idx] += 1
-        values = [0]
-        for c in counts:
-            values.append(values[-1] + c)
-        # mapping must list origins in weakly increasing order, else the
-        # cumulative count and the actual fibers disagree
-        if any(mapping[x] > mapping[x + 1] for x in range(len(mapping) - 1)):
-            raise ValueError("level map is not monotone")
-        base = MonotoneMap(len(src), len(tgt), tuple(values))
+    """Recursion over matched fibers, reading the trees alone.
+
+    Points are sorted, so the fiber under child i of a tree is the next
+    ``children[i].leaf_count`` points; at height 1 the mapping is the
+    level map.
+    """
+    if src_tree.height == 1:
+        base = _base_map(mapping, src_tree.rank, tgt_tree.rank)
         return ThetaMorphism(src_tree, tgt_tree, base)
-
-    src_groups = _fibers(src)
-    tgt_groups = _fibers(tgt)
-    # position of each point inside its group, and each group's span
-    src_group_of, src_local = _group_index(src_groups)
-    tgt_group_of, tgt_local = _group_index(tgt_groups)
-
-    level_map: list[int | None] = [None] * len(tgt_groups)
+    src_group_of, src_local = _group_index(src_tree)
+    tgt_group_of, _ = _group_index(tgt_tree)
+    level_map: list[int | None] = [None] * tgt_tree.rank
+    sub_mappings: list[list[int]] = [[] for _ in level_map]
     for t_idx, s_idx in enumerate(mapping):
         j = tgt_group_of[t_idx]
         i = src_group_of[s_idx]
+        sub_mappings[j].append(src_local[s_idx])
         if level_map[j] is None:
             level_map[j] = i
         elif level_map[j] != i:
@@ -399,37 +391,33 @@ def _induced(
             )
     if any(v is None for v in level_map):
         raise ValueError("a target group received no origin")
-    if any(level_map[j] > level_map[j + 1] for j in range(len(level_map) - 1)):
-        raise ValueError("level map is not monotone")
+    base = _base_map(level_map, src_tree.rank, tgt_tree.rank)
+    components = tuple(
+        _induced(tuple(sub_mappings[j]), src_tree.children[i], tgt_tree.children[j])
+        for j, i in enumerate(level_map)
+    )
+    return ThetaMorphism(src_tree, tgt_tree, base, components)
 
-    counts = [0] * len(src_groups)
+
+def _base_map(level_map, source_rank: int, target_rank: int) -> MonotoneMap:
+    """The base map sending target vertex j to source vertex level_map[j]."""
+    counts = [0] * source_rank
     for i in level_map:
         counts[i] += 1
-    values = [0]
-    for c in counts:
-        values.append(values[-1] + c)
-    base = MonotoneMap(len(src_groups), len(tgt_groups), tuple(values))
-
-    components = []
-    for j, i in enumerate(level_map):
-        sub_mapping = tuple(
-            src_local[mapping[t_idx]]
-            for t_idx in range(len(tgt))
-            if tgt_group_of[t_idx] == j
-        )
-        components.append(
-            _induced(src_groups[i][1], tgt_groups[j][1], sub_mapping, dimension - 1)
-        )
-    return ThetaMorphism(src_tree, tgt_tree, base, tuple(components))
+    # origins must come in weakly increasing order, else the cumulative
+    # count and the actual fibers disagree
+    if any(level_map[j] > level_map[j + 1] for j in range(len(level_map) - 1)):
+        raise ValueError("level map is not monotone")
+    return MonotoneMap(source_rank, target_rank, tuple(accumulate(counts, initial=0)))
 
 
-def _group_index(groups) -> tuple[list[int], list[int]]:
+def _group_index(tree: Tree) -> tuple[list[int], list[int]]:
+    """For each leaf in order: its root child, and its place under it."""
     group_of: list[int] = []
     local: list[int] = []
-    for g, (_, members) in enumerate(groups):
-        for offset in range(len(members)):
-            group_of.append(g)
-            local.append(offset)
+    for g, child in enumerate(tree.children):
+        group_of.extend([g] * child.leaf_count)
+        local.extend(range(child.leaf_count))
     return group_of, local
 
 
@@ -485,16 +473,10 @@ def random_configuration(
     return Configuration(dimension, tuple(tuple(map(Fraction, p)) for p in seen))
 
 
-def _minimum_gap(points: tuple[Point, ...], dimension: int) -> Fraction:
-    """Smallest positive coordinate difference, 1 when none exists."""
-    best: Fraction | None = None
-    for c in range(dimension):
-        values = sorted({p[c] for p in points})
-        for lo, hi in zip(values, values[1:]):
-            gap = hi - lo
-            if best is None or gap < best:
-                best = gap
-    return best if best is not None else Fraction(1)
+def _minimum_gap(points: list[tuple[int, ...]], dimension: int) -> int:
+    """Smallest positive coordinate difference, 0 when none exists."""
+    axes = (sorted({p[c] for p in points}) for c in range(dimension))
+    return min((hi - lo for axis in axes for lo, hi in pairwise(axis)), default=0)
 
 
 def random_exit_path(
@@ -511,12 +493,16 @@ def random_exit_path(
     rng = Random(seed)
     if source.size == 0:
         return build_exit_path(source, Configuration(source.dimension, ()), ())
-    gap = _minimum_gap(source.points, source.dimension)
-    step = gap / 16  # offsets are multiples of this, at most 3 per axis
+    scale = _common_denominator(source.points)
+    grid = _scaled(source.points, scale)
+    # integers in units of 1/(16 scale): offsets are multiples of
+    # gap/16, at most 3 per axis
+    unit = 16 * scale
+    step = _minimum_gap(grid, source.dimension) or scale
     for _ in range(budget):
-        points: list[Point] = []
+        points: list[tuple[int, ...]] = []
         origins: list[int] = []
-        for s_idx, base_point in enumerate(source.points):
+        for s_idx, base_point in enumerate(grid):
             multiplicity = rng.choices((0, 1, 2, 3), weights=(1, 6, 3, 1))[0]
             offsets: set[tuple[int, ...]] = set()
             while len(offsets) < multiplicity:
@@ -525,17 +511,20 @@ def random_exit_path(
                 )
             for off in offsets:
                 points.append(
-                    tuple(c + step * o for c, o in zip(base_point, off))
+                    tuple(16 * c + step * o for c, o in zip(base_point, off))
                 )
                 origins.append(s_idx)
         if len(set(points)) != len(points):
             continue  # cannot happen under the box bound; kept as a guard
         shift = tuple(
-            Fraction(rng.randint(-2, 2)) for _ in range(source.dimension)
+            unit * rng.randint(-2, 2) for _ in range(source.dimension)
         )
         shifted = [tuple(c + s for c, s in zip(p, shift)) for p in points]
-        order = sorted(range(len(shifted)), key=lambda i: shifted[i])
-        target = Configuration(source.dimension, tuple(shifted[i] for i in order))
+        order = sorted(range(len(shifted)), key=shifted.__getitem__)
+        target = Configuration(
+            source.dimension,
+            tuple(tuple(Fraction(c, unit) for c in shifted[i]) for i in order),
+        )
         mapping = tuple(origins[i] for i in order)
         path = build_exit_path(source, target, mapping)
         if path.verdict is not None and path.verdict.valid:

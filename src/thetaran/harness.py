@@ -70,6 +70,20 @@ SUITE_NAMES = (
 )
 
 
+_DECORATION_KEYS = ("max_height", "leaf_bound", "extra", "deep_extra",
+                    "deep_leaf_bound")
+
+# the parameter keys each suite reads
+_PARAM_KEYS = {
+    "functoriality": ("pairs", "max_k", "dims"),
+    "pruning": _DECORATION_KEYS + ("direct_leaf_bound", "probe_leaf_bound"),
+    "roundtrip": _DECORATION_KEYS,
+    "homology": ("max_degree", "matrices", "kind", "n", "k"),
+    "delta-laws": ("max_rank", "compose_rank"),
+    "all": SUITE_NAMES[:-1],
+}
+
+
 @dataclass(frozen=True)
 class SuiteReport:
     suite: str
@@ -121,9 +135,18 @@ class _Tally:
 
 
 def run_suite(name: str, params: dict | None = None, seed: int = 0) -> SuiteReport:
+    """ValueError on an unknown suite or key; "all" takes a dict per suite."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"suite {name!r} takes a dict of parameters")
     params = dict(params or {})
+    unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
+    if unknown:
+        raise ValueError(
+            f"suite {name!r} reads no parameter {', '.join(unknown)}; "
+            f"it reads {', '.join(_PARAM_KEYS[name])}"
+        )
     started = time.perf_counter()
     if name == "all":
         tally = _Tally()
@@ -167,6 +190,8 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
     ``dims`` and the point count through 0..max_k.
     """
     pairs = int(params.get("pairs", 1000))
+    if pairs < 0:
+        raise ValueError(f"pairs must be nonnegative, got {pairs}")
     max_k = int(params.get("max_k", 5))
     dims = params.get("dims", (1, 2, 3))
     if isinstance(dims, int):

@@ -222,6 +222,20 @@ class TestConfig:
         assert code == 1
         assert "collide" in out and "1/2" in out
 
+    def test_validate_collision_time_is_reduced(self, capsys, tmp_path):
+        # the strands 1/3 -> 1/4 and 0 -> 3/4 cross at u = 2/5; over the
+        # common denominator 12 that is 4/10, printed reduced
+        doc = {
+            "dimension": 2,
+            "source": [["0", "5/6"], ["1/3", "5/6"]],
+            "target": [["1/4", "5/6"], ["3/4", "5/6"]],
+            "map": [1, 0],
+        }
+        path = write_json(tmp_path / "mixed.json", doc)
+        code, out, _ = run(capsys, "config", "validate", "--path", path)
+        assert code == 1
+        assert out.count("strands [0, 1] collide at u=2/5") == 2, out
+
     def test_morphism_of_valid_path(self, capsys, tmp_path):
         path = write_json(tmp_path / "split.json", VALID_SPLIT)
         code, out, _ = run(
@@ -429,6 +443,28 @@ class TestVerify:
         )
         assert code == 2
         assert "dimension" in err
+
+    @pytest.mark.parametrize(
+        "suite, param",
+        [
+            ("delta-laws", "bogus=1"),
+            ("functoriality", "max_K=9"),
+            ("all", "pairs=2"),
+            ("all", "functoriality=3"),  # not a dict of parameters
+        ],
+    )
+    def test_unknown_param_is_usage_error(self, capsys, suite, param):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--param", param)
+        assert code == 2
+        assert out == ""
+        assert param.split("=")[0] in err
+
+    def test_negative_pairs_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "functoriality", "--param", "pairs=-3"
+        )
+        assert code == 2
+        assert out == "" and "pairs" in err
 
     def test_malformed_param(self, capsys):
         code, _, err = run(

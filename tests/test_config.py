@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction as Fr
+from random import Random
 
 import pytest
 
@@ -10,6 +12,8 @@ from thetaran.config import (
     Configuration,
     ExitPath,
     InvalidExitPathError,
+    LevelCheck,
+    PathVerdict,
     SamplingBudgetError,
     build_exit_path,
     check_morphism_against_path,
@@ -110,7 +114,118 @@ class TestRealizeTree:
             assert tree_of_configuration(realize_tree(t)) == t
 
 
+def _oracle_verdict(source, target, mapping) -> PathVerdict:
+    """Brute-force reference for validate_exit_path: every level from
+    scratch, each pair's collision root solved anew in Fraction arithmetic."""
+    levels = tuple(
+        _oracle_level(source.points, target.points, mapping, k)
+        for k in range(1, source.dimension + 1)
+    )
+    return PathVerdict(all(lv.ok for lv in levels), levels)
+
+
+def _oracle_level(src, tgt, mapping, k) -> LevelCheck:
+    collision = None
+    incompatible = None
+    for a in range(len(tgt)):
+        for b in range(a + 1, len(tgt)):
+            t_pref = tgt[a][:k]
+            u_pref = tgt[b][:k]
+            fa = src[mapping[a]][:k]
+            fb = src[mapping[b]][:k]
+            if t_pref == u_pref:
+                if incompatible is None and fa != fb:
+                    incompatible = (a, b)
+                continue
+            if collision is not None:
+                continue
+            hit = _strand_collision(fa, fb, t_pref, u_pref)
+            if hit is not None:
+                collision = (a, b, hit)
+    return LevelCheck(
+        level=k,
+        separation_ok=collision is None,
+        compatibility_ok=incompatible is None,
+        collision=collision,
+        incompatible=incompatible,
+    )
+
+
+def _strand_collision(start_a, start_b, end_a, end_b):
+    """First u in (0, 1] where (1-u) start + u end coincide, if any."""
+    root = None
+    for sa, sb, ea, eb in zip(start_a, start_b, end_a, end_b):
+        a = sa - sb  # difference at u = 0
+        b = ea - eb  # difference at u = 1
+        if a == b:
+            if a != 0:
+                return None  # constant nonzero gap in this coordinate
+            continue  # identically zero, no constraint
+        candidate = a / (a - b)
+        if root is None:
+            root = candidate
+        elif root != candidate:
+            return None
+    if root is not None and 0 < root <= 1:
+        return root
+    return None
+
+
+def _random_validation_case(rng: Random):
+    """Endpoints in [-1, 1]^n with denominators 1-6 and an arbitrary map.
+
+    Half the coordinates repeat one already drawn in the same position,
+    so shared prefixes (merges, splits, equal origins at a level) are
+    common.
+    """
+    n = rng.randint(1, 4)
+    drawn = [[] for _ in range(n)]
+
+    def coordinate(c):
+        if drawn[c] and rng.random() < 0.5:
+            return rng.choice(drawn[c])
+        den = rng.randint(1, 6)
+        value = Fr(rng.randint(-den, den), den)
+        drawn[c].append(value)
+        return value
+
+    def points(size):
+        out = set()
+        while len(out) < size:
+            out.add(tuple(coordinate(c) for c in range(n)))
+        return Configuration(n, tuple(out))
+
+    source = points(rng.randint(0, 4))
+    target = points(rng.randint(0, 5) if source.size else 0)
+    mapping = tuple(rng.randrange(source.size) for _ in range(target.size))
+    return source, target, mapping
+
+
 class TestValidation:
+    def test_validator_matches_levelwise_oracle(self):
+        rng = Random(20261018)
+        kinds = ("collision", "incompatible", "level one only", "shared origin")
+        seen = dict.fromkeys(kinds + ("empty",), 0)
+        for _ in range(6000):
+            source, target, mapping = _random_validation_case(rng)
+            verdict = validate_exit_path(source, target, mapping)
+            expected = _oracle_verdict(source, target, mapping)
+            assert repr(verdict) == repr(expected), (source, target, mapping)
+            levels = expected.levels
+            seen["collision"] += any(lv.collision for lv in levels)
+            seen["incompatible"] += any(lv.incompatible for lv in levels)
+            seen["level one only"] += (
+                len(levels) > 1
+                and levels[0].collision is not None
+                and levels[1].collision is None
+            )
+            # strands split from one origin meet only at u = 0
+            seen["shared origin"] += (
+                len(set(mapping)) < len(mapping) and expected.valid
+            )
+            seen["empty"] += target.size == 0
+        assert all(seen.values()), seen
+
     def test_frozen_split_is_valid(self):
         s = configuration(1, [[0]])
         t = configuration(1, [[-1], [1]])
@@ -242,6 +357,17 @@ class TestInducedMorphism:
                 )
                 assert direct == staged
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_deep_induced_morphism_reads_configuration_trees(self, n):
+        for seed in range(3):
+            start = random_configuration(n, 8, seed)
+            path = random_exit_path(start, seed + 1)
+            m = induced_morphism(path.source, path.target, path.mapping)
+            assert m.source == tree_of_configuration(path.source)
+            assert m.target == tree_of_configuration(path.target)
+            assert leaf_row(m) == tuple(v + 1 for v in path.mapping)
+            assert m == morphism_of_exit_path(path)
+
     def test_compose_point_maps(self):
         assert compose_point_maps((1, 0, 1), (2, 5)) == (5, 2, 5)
         assert compose_point_maps((), (0, 1)) == ()
@@ -285,6 +411,15 @@ class TestGenerators:
         path = random_exit_path(empty, 4)
         assert path.target.size == 0 and path.mapping == ()
         assert path.verdict.valid
+
+    def test_large_configuration_within_budget(self):
+        # about 400 targets, so 80,000 pairs: one integer pass each, where
+        # recomputing Fraction roots at every level takes seconds
+        cfg = random_configuration(3, 300, seed=1)
+        started = time.perf_counter()
+        path = random_exit_path(cfg, seed=1)
+        assert time.perf_counter() - started < 3.0
+        assert path.verdict.valid and path.target.size > 300
 
     def test_sampled_paths_are_valid(self):
         for seed in range(15):

@@ -14,6 +14,7 @@ from math import comb
 
 import pytest
 
+from thetaran import theta
 from thetaran.simplex import MonotoneMap, compose_delta, enumerate_delta_hom
 from thetaran.theta import (
     _assemble_disjoint,
@@ -572,6 +573,44 @@ class TestHomRows:
             assert direct.passed == by_rows.passed
             assert direct.targets_checked == by_rows.targets_checked
             assert direct.morphisms_checked == by_rows.morphisms_checked
+
+    @pytest.mark.parametrize(
+        "patch, counterexample",
+        [
+            (lambda rows: rows[::-1], None),
+            (
+                lambda rows: rows[:-1],
+                "tree=[2]([0],[3]) target=[3]([1],[1],[1]) "
+                "rows: 6 direct vs 5 factored, 5 shared",
+            ),
+            (
+                lambda rows: rows + rows[:1],
+                "tree=[2]([0],[3]) target=[3]([1],[1],[1]) "
+                "rows: 6 direct vs 7 factored, 6 shared",
+            ),
+        ],
+        ids=["reordered", "dropped", "duplicated"],
+    )
+    def test_row_verifier_falls_back_to_sets(
+        self, monkeypatch, patch, counterexample
+    ):
+        # the rows are compared as lists first; a reordering still passes
+        # on sets, and a missing or repeated row fails with the counts
+        tree = parse_tree("[2]([0],[3])")
+        pruned = prune(tree).pruned
+        patched = parse_tree("[3]([1],[1],[1])")
+
+        def factored(source, target):
+            rows = _injective_hom_rows(source, target)
+            if (source, target) == (pruned, patched):
+                assert len(rows) == 6
+                return patch(rows)
+            return rows
+
+        monkeypatch.setattr(theta, "_injective_hom_rows", factored)
+        report = verify_initiality_by_rows(tree, 4)
+        assert report.passed is (counterexample is None)
+        assert report.counterexample == counterexample
 
     def test_row_verifier_bound(self):
         with pytest.raises(ValueError):
