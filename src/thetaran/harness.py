@@ -70,18 +70,30 @@ SUITE_NAMES = (
 )
 
 
-_DECORATION_KEYS = ("max_height", "leaf_bound", "extra", "deep_extra",
-                    "deep_leaf_bound")
+_TREE_KEYS = ("max_height", "leaf_bound", "extra", "deep_extra", "deep_leaf_bound")
 
 # the parameter keys each suite reads
 _PARAM_KEYS = {
     "functoriality": ("pairs", "max_k", "dims"),
-    "pruning": _DECORATION_KEYS + ("direct_leaf_bound", "probe_leaf_bound"),
-    "roundtrip": _DECORATION_KEYS,
+    "pruning": _TREE_KEYS + ("direct_leaf_bound", "probe_leaf_bound"),
+    "roundtrip": _TREE_KEYS,
     "homology": ("max_degree", "matrices", "kind", "n", "k"),
     "delta-laws": ("max_rank", "compose_rank"),
-    "all": SUITE_NAMES[:-1],
 }
+
+
+def _check_params(name: str, params: dict) -> None:
+    """ValueError on a key the suite does not read, before any case runs."""
+    if name != "all":
+        unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
+        if unknown:
+            raise ValueError(f"suite {name!r} reads no parameter {', '.join(unknown)}; "
+                             f"it reads {', '.join(_PARAM_KEYS[name])}")
+    elif all(k in _PARAM_KEYS and isinstance(v, dict) for k, v in params.items()):
+        for part, sub in params.items():
+            _check_params(part, sub)
+    else:
+        raise ValueError("suite 'all' takes no --param, only a dict per suite name")
 
 
 @dataclass(frozen=True)
@@ -138,15 +150,8 @@ def run_suite(name: str, params: dict | None = None, seed: int = 0) -> SuiteRepo
     """ValueError on an unknown suite or key; "all" takes a dict per suite."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
-    if params is not None and not isinstance(params, dict):
-        raise ValueError(f"suite {name!r} takes a dict of parameters")
     params = dict(params or {})
-    unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
-    if unknown:
-        raise ValueError(
-            f"suite {name!r} reads no parameter {', '.join(unknown)}; "
-            f"it reads {', '.join(_PARAM_KEYS[name])}"
-        )
+    _check_params(name, params)
     started = time.perf_counter()
     if name == "all":
         tally = _Tally()

@@ -998,19 +998,15 @@ def verify_initiality_by_rows(
     height and leaf count.  Rows determine morphisms into healthy trees
     (a duplicate anywhere raises inside the row enumeration), so set
     equality here is morphism-level existence and uniqueness of the
-    factorization.  Transport keeps the walk's row order, so the rows are
-    compared as lists first (equal lists are equal sets without
-    duplicates, since ``direct`` has none) and as sets only when the lists
-    differ.  The suite cross-checks the two verifiers against each other
-    wherever the direct one is affordable.
+    factorization.  The suite cross-checks the two verifiers against
+    each other wherever the direct one is affordable.
     """
     if tree.leaf_count > leaf_bound:
         raise ValueError(
             f"tree has {tree.leaf_count} leaves, above the bound {leaf_bound}"
         )
     result = prune(tree)
-    # rows name leaves from 1, so a dummy entry 0 lets map() index directly
-    transport = ((0,) + leaf_row(result.morphism)).__getitem__
+    alpha_row = leaf_row(result.morphism)
     targets_checked = 0
     rows_checked = 0
     for target in healthy_trees(tree.height, tree.leaf_count):
@@ -1021,11 +1017,10 @@ def verify_initiality_by_rows(
         factored = _capped_rows(
             _injective_hom_rows(result.pruned, target), cap, result.pruned, target
         )
+        transported = {
+            tuple(alpha_row[v - 1] for v in row) for row in factored
+        }
         rows_checked += len(direct)
-        transported_rows = tuple(tuple(map(transport, row)) for row in factored)
-        if transported_rows == direct:
-            continue
-        transported = set(transported_rows)
         if len(transported) != len(factored) or transported != set(direct):
             return InitialityReport(
                 False,

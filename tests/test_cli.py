@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from thetaran import harness
 from thetaran.cli import main
 
 
@@ -449,8 +450,6 @@ class TestVerify:
         [
             ("delta-laws", "bogus=1"),
             ("functoriality", "max_K=9"),
-            ("all", "pairs=2"),
-            ("all", "functoriality=3"),  # not a dict of parameters
         ],
     )
     def test_unknown_param_is_usage_error(self, capsys, suite, param):
@@ -458,6 +457,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert param.split("=")[0] in err
+
+    @pytest.mark.parametrize(
+        "param", ["pairs=2", "functoriality=3", "delta-laws=1"]
+    )
+    def test_all_takes_no_param(self, capsys, monkeypatch, param):
+        # rejected before any sub-suite runs, the last one included
+        for runner in ("_run_functoriality", "_run_pruning", "_run_roundtrip",
+                       "_run_homology", "_run_delta_laws"):
+            monkeypatch.setattr(harness, runner, None)
+        code, out, err = run(capsys, "verify", "--suite", "all", "--param", param)
+        assert code == 2
+        assert out == ""
+        assert "'all' takes no --param" in err
 
     def test_negative_pairs_is_usage_error(self, capsys):
         code, out, err = run(

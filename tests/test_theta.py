@@ -591,11 +591,11 @@ class TestHomRows:
         ],
         ids=["reordered", "dropped", "duplicated"],
     )
-    def test_row_verifier_falls_back_to_sets(
+    def test_row_verifier_compares_row_sets(
         self, monkeypatch, patch, counterexample
     ):
-        # the rows are compared as lists first; a reordering still passes
-        # on sets, and a missing or repeated row fails with the counts
+        # a reordering of the factored rows passes; a missing or repeated
+        # row fails with the counts
         tree = parse_tree("[2]([0],[3])")
         pruned = prune(tree).pruned
         patched = parse_tree("[3]([1],[1],[1])")
