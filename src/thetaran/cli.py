@@ -49,13 +49,24 @@ from .theta import (
 )
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags its handler reads
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine output")
     cap_flag = argparse.ArgumentParser(add_help=False)
     cap_flag.add_argument(
-        "--cap", type=int, default=DEFAULT_HOM_CAP, help="enumeration size cap"
+        "--cap", type=_nonnegative_int, default=DEFAULT_HOM_CAP,
+        help="enumeration size cap",
     )
     parser = argparse.ArgumentParser(
         prog="theta-ran",

@@ -83,12 +83,17 @@ _PARAM_KEYS = {
 
 
 def _check_params(name: str, params: dict) -> None:
-    """ValueError on a key the suite does not read, before any case runs."""
+    """ValueError on a key the suite does not read or a negative integer
+    value, before any case runs."""
     if name != "all":
         unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
         if unknown:
             raise ValueError(f"suite {name!r} reads no parameter {', '.join(unknown)}; "
                              f"it reads {', '.join(_PARAM_KEYS[name])}")
+        negative = sorted(k for k, v in params.items()
+                          if isinstance(v, int) and v < 0)
+        if negative:
+            raise ValueError(f"suite {name!r} needs nonnegative {', '.join(negative)}")
     elif all(k in _PARAM_KEYS and isinstance(v, dict) for k, v in params.items()):
         for part, sub in params.items():
             _check_params(part, sub)
@@ -195,8 +200,6 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
     ``dims`` and the point count through 0..max_k.
     """
     pairs = int(params.get("pairs", 1000))
-    if pairs < 0:
-        raise ValueError(f"pairs must be nonnegative, got {pairs}")
     max_k = int(params.get("max_k", 5))
     dims = params.get("dims", (1, 2, 3))
     if isinstance(dims, int):

@@ -4,12 +4,10 @@ The bridge from combinatorics to topology: a finite category presented as
 an object list, a morphism list, and a composition table has a normalized
 nerve whose d-chains are composable strings of d non-identity morphisms.
 Boundary matrices are sparse integer columns, one ``{row: coefficient}``
-dict per chain, straight from the nerve.  Smith normal form first
-eliminates the ±1 pivots sparsely, each splitting off a divisor 1, and
-runs a dense reduction only on the block left over.  Betti numbers plus
-torsion coefficients drop out degree by degree.  A dense view of a
-matrix exists for the brute-force oracles and tests; the engine never
-builds one.
+dict per chain, straight from the nerve, and one sparse elimination loop
+over those columns gives their Smith normal form.  Betti numbers plus
+torsion coefficients drop out degree by degree.  Only the brute-force
+oracles and tests build a dense view of a matrix.
 
 Two category builders connect back to the tree machinery.  ``w_hlt``
 takes the unlabeled healthy height-n trees with k leaves and all active
@@ -33,7 +31,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd
 from random import Random
 
 from .theta import DEFAULT_HOM_CAP, ResourceCapError, healthy_trees, w_hom_rows
@@ -119,16 +117,26 @@ class SmithNormalForm:
 
 
 def smith_normal_form(matrix: IntegerMatrix) -> SmithNormalForm:
-    """Elementary divisors: sparse unit-pivot elimination, then dense Smith.
+    """Elementary divisors by one sparse elimination on the columns.
 
-    A ±1 entry splits off a divisor 1: clearing its row by column
-    operations and then its column by row operations leaves ``[1]`` plus
-    the Schur complement on the other rows and columns.  Columns are
-    visited shortest first, and each pivots on the unit entry whose row
-    is shortest, which keeps fill-in low.  The residual block, the
-    columns without a unit entry, goes to the dense reduction.  Smith
-    form is unique, so the divisors are exactly ``(1,) * pivots`` followed
-    by the residual's divisors.
+    A pivot p at (row r, column j) leaves |p| on the diagonal once column
+    operations clear row r and row operations clear column j.  Unit pass:
+    a ±1 pivot clears both at once.  Columns go shortest first, each
+    pivoting on its unit entry in the shortest row, to keep fill-in low.
+
+    Non-unit pass: the smallest entry left is the pivot.  Subtracting
+    multiples of column j leaves remainders smaller than |p| in row r;
+    once row r holds p alone, row operations reduce column j's other
+    entries mod p and change no other column.  A nonzero remainder is a
+    smaller pivot, so the step repeats until p is alone in both.
+
+    Divisibility chain: diag(a, b) is equivalent to diag(gcd, lcm), so
+    replacing (d_a, d_b) by their gcd and lcm for every pair a < b, in
+    lexicographic order, keeps the diagonal equivalent to the matrix.
+    For each prime, gcd takes the minimum and lcm the maximum of the two
+    exponents, so this is a selection-sort network on every prime's
+    exponents at once: they come out sorted, and d_a divides d_b for
+    a < b.  Smith form is unique, so this chain is it.
     """
     columns = [dict(column) for column in matrix.columns]
     holders: dict[int, set[int]] = defaultdict(set)  # row -> columns with it
@@ -147,100 +155,56 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithNormalForm:
             holders[i].discard(j)
         holders[r].discard(j)
         for other in holders.pop(r):
-            target = columns[other]
-            factor = -unit * target.pop(r)
-            for i, v in column.items():
-                value = target.get(i, 0) + factor * v
-                if value:
-                    if i not in target:
-                        holders[i].add(other)
-                    target[i] = value
-                else:
-                    del target[i]
-                    holders[i].discard(other)
+            _add_multiple(columns, holders, other, -unit * columns[other].pop(r), column)
         columns[j] = {}
         pivots += 1
-    residual = [column for column in columns if column]
-    index = {i: p for p, i in enumerate(sorted({i for c in residual for i in c}))}
-    block = [[0] * len(residual) for _ in index]
-    for j, column in enumerate(residual):
-        for i, v in column.items():
-            block[index[i]][j] = v
-    divisors = (1,) * pivots + _dense_divisors(block)
+    diagonal = []
+    residual = [j for j, column in enumerate(columns) if column]
+    while residual:
+        _, r, j = min((abs(v), i, j) for j in residual for i, v in columns[j].items())
+        while True:
+            column = columns[j]
+            p = column[r]
+            for other in holders[r] - {j}:
+                q = columns[other][r] // p
+                if q:
+                    _add_multiple(columns, holders, other, -q, column)
+            if len(holders[r]) > 1:  # a remainder in row r: a smaller pivot
+                j = min(holders[r] - {j}, key=lambda o: abs(columns[o][r]))
+                continue
+            for i in [i for i in column if i != r]:
+                column[i] %= p
+                if not column[i]:
+                    del column[i]
+                    holders[i].discard(j)
+            if len(column) > 1:  # likewise a remainder in column j
+                r = min((i for i in column if i != r), key=lambda i: abs(column[i]))
+                continue
+            diagonal.append(abs(p))
+            del holders[r]
+            columns[j] = {}
+            break
+        residual = [j for j in residual if columns[j]]
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            g = gcd(diagonal[a], diagonal[b])
+            diagonal[a], diagonal[b] = g, diagonal[a] // g * diagonal[b]
+    divisors = (1,) * pivots + tuple(diagonal)
     return SmithNormalForm(divisors, len(divisors))
 
 
-def _dense_divisors(a: list[list[int]]) -> tuple[int, ...]:
-    """Elementary divisors of a dense matrix by row and column reduction.
-
-    Works in place on ``a``.  Pivots are chosen smallest in magnitude;
-    after clearing a cross, the pivot is forced to divide the remaining
-    block (a row addition brings any offender into play, shrinking the
-    pivot).  Divisors come out positive and in a divisibility chain.
-    """
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    divisors: list[int] = []
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(pivot[2])):
-                    pivot = (i, j, v)
-        if pivot is None:
-            break
-        pi, pj, _ = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            if not _clear_cross(a, t, rows, cols):
-                offender = _nondivisible(a, t, rows, cols)
-                if offender is None:
-                    break
-                for j in range(t, cols):
-                    a[t][j] += a[offender][j]
-        if a[t][t] < 0:
-            a[t] = [-v for v in a[t]]
-        divisors.append(a[t][t])
-        t += 1
-    return tuple(divisors)
-
-
-def _clear_cross(a, t: int, rows: int, cols: int) -> bool:
-    """One pass of clearing row t and column t; True when work remains."""
-    changed = False
-    for i in range(t + 1, rows):
-        if a[i][t] != 0:
-            q = a[i][t] // a[t][t]
-            for j in range(t, cols):
-                a[i][j] -= q * a[t][j]
-            if a[i][t] != 0:
-                a[t], a[i] = a[i], a[t]  # strictly smaller pivot
-            changed = True
-    if changed:
-        return True
-    for j in range(t + 1, cols):
-        if a[t][j] != 0:
-            q = a[t][j] // a[t][t]
-            for i in range(rows):
-                a[i][j] -= q * a[i][t]
-            if a[t][j] != 0:
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-            changed = True
-    return changed
-
-
-def _nondivisible(a, t: int, rows: int, cols: int) -> int | None:
-    p = a[t][t]
-    for i in range(t + 1, rows):
-        for j in range(t + 1, cols):
-            if a[i][j] % p != 0:
-                return i
-    return None
+def _add_multiple(columns, holders, other: int, factor: int, column) -> None:
+    """``columns[other] += factor * column``, keeping ``holders`` in step."""
+    target = columns[other]
+    for i, v in column.items():
+        value = target.get(i, 0) + factor * v
+        if value:
+            if i not in target:
+                holders[i].add(other)
+            target[i] = value
+        else:
+            del target[i]
+            holders[i].discard(other)
 
 
 # ---------------------------------------------------------------------------

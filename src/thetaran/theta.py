@@ -967,13 +967,22 @@ def count_filtered_hom(
 
     "all" and "active" are closed forms.  "w" into a healthy target counts
     leaf rows, which stand for its morphisms (see _injective_rows), once
-    _injective_row_bound is within the cap; every other count is the
-    length of enumerate_theta_hom.
+    _injective_row_bound is within the cap.  "exit" needs healthy
+    endpoints and a surjective leaf row (see classify_morphism), so it is
+    0 unless 0 < source leaves <= target leaves, and with equal leaf
+    counts a surjective row is a bijective one: the "w" count.  Every
+    other count is the length of enumerate_theta_hom.
     """
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
     if morphism_filter in ("all", "active"):
         return count_theta_hom(source, target, morphism_filter == "active")
+    if morphism_filter == "exit":
+        if not (source.is_healthy and target.is_healthy
+                and 0 < source.leaf_count <= target.leaf_count):
+            return 0
+        if source.leaf_count == target.leaf_count:
+            morphism_filter = "w"
     if morphism_filter == "w" and target.is_healthy:
         if source.leaf_count != target.leaf_count:
             return 0

@@ -7,11 +7,13 @@ Exit codes under test: 0 success, 1 verification or validation failure,
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from thetaran import harness
 from thetaran.cli import main
+from thetaran.theta import _FILTERS
 
 
 def run(capsys, *argv):
@@ -160,6 +162,23 @@ class TestHom:
         )
         assert code == 0
         assert json.loads(out)["count"] == 1
+
+    def test_exit_count_reads_leaf_counts(self, capsys):
+        # healthy endpoints with equal leaf counts: exit rows are the
+        # bijective ones, so the C(59, 29) active maps are never listed
+        code, out, _ = run(
+            capsys, "hom", "--source", "[30]", "--target", "[30]",
+            "--filter", "exit",
+        )
+        assert code == 0
+        assert out == "1 morphisms (exit)\n"
+        # more source leaves than target leaves: no surjective row
+        code, out, _ = run(
+            capsys, "hom", "--source", "[30]", "--target", "[29]",
+            "--filter", "exit", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 0
 
     def test_w_count_caps_before_listing_rows(self, capsys):
         # each child pair [30] -> [15] has C(30, 15) rows, so the bound
@@ -471,12 +490,31 @@ class TestVerify:
         assert out == ""
         assert "'all' takes no --param" in err
 
-    def test_negative_pairs_is_usage_error(self, capsys):
-        code, out, err = run(
-            capsys, "verify", "--suite", "functoriality", "--param", "pairs=-3"
-        )
-        assert code == 2
-        assert out == "" and "pairs" in err
+    def test_negative_pairs_is_usage_error(self, capsys, monkeypatch):
+        # any negative count, for every suite, before any case runs
+        for runner in ("_run_functoriality", "_run_pruning", "_run_roundtrip",
+                       "_run_homology", "_run_delta_laws"):
+            monkeypatch.setattr(harness, runner, None)
+        for suite, param in [
+            ("functoriality", "pairs=-3"),
+            ("roundtrip", "leaf_bound=-2"),
+            ("pruning", "probe_leaf_bound=-1"),
+            ("delta-laws", "max_rank=-1"),
+            ("homology", "matrices=-5"),
+        ]:
+            code, out, err = run(capsys, "verify", "--suite", suite, "--param", param)
+            assert code == 2
+            assert out == "" and param.split("=")[0] in err
+        # and a negative --cap is rejected by the parser
+        for argv in [
+            ("hom", "--source", "[2]", "--target", "[2]", "--cap", "-1"),
+            ("homology", "--category", "w_hlt", "--n", "2", "--k", "2",
+             "--cap", "-1"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2
+            assert "nonnegative" in capsys.readouterr().err
 
     def test_malformed_param(self, capsys):
         code, _, err = run(
@@ -520,3 +558,48 @@ class TestFlags:
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_fuzz_tree_and_hom(capsys):
+    # tree and hom on arbitrary short texts keep the exit-code contract
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # arbitrary texts are almost never trees, so mix in well-formed ones
+    tree = st.recursive(
+        st.integers(0, 9).map(lambda r: f"[{r}]"),
+        lambda kids: st.lists(kids, min_size=1, max_size=3).map(
+            lambda cs: f"[{len(cs)}](" + ",".join(cs) + ")"
+        ),
+        max_leaves=4,
+    )
+    text = st.one_of(
+        st.text(alphabet="[]()0123456789, ", max_size=24), tree
+    ).filter(lambda t: len(t) <= 24)
+    deadline = time.monotonic() + 5.0
+
+    @hypothesis.settings(
+        derandomize=True, deadline=None, max_examples=300, database=None
+    )
+    @hypothesis.given(
+        st.one_of(
+            st.tuples(st.just("tree"), st.just("--tree"), text),
+            st.builds(
+                lambda x, y, f, c: ("hom", "--source", x, "--target", y,
+                                    "--filter", f, "--cap", str(c)),
+                text, text, st.sampled_from(_FILTERS), st.integers(-3, 50),
+            ),
+        )
+    )
+    def check(argv):
+        if time.monotonic() > deadline:
+            return
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the input
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            assert out, argv
+
+    check()

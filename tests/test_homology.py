@@ -19,7 +19,6 @@ from thetaran.harness import minor_gcd, ordered_betti_oracle
 from thetaran.homology import (
     FiniteCategoryView,
     IntegerMatrix,
-    _dense_divisors,
     build_category,
     chain_poset,
     homology_from_boundaries,
@@ -78,6 +77,18 @@ class TestSmithNormalForm:
         zero = IntegerMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
         form = smith_normal_form(zero)
         assert form.divisors == () and form.rank == 0
+        # no unit entries: the diagonal pivots must still form a chain
+        for diagonal, divisors in [
+            ((2, 3), (1, 6)),
+            ((4, 6), (2, 12)),
+            ((6, 10, 15), (1, 30, 30)),
+        ]:
+            size = len(diagonal)
+            m = IntegerMatrix.from_rows(
+                [[v if i == j else 0 for j in range(size)]
+                 for i, v in enumerate(diagonal)]
+            )
+            assert smith_normal_form(m).divisors == divisors
 
     def test_divisibility_chain_and_positivity(self):
         rng = Random(5)
@@ -111,21 +122,23 @@ class TestSmithNormalForm:
                 assert minor_gcd_oracle(m, form.rank + 1) == 0
 
     def test_unit_elimination_matches_oracles(self):
-        # sparse entries in -2..2, so most matrices carry unit pivots
+        # sparse entries: in -2..2, so most matrices carry unit pivots,
+        # then with no unit entry at all
         rng = Random(23)
-        for _ in range(200):
+        no_units = (2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+        for entry in [lambda: rng.randint(-2, 2)] * 200 + [
+            lambda: rng.choice(no_units)
+        ] * 200:
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
             m = IntegerMatrix.from_rows(
                 [
-                    [rng.randint(-2, 2) if rng.random() < 0.3 else 0
-                     for _ in range(cols)]
+                    [entry() if rng.random() < 0.3 else 0 for _ in range(cols)]
                     for _ in range(rows)
                 ],
                 cols,
             )
             form = smith_normal_form(m)
-            assert form.divisors == _dense_divisors([list(r) for r in m.entries])
             product = 1
             for k, d in enumerate(form.divisors, start=1):
                 product *= d

@@ -266,6 +266,13 @@ class TestEnumeration:
                 assert count_filtered_hom(s, t, morphism_filter) == len(
                     enumerate_theta_hom(s, t, morphism_filter)
                 )
+        # the exit count decides from health and leaf counts where it can
+        for height in (1, 2, 3):
+            trees = [t for k in range(3) for t in decorated_trees(height, k, 1)]
+            for s, t in product(trees, repeat=2):
+                assert count_filtered_hom(s, t, "exit") == len(
+                    enumerate_theta_hom(s, t, "exit")
+                )
 
     def test_filtered_count_caps_before_listing(self):
         # 155,117,520 rows [30] -> [15] per child pair; nothing is listed
