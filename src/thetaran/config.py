@@ -16,11 +16,11 @@ integers by a common denominator, each collision test is a rational
 linear system solved by cross-multiplication, and floating point never
 enters a verdict.
 
-A valid path induces a morphism of the two trees one level at a time: the
-base map counts, for each source prefix, how many target prefixes sit
-over it, and the components recurse into the matched fibers with the
-leading coordinate dropped.  The leaf map of the resulting morphism is
-exactly the point assignment, read target-to-source.
+A valid path induces a morphism of the two trees whose leaf row is the
+point assignment, read target-to-source; ``theta.morphism_of_row``
+rebuilds it one level at a time: the base map counts, for each source
+prefix, how many target prefixes sit over it, and the components recurse
+into the matched fibers with the leading coordinate dropped.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from math import lcm
 from random import Random
 
-from .theta import MonotoneMap, ThetaMorphism, Tree, empty_tree, leaf_row
+from .theta import ThetaMorphism, Tree, empty_tree, morphism_of_row
 
 Point = tuple[Fraction, ...]
 
@@ -96,16 +96,6 @@ class Configuration:
 
 def configuration(dimension: int, points) -> Configuration:
     return Configuration(dimension, tuple(tuple(p) for p in points))
-
-
-def rescale_configuration(cfg: Configuration, factor) -> Configuration:
-    factor = _as_fraction(factor)
-    if factor == 0:
-        raise ValueError("rescaling factor must be nonzero")
-    return Configuration(
-        cfg.dimension,
-        tuple(tuple(factor * c for c in p) for p in cfg.points),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +311,19 @@ def rescale_exit_path(path: ExitPath, factor) -> ExitPath:
         raise ValueError("rescaling factor must be nonzero")
     src_scaled = [tuple(factor * c for c in p) for p in path.source.points]
     tgt_scaled = [tuple(factor * c for c in p) for p in path.target.points]
-    src_order = sorted(range(len(src_scaled)), key=lambda i: src_scaled[i])
-    tgt_order = sorted(range(len(tgt_scaled)), key=lambda i: tgt_scaled[i])
+    return _reindexed_path(path.dimension, src_scaled, tgt_scaled, path.mapping)
+
+
+def _reindexed_path(dimension: int, src_points, tgt_points, mapping) -> ExitPath:
+    """A certified path between points listed in any order, ``mapping``
+    indexing them as listed; both sides go to canonical sorted order."""
+    src_order = sorted(range(len(src_points)), key=src_points.__getitem__)
+    tgt_order = sorted(range(len(tgt_points)), key=tgt_points.__getitem__)
     src_rank = {old: new for new, old in enumerate(src_order)}
-    mapping = tuple(
-        src_rank[path.mapping[old]] for old in tgt_order
-    )
     return build_exit_path(
-        Configuration(path.dimension, tuple(src_scaled)),
-        Configuration(path.dimension, tuple(tgt_scaled)),
-        mapping,
+        Configuration(dimension, tuple(src_points)),
+        Configuration(dimension, tuple(tgt_points)),
+        tuple(src_rank[mapping[old]] for old in tgt_order),
     )
 
 
@@ -350,75 +343,21 @@ def morphism_of_exit_path(path: ExitPath) -> ThetaMorphism:
 def induced_morphism(
     source: Configuration, target: Configuration, mapping
 ) -> ThetaMorphism:
-    """The combinatorial core: trees and matched fibers from the raw data.
+    """The tree morphism whose leaf row is the point assignment.
 
-    This works for any assignment whose level maps are well-defined and
-    monotone, which covers certified paths and compositions of their
-    assignments; both properties are checked and violations raise.
+    Points are sorted, so the leaves of each tree are its points in
+    order, and ``mapping`` (0-based origins) is the leaf row less one.
+    morphism_of_row rebuilds the morphism from it and checks that every
+    level map is well defined and monotone, raising ValueError otherwise;
+    certified paths and compositions of their assignments pass.
     """
     if source.dimension != target.dimension:
         raise ValueError("endpoints must share a dimension")
-    return _induced(
-        tuple(mapping), tree_of_configuration(source), tree_of_configuration(target)
+    return morphism_of_row(
+        tree_of_configuration(source),
+        tree_of_configuration(target),
+        [s_idx + 1 for s_idx in mapping],
     )
-
-
-def _induced(
-    mapping: tuple[int, ...], src_tree: Tree, tgt_tree: Tree
-) -> ThetaMorphism:
-    """Recursion over matched fibers, reading the trees alone.
-
-    Points are sorted, so the fiber under child i of a tree is the next
-    ``children[i].leaf_count`` points; at height 1 the mapping is the
-    level map.
-    """
-    if src_tree.height == 1:
-        base = _base_map(mapping, src_tree.rank, tgt_tree.rank)
-        return ThetaMorphism(src_tree, tgt_tree, base)
-    src_group_of, src_local = _group_index(src_tree)
-    tgt_group_of, _ = _group_index(tgt_tree)
-    level_map: list[int | None] = [None] * tgt_tree.rank
-    sub_mappings: list[list[int]] = [[] for _ in level_map]
-    for t_idx, s_idx in enumerate(mapping):
-        j = tgt_group_of[t_idx]
-        i = src_group_of[s_idx]
-        sub_mappings[j].append(src_local[s_idx])
-        if level_map[j] is None:
-            level_map[j] = i
-        elif level_map[j] != i:
-            raise ValueError(
-                f"target group {j} has origins in distinct source groups"
-            )
-    if any(v is None for v in level_map):
-        raise ValueError("a target group received no origin")
-    base = _base_map(level_map, src_tree.rank, tgt_tree.rank)
-    components = tuple(
-        _induced(tuple(sub_mappings[j]), src_tree.children[i], tgt_tree.children[j])
-        for j, i in enumerate(level_map)
-    )
-    return ThetaMorphism(src_tree, tgt_tree, base, components)
-
-
-def _base_map(level_map, source_rank: int, target_rank: int) -> MonotoneMap:
-    """The base map sending target vertex j to source vertex level_map[j]."""
-    counts = [0] * source_rank
-    for i in level_map:
-        counts[i] += 1
-    # origins must come in weakly increasing order, else the cumulative
-    # count and the actual fibers disagree
-    if any(level_map[j] > level_map[j + 1] for j in range(len(level_map) - 1)):
-        raise ValueError("level map is not monotone")
-    return MonotoneMap(source_rank, target_rank, tuple(accumulate(counts, initial=0)))
-
-
-def _group_index(tree: Tree) -> tuple[list[int], list[int]]:
-    """For each leaf in order: its root child, and its place under it."""
-    group_of: list[int] = []
-    local: list[int] = []
-    for g, child in enumerate(tree.children):
-        group_of.extend([g] * child.leaf_count)
-        local.extend(range(child.leaf_count))
-    return group_of, local
 
 
 def compose_point_maps(
@@ -568,10 +507,6 @@ def configuration_from_json(doc, dimension: int | None = None) -> Configuration:
     return Configuration(dimension, tuple(points))
 
 
-def configuration_to_json(cfg: Configuration) -> list[list[str]]:
-    return [[str(c) for c in p] for p in cfg.points]
-
-
 def exit_path_from_json(doc: dict) -> ExitPath:
     """Schema: dimension, source, target (point arrays), map.
 
@@ -598,31 +533,9 @@ def exit_path_from_json(doc: dict) -> ExitPath:
     for v in raw_map:
         if not (0 <= v < len(src_raw)):
             raise ValueError(f"map index {v} out of range")
-    src_order = sorted(range(len(src_raw)), key=lambda i: src_raw[i])
-    tgt_order = sorted(range(len(tgt_raw)), key=lambda i: tgt_raw[i])
-    src_rank = {old: new for new, old in enumerate(src_order)}
-    mapping = tuple(src_rank[raw_map[old]] for old in tgt_order)
-    source = Configuration(dimension, tuple(src_raw))
-    target = Configuration(dimension, tuple(tgt_raw))
-    return build_exit_path(source, target, mapping)
-
-
-def exit_path_to_json(path: ExitPath) -> dict:
-    return {
-        "dimension": path.dimension,
-        "source": configuration_to_json(path.source),
-        "target": configuration_to_json(path.target),
-        "map": list(path.mapping),
-    }
+    return _reindexed_path(dimension, src_raw, tgt_raw, raw_map)
 
 
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def check_morphism_against_path(path: ExitPath) -> bool:
-    """The induced morphism's leaf map must be the point assignment."""
-    m = morphism_of_exit_path(path)
-    row = leaf_row(m)
-    return all(row[t] == path.mapping[t] + 1 for t in range(path.target.size))

@@ -10,13 +10,23 @@ The "all" suite strings together exactly the five batteries the
 acceptance checklist draws from: exit-path functoriality, pruning
 initiality, the geometric round trip, homology fixtures with engine
 sanity, and the simplicial-circle laws.
+
+The pruning suite keeps its own reference for the w hom-sets that
+``theta`` lists as leaf rows: the wreath-level walk (_enumerate_w over
+_w_candidates), which builds every morphism datum by datum, and
+verify_initiality, which checks the pruning factorization on those
+morphisms by composition and compares each hom-set with the rows.
+Nothing outside the harness and the tests reads them.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, product
 from math import gcd
 from random import Random
 
@@ -48,14 +58,22 @@ from .simplex import (
     simplicial_circle,
 )
 from .theta import (
+    DEFAULT_HOM_CAP,
+    InitialityReport,
+    ResourceCapError,
+    ThetaMorphism,
+    Tree,
+    _enumerate_plain,
+    _injective_bases,
     compose_theta,
+    count_theta_hom,
     decorated_trees,
-    enumerate_theta_hom,
+    fiber_pairs,
     format_tree,
     healthy_trees,
+    identity_theta,
     leaf_row,
     prune,
-    verify_initiality,
     verify_initiality_by_rows,
     w_hom_rows,
 )
@@ -244,6 +262,133 @@ def _decoration_family(params: dict, leaf_default: int, deep_default: int):
             yield from decorated_trees(height, k, weight)
 
 
+@lru_cache(maxsize=None)
+def _w_candidates(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
+    """Active morphisms with injective leaf map, the building blocks of w."""
+    out = []
+    for m in _enumerate_plain(source, target, True):
+        row = leaf_row(m)
+        if len(set(row)) == len(row):
+            out.append(m)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_w(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
+    """The w hom-set walked datum by datum: every base of
+    _injective_bases, every choice of injective components, kept when the
+    component rows are disjoint and cover the source leaves."""
+    if source.leaf_count != target.leaf_count:
+        return ()
+    if source.height == 1:
+        # an active monotone self-map with bijective fibers is the identity
+        if source.rank == target.rank:
+            return (identity_theta(source),)
+        return ()
+    out = []
+    for base in _injective_bases(
+        tuple(c.leaf_count for c in source.children),
+        tuple(c.leaf_count for c in target.children),
+    ):
+        pairs = fiber_pairs(base)
+        candidate_lists = [
+            _w_candidates(source.children[i - 1], target.children[j - 1])
+            for i, j in pairs
+        ]
+        if any(not c for c in candidate_lists):
+            continue
+        leaf_offsets = []
+        total = 0
+        for c in source.children:
+            leaf_offsets.append(total)
+            total += c.leaf_count
+        for combo in product(*candidate_lists):
+            seen: set[int] = set()
+            ok = True
+            for (i, _), comp in zip(pairs, combo):
+                off = leaf_offsets[i - 1]
+                for v in leaf_row(comp):
+                    shifted = v + off
+                    if shifted in seen:
+                        ok = False
+                        break
+                    seen.add(shifted)
+                if not ok:
+                    break
+            if ok and len(seen) == source.leaf_count:
+                out.append(ThetaMorphism(source, target, base, combo))
+    return tuple(out)
+
+
+def _reference_w_hom(
+    source: Tree, target: Tree, cap: int = DEFAULT_HOM_CAP
+) -> tuple[ThetaMorphism, ...]:
+    """_enumerate_w, once the active hom-set count is within ``cap``."""
+    projected = count_theta_hom(source, target, True)
+    if projected > cap:
+        raise ResourceCapError(
+            f"projected hom-set size {projected} exceeds cap {cap} for "
+            f"{format_tree(source)} -> {format_tree(target)}"
+        )
+    return _enumerate_w(source, target)
+
+
+def verify_initiality(
+    tree: Tree, leaf_bound: int = 6, cap: int = DEFAULT_HOM_CAP
+) -> InitialityReport:
+    """Check that the pruning unit is initial among maps to healthy trees.
+
+    For every healthy tree S of the same height with at most ``leaf_bound``
+    leaves and every leaf-bijective active morphism f: tree -> S, exactly
+    one g: prune(tree) -> S satisfies g after unit == f.  Targets with a
+    different leaf count are skipped: a leaf bijection forces equality.
+    Hom-sets come from the reference walk, and on each target the leaf
+    rows of w_hom_rows must be exactly those of the reference hom-set.
+    """
+    if tree.leaf_count > leaf_bound:
+        raise ValueError(
+            f"tree has {tree.leaf_count} leaves, above the bound {leaf_bound}"
+        )
+    result = prune(tree)
+    targets_checked = 0
+    morphisms_checked = 0
+
+    def failure(problem: str) -> InitialityReport:
+        where = f"tree={format_tree(tree)} target={format_tree(target)}"
+        return InitialityReport(
+            False, targets_checked, morphisms_checked, f"{where} {problem}"
+        )
+
+    for target in healthy_trees(tree.height, tree.leaf_count):
+        targets_checked += 1
+        outgoing = _reference_w_hom(tree, target, cap)
+        rows = w_hom_rows(tree, target, cap)
+        if len(rows) != len(outgoing) or set(rows) != {
+            leaf_row(f) for f in outgoing
+        }:
+            return failure("hom rows disagree with the reference hom-set")
+        if not outgoing:
+            continue
+        factored = _reference_w_hom(result.pruned, target, cap)
+        composites = Counter(
+            compose_theta(g, result.morphism) for g in factored
+        )
+        # per-morphism counts of 1 plus equal sizes pin down a bijection;
+        # without the size check a composite falling outside the hom-set
+        # could hide
+        if len(factored) != len(outgoing):
+            return failure(
+                f"hom sizes differ: {len(outgoing)} direct vs "
+                f"{len(factored)} factored"
+            )
+        for f in outgoing:
+            morphisms_checked += 1
+            matches = composites.get(f, 0)
+            if matches != 1:
+                return failure(f"morphism base={f.base} factors {matches} times")
+    return InitialityReport(True, targets_checked, morphisms_checked)
+
+
 def _run_pruning(params: dict, seed: int) -> _Tally:
     """Unique factorization of leaf-bijective maps through the pruning unit.
 
@@ -251,10 +396,10 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
     all single leafless graftings (and double graftings at small leaf
     counts); targets range over all healthy trees of matching height and
     leaf count.  Trees with at most ``direct_leaf_bound`` leaves run the
-    wreath-level verifier and the leaf-row verifier side by side, with
-    their hom-sets compared row for row against the direct enumeration;
-    larger trees run the row verifier alone, whose reduction those
-    comparisons (and the healthy-grid probe one size up) pin down.
+    wreath-level verifier, which also compares each hom-set with the leaf
+    rows, and then the leaf-row verifier; larger trees run the row
+    verifier alone, whose reduction those comparisons (and the
+    healthy-grid probe one size up) pin down.
     """
     leaf_bound = int(params.get("leaf_bound", 6))
     direct_bound = int(params.get("direct_leaf_bound", 4))
@@ -269,7 +414,7 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
             bad = None
             for s in grid:
                 for t in grid:
-                    direct = {leaf_row(m) for m in enumerate_theta_hom(s, t, "w")}
+                    direct = {leaf_row(m) for m in _reference_w_hom(s, t)}
                     rows = w_hom_rows(s, t)
                     pairs += 1
                     if len(rows) == len(direct) and set(rows) == direct:
@@ -283,32 +428,13 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
             )
     for tree in _decoration_family(params, leaf_default=6, deep_default=3):
         bound = max(leaf_bound, tree.leaf_count)
-        rows_report = verify_initiality_by_rows(tree, leaf_bound=bound)
-        ok = rows_report.passed
-        detail = rows_report.counterexample
-        if ok and tree.leaf_count <= direct_bound:
-            direct_report = verify_initiality(tree, leaf_bound=bound)
-            if not direct_report.passed:
-                ok = False
-                detail = direct_report.counterexample
-            else:
-                for target in healthy_trees(tree.height, tree.leaf_count):
-                    direct = {
-                        leaf_row(m)
-                        for m in enumerate_theta_hom(tree, target, "w")
-                    }
-                    rows = w_hom_rows(tree, target)
-                    if len(rows) != len(direct) or set(rows) != direct:
-                        ok = False
-                        detail = (
-                            "hom rows disagree with the enumeration for "
-                            f"{format_tree(tree)} -> {format_tree(target)}"
-                        )
-                        break
+        report = verify_initiality_by_rows(tree, leaf_bound=bound)
+        if report.passed and tree.leaf_count <= direct_bound:
+            report = verify_initiality(tree, leaf_bound=bound)
         tally.record(
             f"tree {format_tree(tree)} height {tree.height}",
-            ok,
-            detail=detail,
+            report.passed,
+            detail=report.counterexample,
         )
     return tally
 
@@ -402,8 +528,6 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
 
 def minor_gcd(matrix: IntegerMatrix, d: int) -> int:
     """gcd of all d x d minors (0 when every minor vanishes)."""
-    from itertools import combinations
-
     if d == 0:
         return 1
     best = 0

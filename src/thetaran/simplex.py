@@ -100,18 +100,6 @@ def compose_delta(second: MonotoneMap, first: MonotoneMap) -> MonotoneMap:
     )
 
 
-def parse_monotone(text: str, target_rank: int) -> MonotoneMap:
-    """Parse "(0,1,3)" into a map with the given target rank."""
-    body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"malformed monotone map literal: {text!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        raise ValueError("a monotone map needs at least the value at 0")
-    values = tuple(int(part) for part in inner.split(","))
-    return MonotoneMap(len(values) - 1, target_rank, values)
-
-
 @lru_cache(maxsize=None)
 def enumerate_delta_hom(
     source_rank: int, target_rank: int, active_only: bool = False

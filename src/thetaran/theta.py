@@ -25,7 +25,13 @@ The module also provides the classification flags used downstream:
 
 together with truncation (dropping top levels), pruning (the left adjoint
 onto healthy trees, with its unit), hom-set enumeration under a resource
-cap, and text/JSON serialization.
+cap, tree text and morphism JSON.
+
+Into a healthy target an active morphism is fixed by its leaf row, so w
+hom-sets are listed in one form, as rows (one walk, _injective_rows), and
+morphism_of_row rebuilds a row's wreath datum, for enumerate_theta_hom
+and for the point assignments of ``config``.  The wreath-level walk of
+the same hom-sets is the reference in ``harness``.
 
 All values are immutable; enumeration and classification are pure and
 cache aggressively, so concurrent readers are safe.
@@ -33,11 +39,11 @@ cache aggressively, so concurrent readers are safe.
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, islice, pairwise, product
 from math import comb
 
 from .simplex import (
@@ -46,7 +52,6 @@ from .simplex import (
     compose_delta,
     enumerate_delta_hom,
     identity_delta,
-    parse_monotone,
     simplicial_circle,
 )
 
@@ -404,6 +409,69 @@ def leaf_row(m: ThetaMorphism) -> tuple[int | None, ...]:
     return tuple(row)
 
 
+def morphism_of_row(
+    source: Tree, target: Tree, row: Iterable[int]
+) -> ThetaMorphism:
+    """The active morphism source -> target whose leaf row is ``row``
+    (the source leaf, 1-based, of each target leaf), inverting leaf_row
+    into a healthy target, where every vertex has a leaf above it.
+
+    Read one level at a time: the leaves over each target child must go
+    to one source child, and these choices, like a height-1 row, must be
+    weakly increasing.  Any other row raises ValueError.
+    """
+    if source.height != target.height:
+        raise ValueError("morphism endpoints must have equal heights")
+    row = tuple(row)
+    span = range(1, source.leaf_count + 1)
+    if len(row) != target.leaf_count or not all(v in span for v in row):
+        raise ValueError(
+            f"a leaf row {format_tree(source)} -> {format_tree(target)} "
+            f"needs {target.leaf_count} values in 1..{source.leaf_count}"
+        )
+    return _morphism_of_row(source, target, row)
+
+
+def _morphism_of_row(
+    source: Tree, target: Tree, row: tuple[int, ...]
+) -> ThetaMorphism:
+    if source.height == 1:
+        return ThetaMorphism(source, target, _base_of(row, source.rank, target.rank))
+    offsets = tuple(accumulate((c.leaf_count for c in source.children), initial=0))
+    # child_of[v]: the root child of source leaf v
+    child_of = [0]
+    for i, child in enumerate(source.children, start=1):
+        child_of.extend([i] * child.leaf_count)
+    starts = accumulate((c.leaf_count for c in target.children), initial=0)
+    level_map, blocks = [], []
+    for start, child in zip(starts, target.children):
+        block = row[start : start + child.leaf_count]
+        if not block:
+            raise ValueError("a target child has no leaf to send")
+        i = child_of[block[0]]
+        if any(child_of[v] != i for v in block):
+            raise ValueError("a target child's leaves go to distinct source children")
+        level_map.append(i)
+        blocks.append(tuple(v - offsets[i - 1] for v in block))
+    base = _base_of(level_map, source.rank, target.rank)
+    components = tuple(
+        _morphism_of_row(source.children[i - 1], child, block)
+        for i, child, block in zip(level_map, target.children, blocks)
+    )
+    return ThetaMorphism(source, target, base, components)
+
+
+def _base_of(level_map, source_rank: int, target_rank: int) -> MonotoneMap:
+    """The active base whose circle sends target vertex j to source
+    vertex level_map[j - 1]; the level map must be weakly increasing."""
+    if any(a > b for a, b in pairwise(level_map)):
+        raise ValueError("level map is not monotone")
+    counts = [0] * (source_rank + 1)
+    for i in level_map:
+        counts[i] += 1
+    return MonotoneMap(source_rank, target_rank, tuple(accumulate(counts)))
+
+
 def _is_active(m: ThetaMorphism) -> bool:
     return m.base.is_active and all(_is_active(c) for c in m.components)
 
@@ -508,10 +576,8 @@ def count_theta_hom(source: Tree, target: Tree, active_only: bool = False) -> in
         # active one fixes f(0) = 0 and f(p) = q, leaving p - 1 values
         p, q = source.rank, target.rank
         if not active_only:
-            return comb(p + q + 1, p + 1)
-        if p == 0:
-            return int(q == 0)
-        return comb(p + q - 1, p - 1)
+            return _printable_binomial(p + q + 1, q)
+        return _printable_binomial(p + q - 1, q) if p else int(q == 0)
     total = 0
     for base in enumerate_delta_hom(source.rank, target.rank, active_only):
         term = 1
@@ -549,59 +615,28 @@ def _enumerate_plain(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _w_candidates(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
-    """Active morphisms with injective leaf map, the building blocks of w."""
-    out = []
-    for m in _enumerate_plain(source, target, True):
-        row = leaf_row(m)
-        if len(set(row)) == len(row):
-            out.append(m)
-    return tuple(out)
+def _printable_binomial(n: int, k: int) -> int:
+    """comb(n, k), or ResourceCapError when it has more decimal digits
+    than Python prints (``sys.get_int_max_str_digits()``, 0 for no limit).
+    comb(n, i) grows with i up to n/2, at least as fast as 2**i, so the
+    product passes the limit long before millions of digits are built."""
+    k = min(k, n - k)
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return comb(n, k)
+    ceiling = 10**limit
+    value = 1
+    for i in range(k):
+        value = value * (n - i) // (i + 1)
+        if value >= ceiling:
+            raise ResourceCapError(f"hom-set size C({n}, {k}) has more than "
+                                   f"{limit} decimal digits, too many to print")
+    return value
 
 
-@lru_cache(maxsize=None)
-def _enumerate_w(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
-    if source.leaf_count != target.leaf_count:
-        return ()
-    if source.height == 1:
-        # an active monotone self-map with bijective fibers is the identity
-        if source.rank == target.rank:
-            return (identity_theta(source),)
-        return ()
-    out = []
-    for base in _injective_bases(
-        tuple(c.leaf_count for c in source.children),
-        tuple(c.leaf_count for c in target.children),
-    ):
-        pairs = fiber_pairs(base)
-        candidate_lists = [
-            _w_candidates(source.children[i - 1], target.children[j - 1])
-            for i, j in pairs
-        ]
-        if any(not c for c in candidate_lists):
-            continue
-        leaf_offsets = []
-        total = 0
-        for c in source.children:
-            leaf_offsets.append(total)
-            total += c.leaf_count
-        for combo in product(*candidate_lists):
-            seen: set[int] = set()
-            ok = True
-            for (i, _), comp in zip(pairs, combo):
-                off = leaf_offsets[i - 1]
-                for v in leaf_row(comp):
-                    shifted = v + off
-                    if shifted in seen:
-                        ok = False
-                        break
-                    seen.add(shifted)
-                if not ok:
-                    break
-            if ok and len(seen) == source.leaf_count:
-                out.append(ThetaMorphism(source, target, base, combo))
-    return tuple(out)
+def _datum_key(m: ThetaMorphism):
+    """Canonical order: base values, then the components in turn."""
+    return (m.base.values, tuple(_datum_key(c) for c in m.components))
 
 
 def enumerate_theta_hom(
@@ -610,34 +645,36 @@ def enumerate_theta_hom(
     morphism_filter: str = "all",
     cap: int = DEFAULT_HOM_CAP,
 ) -> tuple[ThetaMorphism, ...]:
-    """All morphisms source -> target passing the filter, canonical order.
+    """All morphisms source -> target passing the filter, in canonical
+    order (see _datum_key).
 
     Filters: "all", "active", "exit" (active, healthy nonempty endpoints,
-    surjective on every level), "w" (active with bijective leaf row).  The
-    projected enumeration size (counted before materializing; the active
-    count bounds the filtered ones) must stay within ``cap``.
+    surjective on every level), "w" (active with bijective leaf row).
+    Where leaf rows stand for the hom-set (see _filter_rows) it is rebuilt
+    from them by morphism_of_row; every other filter keeps what
+    classify_morphism passes of the active (or every) morphism, listed
+    once its closed-form count is within ``cap``.
     """
     if morphism_filter not in _FILTERS:
         raise ValueError(f"unknown filter {morphism_filter!r}; pick from {_FILTERS}")
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
-    projected = count_theta_hom(source, target, morphism_filter != "all")
+    rows = _filter_rows(source, target, morphism_filter, cap)
+    if rows is not None:
+        homs = [morphism_of_row(source, target, row) for row in rows]
+        return tuple(sorted(homs, key=_datum_key))
+    active_only = morphism_filter != "all"
+    projected = count_theta_hom(source, target, active_only)
     if projected > cap:
         raise ResourceCapError(
             f"projected hom-set size {projected} exceeds cap {cap} for "
             f"{format_tree(source)} -> {format_tree(target)}"
         )
-    if morphism_filter == "all":
-        return _enumerate_plain(source, target, False)
-    if morphism_filter == "active":
-        return _enumerate_plain(source, target, True)
-    if morphism_filter == "w":
-        return _enumerate_w(source, target)
-    return tuple(
-        m
-        for m in _enumerate_plain(source, target, True)
-        if classify_morphism(m).exit
-    )
+    homs = _enumerate_plain(source, target, active_only)
+    if morphism_filter in ("all", "active"):
+        return homs
+    flag = "in_w" if morphism_filter == "w" else "exit"
+    return tuple(m for m in homs if getattr(classify_morphism(m), flag))
 
 
 # ---------------------------------------------------------------------------
@@ -690,88 +727,46 @@ class InitialityReport:
     counterexample: str | None = None
 
 
-def verify_initiality(
-    tree: Tree, leaf_bound: int = 6, cap: int = DEFAULT_HOM_CAP
-) -> InitialityReport:
-    """Check that the pruning unit is initial among maps to healthy trees.
-
-    For every healthy tree S of the same height with at most ``leaf_bound``
-    leaves and every leaf-bijective active morphism f: tree -> S, exactly
-    one g: prune(tree) -> S satisfies g after unit == f.  Targets with a
-    different leaf count are skipped: a leaf bijection forces equality.
-    """
-    if tree.leaf_count > leaf_bound:
-        raise ValueError(
-            f"tree has {tree.leaf_count} leaves, above the bound {leaf_bound}"
-        )
-    result = prune(tree)
-    targets_checked = 0
-    morphisms_checked = 0
-    for target in healthy_trees(tree.height, tree.leaf_count):
-        targets_checked += 1
-        outgoing = enumerate_theta_hom(tree, target, "w", cap)
-        if not outgoing:
-            continue
-        factored = enumerate_theta_hom(result.pruned, target, "w", cap)
-        composites = Counter(
-            compose_theta(g, result.morphism) for g in factored
-        )
-        # per-morphism counts of 1 plus equal sizes pin down a bijection;
-        # without the size check a composite falling outside the hom-set
-        # could hide
-        if len(factored) != len(outgoing):
-            return InitialityReport(
-                False,
-                targets_checked,
-                morphisms_checked,
-                counterexample=(
-                    f"tree={format_tree(tree)} target={format_tree(target)} "
-                    f"hom sizes differ: {len(outgoing)} direct vs "
-                    f"{len(factored)} factored"
-                ),
-            )
-        for f in outgoing:
-            morphisms_checked += 1
-            matches = composites.get(f, 0)
-            if matches != 1:
-                return InitialityReport(
-                    False,
-                    targets_checked,
-                    morphisms_checked,
-                    counterexample=(
-                        f"tree={format_tree(tree)} target={format_tree(target)} "
-                        f"morphism base={f.base} factors {matches} times"
-                    ),
-                )
-    return InitialityReport(True, targets_checked, morphisms_checked)
-
-
 @lru_cache(maxsize=None)
 def _injective_bases(
     src_profile: tuple[int, ...], tgt_profile: tuple[int, ...]
 ) -> tuple[MonotoneMap, ...]:
     """Active bases under which each source child receives at most as
-    many target leaves as it has.
+    many target leaves as it has, in lexicographic order of values.
 
     An injective leaf map sends the target leaves over a fiber into its
-    source child, so every morphism with one passes, and filtering the
-    active enumeration loses nothing.  Active fibers partition the target
-    children, so when the two leaf totals are equal "at most" forces
-    "exactly": the fibers then cut the target profile into blocks
-    matching the source profile.  Keying the scan by the two profiles
-    amortizes it across all tree pairs sharing them.
+    source child, so every morphism with one has such a base.  Depth
+    first, value by value: v_i grows from v_(i-1) while child i's fiber
+    fits its leaves, and only where the target leaves left fit the
+    children after it; v_p is the target rank.  So no failing base is
+    followed past its first failing value, and the C(p+q-1, p-1) active
+    bases are never all listed.  With equal leaf totals the prefix sums of
+    the profiles must agree at each v_i: one base if no target child is
+    leafless.  Keyed by the profiles, so tree pairs share the walk.
     """
-    tgt_prefix = [0]
-    for c in tgt_profile:
-        tgt_prefix.append(tgt_prefix[-1] + c)
+    p, q = len(src_profile), len(tgt_profile)
+    if not p:
+        return (MonotoneMap(0, 0, (0,)),) if not q else ()
+    tgt_prefix = tuple(accumulate(tgt_profile, initial=0))
+    total = tgt_prefix[-1]
+    # room[i]: the leaves of source children i + 1, ..., p
+    room = tuple(accumulate(reversed(src_profile), initial=0))[::-1]
     out = []
-    for base in enumerate_delta_hom(len(src_profile), len(tgt_profile), True):
-        values = base.values
-        if all(
-            tgt_prefix[values[i]] - tgt_prefix[values[i - 1]] <= src_profile[i - 1]
-            for i in range(1, len(src_profile) + 1)
-        ):
-            out.append(base)
+    stack = [(0,)]
+    while stack:
+        values = stack.pop()
+        i = len(values)  # the value to choose next
+        if i > p:
+            out.append(MonotoneMap(p, q, values))
+            continue
+        last = values[-1]
+        step = []
+        for v in range(q if i == p else last, q + 1):
+            if tgt_prefix[v] - tgt_prefix[last] > src_profile[i - 1]:
+                break
+            if total - tgt_prefix[v] <= room[i]:
+                step.append(values + (v,))
+        stack.extend(reversed(step))
     return tuple(out)
 
 
@@ -909,9 +904,8 @@ def w_hom_rows(
     _injective_rows).  Between trees with equal leaf counts an injective
     leaf map is a bijection, so these are exactly the injective rows;
     with unequal counts there are none.  Raises ResourceCapError once
-    there are more than ``cap`` rows.  The verification suite checks the
-    rows against the "w" enumeration, row for row, wherever the direct
-    enumeration is affordable.
+    there are more than ``cap`` rows.  The pruning suite checks them row
+    for row against the harness's wreath-level walk where it is affordable.
     """
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
@@ -956,6 +950,36 @@ def _injective_row_bound(source: Tree, target: Tree) -> int:
     return max(rows, largest)
 
 
+def _filter_rows(
+    source: Tree, target: Tree, morphism_filter: str, cap: int
+) -> tuple[tuple[int, ...], ...] | None:
+    """The leaf rows standing for the filtered hom-set, or None where no
+    rows do; listed once _injective_row_bound is within ``cap``.
+
+    "w" into a healthy target: its rows (see _injective_rows).  "exit"
+    needs healthy endpoints and a surjective leaf row (see
+    classify_morphism), so it has none unless 0 < source leaves <= target
+    leaves, and with equal leaf counts a surjective row is a "w" row.
+    """
+    if morphism_filter == "exit":
+        if not (source.is_healthy and target.is_healthy
+                and 0 < source.leaf_count <= target.leaf_count):
+            return ()
+        if source.leaf_count < target.leaf_count:
+            return None
+    elif morphism_filter != "w" or not target.is_healthy:
+        return None
+    if source.leaf_count != target.leaf_count:
+        return ()
+    projected = _injective_row_bound(source, target)
+    if projected > cap:
+        raise ResourceCapError(
+            f"projected leaf-row list size {projected} exceeds cap {cap} "
+            f"for {format_tree(source)} -> {format_tree(target)}"
+        )
+    return w_hom_rows(source, target, cap)
+
+
 def count_filtered_hom(
     source: Tree,
     target: Tree,
@@ -963,43 +987,24 @@ def count_filtered_hom(
     cap: int = DEFAULT_HOM_CAP,
 ) -> int:
     """Size of the hom-set source -> target under a filter of
-    enumerate_theta_hom, raising ResourceCapError past ``cap``.
-
-    "all" and "active" are closed forms.  "w" into a healthy target counts
-    leaf rows, which stand for its morphisms (see _injective_rows), once
-    _injective_row_bound is within the cap.  "exit" needs healthy
-    endpoints and a surjective leaf row (see classify_morphism), so it is
-    0 unless 0 < source leaves <= target leaves, and with equal leaf
-    counts a surjective row is a bijective one: the "w" count.  Every
-    other count is the length of enumerate_theta_hom.
+    enumerate_theta_hom, raising ResourceCapError past ``cap``: a closed
+    form for "all" and "active", the number of leaf rows where they stand
+    for the hom-set (see _filter_rows), else the enumeration's length.
     """
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
     if morphism_filter in ("all", "active"):
         return count_theta_hom(source, target, morphism_filter == "active")
-    if morphism_filter == "exit":
-        if not (source.is_healthy and target.is_healthy
-                and 0 < source.leaf_count <= target.leaf_count):
-            return 0
-        if source.leaf_count == target.leaf_count:
-            morphism_filter = "w"
-    if morphism_filter == "w" and target.is_healthy:
-        if source.leaf_count != target.leaf_count:
-            return 0
-        projected = _injective_row_bound(source, target)
-        if projected > cap:
-            raise ResourceCapError(
-                f"projected leaf-row list size {projected} exceeds cap {cap} "
-                f"for {format_tree(source)} -> {format_tree(target)}"
-            )
-        return len(w_hom_rows(source, target, cap))
+    rows = _filter_rows(source, target, morphism_filter, cap)
+    if rows is not None:
+        return len(rows)
     return len(enumerate_theta_hom(source, target, morphism_filter, cap))
 
 
 def verify_initiality_by_rows(
     tree: Tree, leaf_bound: int = 6, cap: int = DEFAULT_HOM_CAP
 ) -> InitialityReport:
-    """Row-level counterpart of verify_initiality for larger hom-sets.
+    """The row-level check of harness.verify_initiality, for big hom-sets.
 
     Same claim, checked on leaf rows: transporting the rows of
     W(prune(tree), S) along the unit's bijective leaf row must land
@@ -1134,29 +1139,3 @@ def _datum_to_json(m: ThetaMorphism) -> dict:
         "base": str(m.base),
         "components": [_datum_to_json(c) for c in m.components],
     }
-
-
-def morphism_from_json(doc: dict) -> ThetaMorphism:
-    height = int(doc["height"])
-    source = parse_tree(doc["source"], height)
-    target = parse_tree(doc["target"], height)
-    return _datum_from_json(source, target, doc["datum"])
-
-
-def _datum_from_json(source: Tree, target: Tree, datum: dict) -> ThetaMorphism:
-    base = parse_monotone(datum["base"], target.rank)
-    if source.height == 1:
-        if datum.get("components"):
-            raise ValueError("height-1 morphisms carry no components")
-        return ThetaMorphism(source, target, base)
-    pairs = fiber_pairs(base)
-    raw = datum.get("components", [])
-    if len(raw) != len(pairs):
-        raise ValueError(
-            f"expected {len(pairs)} components, got {len(raw)} in morphism data"
-        )
-    comps = tuple(
-        _datum_from_json(source.children[i - 1], target.children[j - 1], sub)
-        for (i, j), sub in zip(pairs, raw)
-    )
-    return ThetaMorphism(source, target, base, comps)

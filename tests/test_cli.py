@@ -7,7 +7,9 @@ Exit codes under test: 0 success, 1 verification or validation failure,
 from __future__ import annotations
 
 import json
+import sys
 import time
+from math import comb
 
 import pytest
 
@@ -195,6 +197,72 @@ class TestHom:
         )
         assert code == 3
         assert "resource cap" in err
+
+    @pytest.mark.parametrize("morphism_filter", ["w", "exit"])
+    def test_rank_thirty_lists_the_identity(self, capsys, morphism_filter):
+        # the w and exit hom-sets [30] -> [30] are the identity, rebuilt
+        # from its leaf row; the C(59, 29) active maps are never counted
+        code, out, _ = run(
+            capsys, "hom", "--source", "[30]", "--target", "[30]",
+            "--filter", morphism_filter, "--enumerate", "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == 1
+        assert doc["morphisms"][0]["datum"] == {
+            "base": "(" + ",".join(map(str, range(31))) + ")",
+            "components": [],
+        }
+
+    @pytest.mark.parametrize("morphism_filter", ["w", "exit"])
+    def test_rank_thirty_fan_has_one_base(self, capsys, morphism_filter):
+        # between two copies of [30]([1],...,[1]) the leaf budget admits
+        # the identity base alone, found without scanning the C(59, 29)
+        # active bases
+        fan = "[30](" + ",".join(["[1]"] * 30) + ")"
+        started = time.monotonic()
+        code, out, _ = run(
+            capsys, "hom", "--source", fan, "--target", fan,
+            "--filter", morphism_filter,
+        )
+        assert code == 0
+        assert out == f"1 morphisms ({morphism_filter})\n"
+        code, out, _ = run(
+            capsys, "hom", "--source", fan, "--target", fan,
+            "--filter", morphism_filter, "--enumerate", "--json",
+        )
+        assert code == 0
+        (datum,) = [m["datum"] for m in json.loads(out)["morphisms"]]
+        assert datum["base"] == "(" + ",".join(map(str, range(31))) + ")"
+        assert datum["components"] == [{"base": "(0,1)", "components": []}] * 30
+        assert time.monotonic() - started < 1.0
+
+    @pytest.mark.parametrize("rank", [7500, 10000, 9999999])
+    def test_unprintable_count_is_a_cap(self, capsys, rank):
+        # too many digits for Python to print: decided from the ranks
+        # while the binomial is built, long before millions of digits
+        started = time.monotonic()
+        code, out, err = run(
+            capsys, "hom", "--source", f"[{rank}]", "--target", f"[{rank}]"
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert not out
+        assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+
+    @pytest.mark.parametrize(
+        "source, target, count",
+        [
+            ("[14]", "[14]", comb(29, 15)),
+            ("[6000]", "[6000]", comb(12001, 6001)),
+            ("[1]", "[100000]", 5000150001),
+        ],
+        ids=["14-14", "6000-6000", "1-100000"],
+    )
+    def test_printable_counts(self, capsys, source, target, count):
+        code, out, _ = run(capsys, "hom", "--source", source, "--target", target)
+        assert code == 0
+        assert out == f"{count} morphisms (all)\n"
 
     def test_height_mismatch(self, capsys):
         code, _, err = run(
@@ -561,7 +629,8 @@ class TestFlags:
 
 
 def test_fuzz_tree_and_hom(capsys):
-    # tree and hom on arbitrary short texts keep the exit-code contract
+    # tree and hom (counting or listing) on arbitrary short texts keep the
+    # exit-code contract
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # arbitrary texts are almost never trees, so mix in well-formed ones
@@ -584,9 +653,11 @@ def test_fuzz_tree_and_hom(capsys):
         st.one_of(
             st.tuples(st.just("tree"), st.just("--tree"), text),
             st.builds(
-                lambda x, y, f, c: ("hom", "--source", x, "--target", y,
-                                    "--filter", f, "--cap", str(c)),
+                lambda x, y, f, c, e: ("hom", "--source", x, "--target", y,
+                                       "--filter", f, "--cap", str(c))
+                + ("--enumerate",) * e,
                 text, text, st.sampled_from(_FILTERS), st.integers(-3, 50),
+                st.booleans(),
             ),
         )
     )

@@ -16,20 +16,16 @@ from thetaran.config import (
     PathVerdict,
     SamplingBudgetError,
     build_exit_path,
-    check_morphism_against_path,
     compose_point_maps,
     configuration,
     configuration_from_json,
-    configuration_to_json,
     exit_path_from_json,
-    exit_path_to_json,
     induced_morphism,
     morphism_of_exit_path,
     path_flags,
     random_configuration,
     random_exit_path,
     realize_tree,
-    rescale_configuration,
     rescale_exit_path,
     tree_of_configuration,
     validate_exit_path,
@@ -65,12 +61,6 @@ class TestConfiguration:
             configuration(0, [])
         with pytest.raises(TypeError):
             configuration(1, [[1.5]])  # floats never enter verdicts
-
-    def test_rescale(self):
-        cfg = configuration(1, [[1], [2]])
-        assert rescale_configuration(cfg, "1/2").points == ((Fr(1, 2),), (Fr(1),))
-        with pytest.raises(ValueError):
-            rescale_configuration(cfg, 0)
 
 
 class TestTreeOfConfiguration:
@@ -330,7 +320,6 @@ class TestInducedMorphism:
         for seed in range(20):
             cfg = random_configuration(2, 3, seed)
             path = random_exit_path(cfg, seed + 50)
-            assert check_morphism_against_path(path)
             m = morphism_of_exit_path(path)
             assert leaf_row(m) == tuple(v + 1 for v in path.mapping)
 
@@ -438,26 +427,14 @@ class TestGenerators:
 
 
 class TestFileFormats:
-    def test_configuration_roundtrip(self):
+    def test_configuration_from_json(self):
         cfg = configuration(2, [[1, "1/2"], ["-3/4", 2]])
-        doc = configuration_to_json(cfg)
-        assert doc == [["-3/4", "2"], ["1", "1/2"]]
-        assert configuration_from_json(doc) == cfg
+        assert configuration_from_json([["1", "1/2"], ["-3/4", 2]]) == cfg
         assert configuration_from_json([], dimension=3) == Configuration(3, ())
         with pytest.raises(ValueError):
             configuration_from_json([])
         with pytest.raises(ValueError):
             configuration_from_json([[1.5]])
-
-    def test_exit_path_roundtrip(self):
-        cfg = random_configuration(2, 3, 21)
-        path = random_exit_path(cfg, 22)
-        doc = exit_path_to_json(path)
-        loaded = exit_path_from_json(doc)
-        assert loaded.source == path.source
-        assert loaded.target == path.target
-        assert loaded.mapping == path.mapping
-        assert loaded.verdict.valid == path.verdict.valid
 
     def test_exit_path_file_order_reindexed(self):
         # file lists points out of order; indices refer to file positions

@@ -14,6 +14,7 @@ from random import Random
 
 import pytest
 
+from thetaran import harness
 from thetaran.harness import (
     ORDERED_CASES,
     UNORDERED_FIXTURES,
@@ -25,6 +26,7 @@ from thetaran.harness import (
     run_suite,
 )
 from thetaran.homology import IntegerMatrix, smith_normal_form
+from thetaran.theta import ResourceCapError, parse_tree
 
 
 def cofactor_determinant(rows):
@@ -167,6 +169,35 @@ class TestRunSuite:
     def test_functoriality_case_count_tracks_pairs(self):
         report = run_suite("functoriality", {"pairs": 3}, 4)
         assert report.cases == 3 and report.passed
+
+
+class TestWreathReference:
+    def test_verifier_compares_rows_with_the_reference(self, monkeypatch):
+        # the wreath-level verifier holds the reference hom-set of each
+        # target, so a row missing from the leaf-row hom-set fails there
+        tree = parse_tree("[2]([0],[3])")
+        fan = parse_tree("[3]([1],[1],[1])")
+        listed = harness.w_hom_rows
+
+        def dropped(source, target, cap):
+            rows = listed(source, target, cap)
+            return rows[:-1] if (source, target) == (tree, fan) else rows
+
+        assert harness.verify_initiality(tree, 4).passed
+        monkeypatch.setattr(harness, "w_hom_rows", dropped)
+        report = harness.verify_initiality(tree, 4)
+        assert not report.passed
+        assert report.counterexample == (
+            "tree=[2]([0],[3]) target=[3]([1],[1],[1]) "
+            "hom rows disagree with the reference hom-set"
+        )
+
+    def test_reference_is_capped_by_the_active_count(self):
+        # 27 active maps [1]([3]) -> [3]([1],[1],[1]), 6 of them in w
+        s, t = parse_tree("[1]([3])"), parse_tree("[3]([1],[1],[1])")
+        assert len(harness._reference_w_hom(s, t)) == 6
+        with pytest.raises(ResourceCapError):
+            harness._reference_w_hom(s, t, cap=10)
 
 
 class TestFixtureTables:

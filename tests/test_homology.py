@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-from thetaran.harness import minor_gcd, ordered_betti_oracle
+from thetaran.harness import _enumerate_w, minor_gcd, ordered_betti_oracle
 from thetaran.homology import (
     FiniteCategoryView,
     IntegerMatrix,
@@ -30,7 +30,6 @@ from thetaran.homology import (
 from thetaran.theta import (
     ResourceCapError,
     compose_theta,
-    enumerate_theta_hom,
     format_tree,
     healthy_trees,
     identity_theta,
@@ -239,9 +238,10 @@ class TestBuildCategory:
 
 
 def wreath_category(kind: str, n: int, k: int) -> FiniteCategoryView:
-    """Reference build from wreath morphisms: hom-sets from the "w"
-    enumeration, nord arrows found by filtering on labels, composition by
-    ``compose_theta``.  Arrows carry their ``ThetaMorphism``."""
+    """Reference build from wreath morphisms: hom-sets from the harness's
+    wreath-level walk, nord arrows found by filtering on labels,
+    composition by ``compose_theta``.  Arrows carry their
+    ``ThetaMorphism``."""
     trees = healthy_trees(n, k)
     if kind == "w_hlt":
         objects = list(trees)
@@ -249,7 +249,7 @@ def wreath_category(kind: str, n: int, k: int) -> FiniteCategoryView:
             (a, b, m)
             for a, tree_a in enumerate(trees)
             for b, tree_b in enumerate(trees)
-            for m in enumerate_theta_hom(tree_a, tree_b, "w")
+            for m in _enumerate_w(tree_a, tree_b)
         ]
     else:
         labelings = list(permutations(range(1, k + 1)))
@@ -258,7 +258,7 @@ def wreath_category(kind: str, n: int, k: int) -> FiniteCategoryView:
             (a, b, m)
             for a, (tree_a, lab_a) in enumerate(objects)
             for b, (tree_b, lab_b) in enumerate(objects)
-            for m in enumerate_theta_hom(tree_a, tree_b, "w")
+            for m in _enumerate_w(tree_a, tree_b)
             if all(lab_a[v - 1] == lab_b[x] for x, v in enumerate(leaf_row(m)))
         ]
     index = {arrow: i for i, arrow in enumerate(arrows)}

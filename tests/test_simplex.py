@@ -20,7 +20,6 @@ from thetaran.simplex import (
     enumerate_delta_hom,
     identity_delta,
     identity_pointed,
-    parse_monotone,
     simplicial_circle,
 )
 
@@ -65,10 +64,9 @@ class TestMonotoneMap:
         with pytest.raises(ValueError):
             MonotoneMap(2, 2, (0, 1))
 
-    def test_parse_round_trip(self):
-        f = parse_monotone("(0,1,3)", 3)
-        assert f.values == (0, 1, 3)
-        assert str(f) == "(0,1,3)"
+    def test_text_form(self):
+        assert str(MonotoneMap(2, 3, (0, 1, 3))) == "(0,1,3)"
+        assert str(MonotoneMap(0, 0, (0,))) == "(0)"
 
     def test_identity_and_composition(self):
         f = MonotoneMap(2, 3, (0, 2, 3))
@@ -124,13 +122,13 @@ class TestPointedMap:
 class TestCircleConstruction:
     def test_frozen_example_gaps(self):
         # f = (0,1,3): fiber over 1 is {1}, fibers over 2,3 are {2}
-        g = simplicial_circle(parse_monotone("(0,1,3)", 3))
+        g = simplicial_circle(MonotoneMap(2, 3, (0, 1, 3)))
         assert g.pairs == ((1, 1), (2, 2), (3, 2))
         assert g.is_total
 
     def test_frozen_example_basepoint(self):
         # f = (1,2): [1] -> [2], nothing sits over 1
-        g = simplicial_circle(parse_monotone("(1,2)", 2))
+        g = simplicial_circle(MonotoneMap(1, 2, (1, 2)))
         assert g.apply(1) is None
         assert g.apply(2) == 1
         assert not g.is_total

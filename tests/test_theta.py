@@ -9,16 +9,18 @@ obtained.
 from __future__ import annotations
 
 import random
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import comb
 
 import pytest
 
 from thetaran import theta
+from thetaran.harness import _enumerate_w, verify_initiality
 from thetaran.simplex import MonotoneMap, compose_delta, enumerate_delta_hom
 from thetaran.theta import (
     _assemble_disjoint,
     _enumerate_plain,
+    _injective_bases,
     _injective_hom_rows,
     _injective_row_bound,
     CompositionError,
@@ -37,12 +39,10 @@ from thetaran.theta import (
     identity_theta,
     leaf_row,
     leaves,
-    morphism_from_json,
-    morphism_to_json,
+    morphism_of_row,
     parse_tree,
     prune,
     truncate,
-    verify_initiality,
     verify_initiality_by_rows,
     w_hom_rows,
 )
@@ -228,18 +228,27 @@ class TestEnumeration:
         assert len(set(homs)) == len(homs)
 
     def test_filters_agree_with_classification(self):
-        s = parse_tree("[2]([1],[2])")
-        t = parse_tree("[3]([1],[1],[1])")
-        active = enumerate_theta_hom(s, t, "active")
-        assert active == tuple(
-            m for m in enumerate_theta_hom(s, t) if classify_morphism(m).active
-        )
-        assert enumerate_theta_hom(s, t, "w") == tuple(
-            m for m in active if classify_morphism(m).in_w
-        )
-        assert enumerate_theta_hom(s, t, "exit") == tuple(
-            m for m in active if classify_morphism(m).exit
-        )
+        # w and equal-leaf exit into a healthy target are rebuilt from
+        # rows, the rest filtered from the active hom-set: same morphisms
+        # in the same order either way, healthy or unhealthy target
+        pairs = [
+            ("[2]([1],[2])", "[3]([1],[1],[1])"),
+            ("[2]([1],[2])", "[3]([1],[0],[2])"),
+            ("[1]([3])", "[2]([1],[2])"),
+            ("[1]([2])", "[2]([1],[2])"),
+        ]
+        for source, target in pairs:
+            s, t = parse_tree(source), parse_tree(target)
+            active = enumerate_theta_hom(s, t, "active")
+            assert active == tuple(
+                m for m in enumerate_theta_hom(s, t) if classify_morphism(m).active
+            )
+            assert enumerate_theta_hom(s, t, "w") == tuple(
+                m for m in active if classify_morphism(m).in_w
+            )
+            assert enumerate_theta_hom(s, t, "exit") == tuple(
+                m for m in active if classify_morphism(m).exit
+            )
 
     def test_height_one_counts_in_closed_form(self):
         for p, q in product(range(7), repeat=2):
@@ -481,15 +490,48 @@ class TestPruning:
 class TestHomRows:
     def test_rows_match_enumeration_exhaustively(self):
         # every decorated source, every healthy target, rows versus the
-        # materialized hom-set; length equality doubles as the check that
-        # distinct morphisms into healthy targets have distinct leaf rows
+        # hom-set of the harness's wreath-level walk; length equality
+        # doubles as the check that distinct morphisms into healthy
+        # targets have distinct leaf rows
         for height, k in product((1, 2, 3), (0, 1, 2, 3)):
             for source in decorated_trees(height, k, 1):
                 for target in healthy_trees(height, k):
-                    direct = enumerate_theta_hom(source, target, "w")
+                    direct = _enumerate_w(source, target)
                     rows = w_hom_rows(source, target)
                     assert len(rows) == len(direct)
                     assert set(rows) == {leaf_row(m) for m in direct}
+
+    def test_w_enumeration_is_the_reference_walk(self):
+        # into a healthy target the w hom-set is rebuilt from its rows and
+        # sorted; that is the reference walk's hom-set in the same order
+        for height, k in product((1, 2, 3), (0, 1, 2, 3)):
+            for source in decorated_trees(height, k, 1):
+                for target in healthy_trees(height, k):
+                    assert enumerate_theta_hom(source, target, "w") == (
+                        _enumerate_w(source, target)
+                    )
+
+    def test_bases_match_the_active_base_scan(self):
+        # the scan of every active base, kept as the oracle: same bases in
+        # the same order, leafless children on either side included
+        def scan(src, tgt):
+            prefix = (0, *accumulate(tgt))
+            return tuple(
+                base
+                for base in enumerate_delta_hom(len(src), len(tgt), True)
+                if all(
+                    prefix[base.values[i]] - prefix[base.values[i - 1]]
+                    <= src[i - 1]
+                    for i in range(1, len(src) + 1)
+                )
+            )
+
+        for top, rank in ((1, 5), (3, 3)):
+            profiles = [
+                p for r in range(rank + 1) for p in product(range(top + 1), repeat=r)
+            ]
+            for src, tgt in product(profiles, repeat=2):
+                assert _injective_bases(src, tgt) == scan(src, tgt)
 
     def test_injective_rows_match_plain_enumeration(self):
         # the base filter skips bases that cannot carry an injective leaf
@@ -624,6 +666,80 @@ class TestHomRows:
             verify_initiality_by_rows(parse_tree("[5]([1],[1],[1],[1],[1])"), 4)
 
 
+class TestMorphismOfRow:
+    def test_inverts_leaf_row_both_ways(self):
+        # one-graft decorated sources of height 1-3 with at most 4 leaves
+        # against every healthy target with at most as many: each active
+        # morphism with an injective row comes back from its row, and
+        # each injective row from the morphism rebuilt from it
+        rows = 0
+        for height, k in product((1, 2, 3), range(5)):
+            for source in decorated_trees(height, k, 1):
+                for target_k in range(k + 1):
+                    for target in healthy_trees(height, target_k):
+                        for m in _enumerate_plain(source, target, True):
+                            row = leaf_row(m)
+                            if len(set(row)) == len(row):
+                                assert morphism_of_row(source, target, row) == m
+                        for row in _injective_hom_rows(source, target):
+                            m = morphism_of_row(source, target, row)
+                            assert leaf_row(m) == row
+                            rows += 1
+        assert rows == 25373
+
+    def test_rebuilds_exactly_the_active_rows(self):
+        # every row of the right length and range: the leaf row of each
+        # active morphism, injective or not, rebuilds it, and every other
+        # row raises
+        for height, k in product((1, 2, 3), range(4)):
+            for source in decorated_trees(height, k, 1):
+                for target_k in range(4):
+                    for target in healthy_trees(height, target_k):
+                        active = set()
+                        for m in _enumerate_plain(source, target, True):
+                            row = leaf_row(m)
+                            assert morphism_of_row(source, target, row) == m
+                            active.add(row)
+                        for row in product(range(1, k + 1), repeat=target_k):
+                            if row in active:
+                                continue
+                            with pytest.raises(ValueError):
+                                morphism_of_row(source, target, row)
+
+    @pytest.mark.parametrize(
+        "source, target, row",
+        [
+            ("[2]", "[2]", (2, 1)),
+            ("[2]([1],[1])", "[1]([2])", (1, 2)),
+            ("[2]([1],[1])", "[2]([1],[1])", (2, 1)),
+            ("[1]([2])", "[2]([1],[1])", (1,)),
+            ("[1]([2])", "[2]([1],[1])", (1, 3)),
+            ("[1]([2])", "[2]([1],[1])", (0, 1)),
+            ("[1]([2])", "[2]([1],[1])", (1, None)),
+            ("[1]([1])", "[2]([0],[1])", (1,)),
+        ],
+        ids=[
+            "decreasing",
+            "child-split",
+            "level-map-decreasing",
+            "short",
+            "out-of-range",
+            "zero",
+            "basepoint",
+            "unhealthy-target",
+        ],
+    )
+    def test_rejects_rows(self, source, target, row):
+        with pytest.raises(ValueError):
+            morphism_of_row(parse_tree(source), parse_tree(target), row)
+
+    def test_rank_thirty_identity(self):
+        fan = parse_tree("[30](" + ",".join(["[1]"] * 30) + ")")
+        assert morphism_of_row(fan, fan, range(1, 31)) == identity_theta(fan)
+        assert enumerate_theta_hom(fan, fan, "w") == (identity_theta(fan),)
+        assert enumerate_theta_hom(fan, fan, "exit") == (identity_theta(fan),)
+
+
 class TestFamilies:
     def test_healthy_counts(self):
         # height 2: compositions of k, so 2^(k-1); height 3: refine each
@@ -649,18 +765,3 @@ class TestFamilies:
         assert parse_tree("[2]([1]([0]),[1]([1]))") in deeper
         for t in fam:
             assert t.leaf_count == 2
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        s = parse_tree("[2]([1]([2]),[2]([0],[1]))")
-        t = parse_tree("[1]([2]([2],[1]))")
-        for m in enumerate_theta_hom(s, t)[:40]:
-            assert morphism_from_json(morphism_to_json(m)) == m
-
-    def test_rejects_component_mismatch(self):
-        m = identity_theta(parse_tree("[1]([1])"))
-        doc = morphism_to_json(m)
-        doc["datum"]["components"] = []
-        with pytest.raises(ValueError):
-            morphism_from_json(doc)
