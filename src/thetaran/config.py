@@ -49,10 +49,12 @@ class InvalidExitPathError(ValueError):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    # bool is an int subclass; True is not the number 1
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {value!r} has a zero denominator") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -60,7 +62,8 @@ def _as_fraction(value) -> Fraction:
 class Configuration:
     """Distinct points in Q^n, stored sorted lexicographically.
 
-    Construction canonicalizes the order and coerces coordinates to exact
+    Construction canonicalizes the order and reads coordinates given as
+    Fractions, ints or rational strings (never bools or floats) as exact
     rationals; coincident points are rejected, not repaired.
     """
 

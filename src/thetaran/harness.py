@@ -40,6 +40,7 @@ from .config import (
     realize_tree,
 )
 from .homology import (
+    _KINDS,
     DEFAULT_CHAIN_CAP,
     FiniteCategoryView,
     HomologyResult,
@@ -101,8 +102,8 @@ _PARAM_KEYS = {
 
 
 def _check_params(name: str, params: dict) -> None:
-    """ValueError on a key the suite does not read or a negative integer
-    value, before any case runs."""
+    """ValueError on a key the suite does not read, a negative integer
+    value or a homology case without an oracle, before any case runs."""
     if name != "all":
         unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
         if unknown:
@@ -112,11 +113,32 @@ def _check_params(name: str, params: dict) -> None:
                           if isinstance(v, int) and v < 0)
         if negative:
             raise ValueError(f"suite {name!r} needs nonnegative {', '.join(negative)}")
+        if name == "homology":
+            _check_homology_case(params)
     elif all(k in _PARAM_KEYS and isinstance(v, dict) for k, v in params.items()):
         for part, sub in params.items():
             _check_params(part, sub)
     else:
         raise ValueError("suite 'all' takes no --param, only a dict per suite name")
+
+
+def _check_homology_case(params: dict) -> None:
+    """One homology case: a known kind with both n and k, and for w_hlt
+    an (n, k) of UNORDERED_FIXTURES, its only oracle."""
+    kind = params.get("kind")
+    size = sorted({"n", "k"} & set(params))
+    if kind is None:
+        if size:
+            raise ValueError(f"suite 'homology' reads {', '.join(size)} only with kind")
+        return
+    if kind not in _KINDS:
+        raise ValueError(f"unknown category kind {kind!r}; pick from {_KINDS}")
+    if len(size) < 2:
+        raise ValueError(f"suite 'homology' with kind={kind} needs both n and k")
+    n, k = int(params["n"]), int(params["k"])
+    if kind == "w_hlt" and (n, k) not in UNORDERED_FIXTURES:
+        raise ValueError(f"no w_hlt fixture for n={n} k={k}; fixtures: "
+                         f"{', '.join(map(str, UNORDERED_FIXTURES))}")
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,12 @@ onto healthy trees, with its unit), hom-set enumeration under a resource
 cap, tree text and morphism JSON.
 
 Into a healthy target an active morphism is fixed by its leaf row, so w
-hom-sets are listed in one form, as rows (one walk, _injective_rows), and
-morphism_of_row rebuilds a row's wreath datum, for enumerate_theta_hom
-and for the point assignments of ``config``.  The wreath-level walk of
-the same hom-sets is the reference in ``harness``.
+hom-sets are listed in one form, as rows: one walk (_injective_rows),
+one row cache for the child pairs it recurs on (_masked_rows), and one
+reader of a tree's rows (w_hom_rows), which the pruning check uses on
+both sides.  morphism_of_row rebuilds a row's wreath datum, for
+enumerate_theta_hom and for the point assignments of ``config``.  The
+wreath-level walk of the same hom-sets is the reference in ``harness``.
 
 All values are immutable; enumeration and classification are pure and
 cache aggressively, so concurrent readers are safe.
@@ -394,11 +396,7 @@ def leaf_row(m: ThetaMorphism) -> tuple[int | None, ...]:
     pairs = fiber_pairs(m.base)
     i_of = {j: i for i, j in pairs}
     comp_rows = {j: leaf_row(c) for (_, j), c in zip(pairs, m.components)}
-    offsets = []
-    total = 0
-    for c in m.source.children:
-        offsets.append(total)
-        total += c.leaf_count
+    offsets = tuple(accumulate((c.leaf_count for c in m.source.children), initial=0))
     row: list[int | None] = []
     for j, child in enumerate(m.target.children, start=1):
         if j in comp_rows:
@@ -565,30 +563,40 @@ def _truncate_morphism(m: ThetaMorphism, level: int) -> ThetaMorphism:
 _FILTERS = ("all", "active", "exit", "w")
 
 
-@lru_cache(maxsize=None)
 def count_theta_hom(source: Tree, target: Tree, active_only: bool = False) -> int:
-    """Exact hom-set size (all morphisms, or active ones only)."""
+    """Exact hom-set size (all morphisms, or active ones only), or
+    ResourceCapError when it is too long to print (see _printable)."""
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
+    return _printable(
+        lambda bits: _hom_count(source, target, active_only, bits),
+        "hom-set size", source, target,
+    )
+
+
+@lru_cache(maxsize=None)
+def _hom_count(source: Tree, target: Tree, active_only: bool, bits: int) -> int:
+    """The hom-set size _saturated at 2**bits, in closed form, so a cap is
+    compared before anything is listed.  At height 1 a map [p] -> [q] is a
+    multiset of p + 1 values in [q], and an active one fixes f(0) = 0 and
+    f(p) = q.  Above it, a sum over the bases v_0 <= ... <= v_p: target
+    child j lies over source child i when v_(i-1) < j <= v_i, so with
+    ways[v] counting the choices for source children 1..i that end at
+    v_i = v, child i adds ways[v - 1] * #(child i -> target child v) to
+    ways[v], v ascending.  Active bases run from v_0 = 0 to v_p = q.
+    """
+    p, q = source.rank, target.rank
     if source.height == 1:
-        # closed form, so a cap is compared before anything is listed: a
-        # map [p] -> [q] is a multiset of p + 1 values in [q], and an
-        # active one fixes f(0) = 0 and f(p) = q, leaving p - 1 values
-        p, q = source.rank, target.rank
         if not active_only:
-            return _printable_binomial(p + q + 1, q)
-        return _printable_binomial(p + q - 1, q) if p else int(q == 0)
-    total = 0
-    for base in enumerate_delta_hom(source.rank, target.rank, active_only):
-        term = 1
-        for i, j in fiber_pairs(base):
-            term *= count_theta_hom(
-                source.children[i - 1], target.children[j - 1], active_only
-            )
-            if term == 0:
-                break
-        total += term
-    return total
+            return _binomial(p + q + 1, q, bits)
+        return _binomial(p + q - 1, q, bits) if p else int(q == 0)
+    ways = [1] + [int(not active_only)] * q
+    for child in source.children:
+        for v, target_child in enumerate(target.children, start=1):
+            if ways[v - 1]:
+                count = _hom_count(child, target_child, active_only, bits)
+                ways[v] = _saturated(ways[v] + ways[v - 1] * count, bits)
+    return _saturated(ways[q] if active_only else sum(ways), bits)
 
 
 @lru_cache(maxsize=None)
@@ -615,22 +623,41 @@ def _enumerate_plain(
     return tuple(out)
 
 
-def _printable_binomial(n: int, k: int) -> int:
-    """comb(n, k), or ResourceCapError when it has more decimal digits
-    than Python prints (``sys.get_int_max_str_digits()``, 0 for no limit).
-    comb(n, i) grows with i up to n/2, at least as fast as 2**i, so the
-    product passes the limit long before millions of digits are built."""
+def _saturated(value: int, bits: int) -> int:
+    """min(value, 2**bits), or value for bits 0."""
+    return 1 << bits if bits and value.bit_length() > bits else value
+
+
+def _binomial(n: int, k: int, bits: int) -> int:
+    """_saturated(comb(n, k), bits).  comb(n, i) grows with i up to n/2, at
+    least as fast as 2**i, so the product saturates long before millions
+    of digits are built."""
+    if k > n:
+        return 0
     k = min(k, n - k)
-    limit = sys.get_int_max_str_digits()
-    if not limit:
+    if not bits:
         return comb(n, k)
-    ceiling = 10**limit
     value = 1
     for i in range(k):
         value = value * (n - i) // (i + 1)
-        if value >= ceiling:
-            raise ResourceCapError(f"hom-set size C({n}, {k}) has more than "
-                                   f"{limit} decimal digits, too many to print")
+        if value.bit_length() > bits:
+            return 1 << bits
+    return value
+
+
+def _printable(saturated_count, what: str, source: Tree, target: Tree) -> int:
+    """saturated_count(bits), a count _saturated at 2**bits, or
+    ResourceCapError when it has more decimal digits than Python prints
+    (``sys.get_int_max_str_digits()``, 0 for no limit).  Saturated at
+    2**(4 * limit) > 10**limit, and only a value above 2**(3 * limit) can
+    reach 10**limit, so that power is rarely built."""
+    limit = sys.get_int_max_str_digits()
+    value = saturated_count(4 * limit)
+    if limit and value.bit_length() > 3 * limit and value >= 10**limit:
+        raise ResourceCapError(
+            f"{what} {format_tree(source)} -> {format_tree(target)} has more "
+            f"than {limit} decimal digits, too many to print"
+        )
     return value
 
 
@@ -695,27 +722,15 @@ def prune(tree: Tree) -> PruneResult:
     are pruned recursively.  The unit's base map sends each root position
     to the number of kept positions up to it, and its components are the
     children's units.  The result is always healthy, and the unit's leaf
-    map is a bijection.
+    row is the identity (1..k), as only leafless branches go.
     """
     if tree.height == 1:
         return PruneResult(tree, identity_theta(tree))
-    selected = [
-        i for i in range(1, tree.rank + 1) if tree.children[i - 1].leaf_count > 0
-    ]
-    child_results = [prune(tree.children[i - 1]) for i in selected]
-    pruned = Tree(tree.height, len(selected), tuple(r.pruned for r in child_results))
-    values = []
-    kept = 0
-    cursor = 0
-    for i in range(tree.rank + 1):
-        while cursor < len(selected) and selected[cursor] <= i:
-            kept += 1
-            cursor += 1
-        values.append(kept)
-    base = MonotoneMap(tree.rank, len(selected), tuple(values))
-    unit = ThetaMorphism(
-        tree, pruned, base, tuple(r.morphism for r in child_results)
-    )
+    results = [prune(c) for c in tree.children if c.leaf_count]
+    pruned = Tree(tree.height, len(results), tuple(r.pruned for r in results))
+    kept = accumulate((c.leaf_count > 0 for c in tree.children), initial=0)
+    base = MonotoneMap(tree.rank, len(results), tuple(kept))
+    unit = ThetaMorphism(tree, pruned, base, tuple(r.morphism for r in results))
     return PruneResult(pruned, unit)
 
 
@@ -775,9 +790,10 @@ def _masked_rows(
     source: Tree, target: Tree, offset: int
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Injective-morphism rows shifted into the global leaf numbering,
-    each paired with the bitmask of the leaves it uses."""
+    each paired with the bitmask of the leaves it uses.  The one row
+    cache: child pairs recur across bases and across trees."""
     out = []
-    for row in _injective_hom_rows(source, target):
+    for row in _injective_rows(source, target):
         shifted = tuple(v + offset for v in row)
         mask = 0
         for v in shifted:
@@ -839,9 +855,8 @@ def _injective_rows(source: Tree, target: Tree) -> Iterator[tuple[int, ...]]:
     mirrors the wreath enumeration (one row per base and component
     choice) over the bases of _injective_bases, and raises if it ever
     produces a duplicate row, which would refute that correspondence.
-    Nothing is cached at this level: decorated sources are visited
-    once, so only _injective_hom_rows caches, for child pairs and
-    healthy sources.
+    Nothing is cached at this level: the child pairs' rows are, in
+    _masked_rows, and a whole tree's rows are listed afresh per call.
     """
     if source.height == 1:
         # rows of active maps [p] -> [q] are weakly increasing, so the
@@ -874,27 +889,6 @@ def _injective_rows(source: Tree, target: Tree) -> Iterator[tuple[int, ...]]:
                 yield row
 
 
-@lru_cache(maxsize=None)
-def _injective_hom_rows(source: Tree, target: Tree) -> tuple[tuple[int, ...], ...]:
-    """The rows of _injective_rows, cached: child pairs and healthy
-    sources recur across many trees."""
-    return tuple(_injective_rows(source, target))
-
-
-def _capped_rows(
-    rows: Iterable[tuple[int, ...]], cap: int, source: Tree, target: Tree
-) -> tuple[tuple[int, ...], ...]:
-    """The rows as a tuple, raising ResourceCapError on the first row
-    past ``cap``."""
-    out = tuple(islice(rows, cap + 1))
-    if len(out) > cap:
-        raise ResourceCapError(
-            f"row enumeration exceeded cap {cap} for "
-            f"{format_tree(source)} -> {format_tree(target)}"
-        )
-    return out
-
-
 def w_hom_rows(
     source: Tree, target: Tree, cap: int = DEFAULT_HOM_CAP
 ) -> tuple[tuple[int, ...], ...]:
@@ -904,8 +898,9 @@ def w_hom_rows(
     _injective_rows).  Between trees with equal leaf counts an injective
     leaf map is a bijection, so these are exactly the injective rows;
     with unequal counts there are none.  Raises ResourceCapError once
-    there are more than ``cap`` rows.  The pruning suite checks them row
-    for row against the harness's wreath-level walk where it is affordable.
+    there are more than ``cap`` rows.  The only reader of a tree's rows:
+    the pruning suite checks them row for row against the harness's
+    wreath-level walk where it is affordable.
     """
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
@@ -916,7 +911,13 @@ def w_hom_rows(
         )
     if source.leaf_count != target.leaf_count:
         return ()
-    return _capped_rows(_injective_rows(source, target), cap, source, target)
+    rows = tuple(islice(_injective_rows(source, target), cap + 1))
+    if len(rows) > cap:
+        raise ResourceCapError(
+            f"row enumeration exceeded cap {cap} for "
+            f"{format_tree(source)} -> {format_tree(target)}"
+        )
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -925,13 +926,17 @@ def _injective_row_bound(source: Tree, target: Tree) -> int:
     rows source -> target builds: the rows themselves, and each child
     pair's cached rows.
 
-    At height 1 the rows are the q-subsets of the p source leaves.  Above
+    At height 1 the rows are the q-subsets of the p source leaves, a
+    binomial that raises ResourceCapError once too long to print.  Above
     it each base of _injective_bases adds the product of its child pairs'
     bounds (disjointness only removes rows); the walk lists child pairs up
     to the first empty one, and the scan up to the first zero bound.
     """
     if source.height == 1:
-        return comb(source.rank, target.rank)
+        return _printable(
+            lambda bits: _binomial(source.rank, target.rank, bits),
+            "row bound", source, target,
+        )
     rows = largest = 0
     for base in _injective_bases(
         tuple(c.leaf_count for c in source.children),
@@ -1006,12 +1011,14 @@ def verify_initiality_by_rows(
 ) -> InitialityReport:
     """The row-level check of harness.verify_initiality, for big hom-sets.
 
-    Same claim, checked on leaf rows: transporting the rows of
-    W(prune(tree), S) along the unit's bijective leaf row must land
-    exactly on the rows of W(tree, S), for every healthy S of matching
-    height and leaf count.  Rows determine morphisms into healthy trees
-    (a duplicate anywhere raises inside the row enumeration), so set
-    equality here is morphism-level existence and uniqueness of the
+    Same claim, checked on leaf rows.  Pruning only drops leafless
+    branches, so the unit's leaf row is the identity (1..k), checked once
+    per tree; composing with the unit then keeps every row of
+    W(prune(tree), S), and these must be exactly the rows of W(tree, S),
+    for every healthy S of matching height and leaf count.  Both sides
+    are read through w_hom_rows.  Rows determine morphisms into healthy
+    trees (a duplicate anywhere raises inside the row enumeration), so
+    set equality here is morphism-level existence and uniqueness of the
     factorization.  The suite cross-checks the two verifiers against
     each other wherever the direct one is affordable.
     """
@@ -1020,22 +1027,19 @@ def verify_initiality_by_rows(
             f"tree has {tree.leaf_count} leaves, above the bound {leaf_bound}"
         )
     result = prune(tree)
-    alpha_row = leaf_row(result.morphism)
+    unit_row = leaf_row(result.morphism)
+    if unit_row != tuple(range(1, tree.leaf_count + 1)):
+        return InitialityReport(False, 0, 0, f"tree={format_tree(tree)} unit leaf "
+                                f"row {unit_row} is not (1..{tree.leaf_count})")
     targets_checked = 0
     rows_checked = 0
     for target in healthy_trees(tree.height, tree.leaf_count):
         targets_checked += 1
         direct = w_hom_rows(tree, target, cap)
-        # the pruned side is healthy and recurs across many trees, so it
-        # reads the cached rows; equal leaf counts make them its w rows
-        factored = _capped_rows(
-            _injective_hom_rows(result.pruned, target), cap, result.pruned, target
-        )
-        transported = {
-            tuple(alpha_row[v - 1] for v in row) for row in factored
-        }
+        factored = w_hom_rows(result.pruned, target, cap)
+        factored_set = set(factored)
         rows_checked += len(direct)
-        if len(transported) != len(factored) or transported != set(direct):
+        if len(factored_set) != len(factored) or factored_set != set(direct):
             return InitialityReport(
                 False,
                 targets_checked,
@@ -1043,7 +1047,7 @@ def verify_initiality_by_rows(
                 counterexample=(
                     f"tree={format_tree(tree)} target={format_tree(target)} "
                     f"rows: {len(direct)} direct vs {len(factored)} factored, "
-                    f"{len(transported & set(direct))} shared"
+                    f"{len(factored_set & set(direct))} shared"
                 ),
             )
     return InitialityReport(True, targets_checked, rows_checked)
@@ -1054,20 +1058,15 @@ def verify_initiality_by_rows(
 
 
 def _compositions(total: int) -> tuple[tuple[int, ...], ...]:
-    """All ordered tuples of positive integers with the given sum."""
+    """All ordered tuples of positive integers with the given sum, in
+    lexicographic order."""
     if total == 0:
         return ((),)
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(1, remaining + 1):
-            extend(prefix + (part,), remaining - part)
-
-    extend((), total)
-    return tuple(out)
+    return tuple(
+        (part,) + rest
+        for part in range(1, total + 1)
+        for rest in _compositions(total - part)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -264,6 +264,50 @@ class TestHom:
         assert code == 0
         assert out == f"{count} morphisms (all)\n"
 
+    def test_rank_thirty_fan_counts(self, capsys):
+        # summed over the breakpoints, not over the C(61, 31) bases: with
+        # v_0 = a and v_30 = a + d the 29 inner breakpoints lie in [a, a + d]
+        # and each of the d fibers [1] -> [1] has 3 maps (1 active map)
+        fan = "[30](" + ",".join(["[1]"] * 30) + ")"
+        every = sum((31 - d) * comb(d + 29, 29) * 3**d for d in range(31))
+        started = time.monotonic()
+        for morphism_filter, count in (("all", every), ("active", comb(59, 30))):
+            code, out, _ = run(
+                capsys, "hom", "--source", fan, "--target", fan,
+                "--filter", morphism_filter,
+            )
+            assert code == 0
+            assert out == f"{count} morphisms ({morphism_filter})\n"
+        assert comb(59, 30) == 59132290782430712
+        assert time.monotonic() - started < 1.0
+
+    def test_unprintable_product_is_a_cap(self, capsys):
+        # each child pair [4000] -> [4000] is printable, their products
+        # are not
+        started = time.monotonic()
+        for morphism_filter in ("all", "active"):
+            code, out, err = run(
+                capsys, "hom", "--source", "[2]([4000],[4000])",
+                "--target", "[2]([4000],[4000])", "--filter", morphism_filter,
+            )
+            assert code == 3
+            assert not out
+            assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+        assert time.monotonic() - started < 1.0
+
+    def test_unprintable_row_bound_is_a_cap(self, capsys):
+        # the child pair [9999999] -> [5000000] bounds its rows by a
+        # binomial with millions of digits, never built
+        started = time.monotonic()
+        code, out, err = run(
+            capsys, "hom", "--source", "[1]([9999999])",
+            "--target", "[2]([5000000],[4999999])", "--filter", "w",
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert not out
+        assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+
     def test_height_mismatch(self, capsys):
         code, _, err = run(
             capsys, "hom", "--source", "[2]", "--target", "[1]([1])"
@@ -533,17 +577,37 @@ class TestVerify:
         assert "dimension" in err
 
     @pytest.mark.parametrize(
-        "suite, param",
+        "suite, params, reason",
         [
-            ("delta-laws", "bogus=1"),
-            ("functoriality", "max_K=9"),
+            ("delta-laws", ["bogus=1"], "bogus"),
+            ("functoriality", ["max_K=9"], "max_K"),
+            ("homology", ["kind=w_hlt", "n=3", "k=4"], "no w_hlt fixture"),
+            ("homology", ["kind=w_hlt"], "needs both n and k"),
+            ("homology", ["kind=nord", "k=3"], "needs both n and k"),
+            ("homology", ["n=2"], "reads n only with kind"),
+            ("homology", ["kind=bogus", "n=2", "k=2"], "unknown category kind"),
+        ],
+        ids=[
+            "delta-laws-bogus=1",
+            "functoriality-max_K=9",
+            "homology-w_hlt-unpinned",
+            "homology-kind-alone",
+            "homology-no-n",
+            "homology-n-alone",
+            "homology-unknown-kind",
         ],
     )
-    def test_unknown_param_is_usage_error(self, capsys, suite, param):
-        code, out, err = run(capsys, "verify", "--suite", suite, "--param", param)
+    def test_unknown_param_is_usage_error(
+        self, capsys, monkeypatch, suite, params, reason
+    ):
+        # rejected before any case runs
+        for runner in ("_run_functoriality", "_run_homology", "_run_delta_laws"):
+            monkeypatch.setattr(harness, runner, None)
+        argv = [arg for param in params for arg in ("--param", param)]
+        code, out, err = run(capsys, "verify", "--suite", suite, *argv)
         assert code == 2
         assert out == ""
-        assert param.split("=")[0] in err
+        assert reason in err
 
     @pytest.mark.parametrize(
         "param", ["pairs=2", "functoriality=3", "delta-laws=1"]

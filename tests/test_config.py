@@ -61,6 +61,10 @@ class TestConfiguration:
             configuration(0, [])
         with pytest.raises(TypeError):
             configuration(1, [[1.5]])  # floats never enter verdicts
+        with pytest.raises(TypeError):
+            configuration(1, [[True], [2]])  # nor bools, though ints
+        with pytest.raises(ValueError, match="zero denominator"):
+            configuration(1, [["1/0"]])
 
 
 class TestTreeOfConfiguration:

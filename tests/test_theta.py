@@ -21,8 +21,8 @@ from thetaran.theta import (
     _assemble_disjoint,
     _enumerate_plain,
     _injective_bases,
-    _injective_hom_rows,
     _injective_row_bound,
+    _injective_rows,
     CompositionError,
     ResourceCapError,
     ThetaMorphism,
@@ -548,7 +548,7 @@ class TestHomRows:
                             )
                             if len(set(row)) == len(row)
                         ]
-                        rows = _injective_hom_rows(source, target)
+                        rows = tuple(_injective_rows(source, target))
                         assert len(rows) == len(oracle)
                         assert set(rows) == set(oracle)
 
@@ -557,7 +557,7 @@ class TestHomRows:
             for source in decorated_trees(height, k, 1):
                 for target_k in range(k + 1):
                     for target in healthy_trees(height, target_k):
-                        rows = len(_injective_hom_rows(source, target))
+                        rows = len(tuple(_injective_rows(source, target)))
                         bound = _injective_row_bound(source, target)
                         assert rows <= bound
                         if height == 1:
@@ -637,29 +637,68 @@ class TestHomRows:
                 "tree=[2]([0],[3]) target=[3]([1],[1],[1]) "
                 "rows: 6 direct vs 7 factored, 6 shared",
             ),
+            (
+                lambda rows: rows[:-1] + ((1, 1, 1),),
+                "tree=[2]([0],[3]) target=[3]([1],[1],[1]) "
+                "rows: 6 direct vs 6 factored, 5 shared",
+            ),
         ],
-        ids=["reordered", "dropped", "duplicated"],
+        ids=["reordered", "dropped", "duplicated", "replaced"],
     )
     def test_row_verifier_compares_row_sets(
         self, monkeypatch, patch, counterexample
     ):
-        # a reordering of the factored rows passes; a missing or repeated
-        # row fails with the counts
+        # a reordering of the factored rows passes; a missing, repeated or
+        # foreign row fails with the counts
         tree = parse_tree("[2]([0],[3])")
         pruned = prune(tree).pruned
         patched = parse_tree("[3]([1],[1],[1])")
+        w_hom_rows = theta.w_hom_rows
 
-        def factored(source, target):
-            rows = _injective_hom_rows(source, target)
+        def factored(source, target, cap):
+            rows = w_hom_rows(source, target, cap)
             if (source, target) == (pruned, patched):
                 assert len(rows) == 6
                 return patch(rows)
             return rows
 
-        monkeypatch.setattr(theta, "_injective_hom_rows", factored)
+        monkeypatch.setattr(theta, "w_hom_rows", factored)
         report = verify_initiality_by_rows(tree, 4)
         assert report.passed is (counterexample is None)
         assert report.counterexample == counterexample
+
+    def test_pruning_unit_row_is_the_identity(self):
+        # pruning drops leafless branches only, so over the criterion-4
+        # family the unit's leaf row is (1..k) and the row verifier needs
+        # no transport
+        family = [
+            tree
+            for height in (1, 2, 3)
+            for k in range(7)
+            for tree in decorated_trees(height, k, 2 if k <= 3 else 1)
+        ]
+        assert len(family) == 4717
+        for tree in family:
+            row = leaf_row(prune(tree).morphism)
+            assert row == tuple(range(1, tree.leaf_count + 1))
+
+    def test_row_verifier_checks_the_unit_row(self, monkeypatch):
+        # a unit whose leaf row swaps two leaves is the counterexample,
+        # before any target is read
+        tree = parse_tree("[2]([0],[2])")
+        unit = prune(tree).morphism
+
+        def swapped(m):
+            row = leaf_row(m)
+            return (row[1], row[0]) + row[2:] if m == unit else row
+
+        monkeypatch.setattr(theta, "leaf_row", swapped)
+        report = verify_initiality_by_rows(tree, 4)
+        assert not report.passed
+        assert report.targets_checked == 0
+        assert report.counterexample == (
+            "tree=[2]([0],[2]) unit leaf row (2, 1) is not (1..2)"
+        )
 
     def test_row_verifier_bound(self):
         with pytest.raises(ValueError):
@@ -681,7 +720,7 @@ class TestMorphismOfRow:
                             row = leaf_row(m)
                             if len(set(row)) == len(row):
                                 assert morphism_of_row(source, target, row) == m
-                        for row in _injective_hom_rows(source, target):
+                        for row in _injective_rows(source, target):
                             m = morphism_of_row(source, target, row)
                             assert leaf_row(m) == row
                             rows += 1
