@@ -26,6 +26,7 @@ into the matched fibers with the leading coordinate dropped.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,9 +47,17 @@ class InvalidExitPathError(ValueError):
     """Raised when a path without a passing certificate is used."""
 
 
+# the one form of rational text: an integer, or p/q, optionally signed
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
+        raise ValueError(
+            f"rationals must be integers or 'p/q' strings, got {value!r}"
+        )
     # bool is an int subclass; True is not the number 1
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
@@ -63,7 +72,7 @@ class Configuration:
     """Distinct points in Q^n, stored sorted lexicographically.
 
     Construction canonicalizes the order and reads coordinates given as
-    Fractions, ints or rational strings (never bools or floats) as exact
+    Fractions, ints or "p/q" strings (never bools or floats) as exact
     rationals; coincident points are rejected, not repaired.
     """
 
@@ -483,10 +492,7 @@ def random_exit_path(
 def parse_rational(text) -> Fraction:
     # bool is an int subclass; a JSON true is not the number 1
     if isinstance(text, (int, str)) and not isinstance(text, bool):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"rational {text!r} has a zero denominator") from None
+        return _as_fraction(text)
     raise ValueError(f"rationals must be integers or 'p/q' strings, got {text!r}")
 
 

@@ -308,10 +308,7 @@ def _enumerate_w(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
             return (identity_theta(source),)
         return ()
     out = []
-    for base in _injective_bases(
-        tuple(c.leaf_count for c in source.children),
-        tuple(c.leaf_count for c in target.children),
-    ):
+    for base in _injective_bases(source.leaf_profile, target.leaf_profile):
         pairs = fiber_pairs(base)
         candidate_lists = [
             _w_candidates(source.children[i - 1], target.children[j - 1])

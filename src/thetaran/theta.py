@@ -29,9 +29,11 @@ cap, tree text and morphism JSON.
 
 Into a healthy target an active morphism is fixed by its leaf row, so w
 hom-sets are listed in one form, as rows: one walk (_injective_rows),
-one row cache for the child pairs it recurs on (_masked_rows), and one
-reader of a tree's rows (w_hom_rows), which the pruning check uses on
-both sides.  morphism_of_row rebuilds a row's wreath datum, for
+base by base into one list, one row cache for the child pairs it
+recurs on (_masked_rows, with the rows also indexed by leaf mask, so
+that between equal leaf counts the last pair's row is looked up, not
+scanned for), and one reader of a tree's rows (w_hom_rows), which the
+pruning check uses on both sides.  morphism_of_row rebuilds a row's wreath datum, for
 enumerate_theta_hom and for the point assignments of ``config``.  The
 wreath-level walk of the same hom-sets is the reference in ``harness``.
 
@@ -42,10 +44,10 @@ cache aggressively, so concurrent readers are safe.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, islice, pairwise, product
+from itertools import accumulate, combinations, pairwise, product
 from math import comb
 
 from .simplex import (
@@ -120,6 +122,11 @@ class Tree:
         if self.height == 1:
             return self.rank
         return sum(child.leaf_count for child in self.children)
+
+    @cached_property
+    def leaf_profile(self) -> tuple[int, ...]:
+        """Leaf counts of the root's children, in order; () at height 1."""
+        return tuple(child.leaf_count for child in self.children)
 
     @cached_property
     def vertex_count(self) -> int:
@@ -396,7 +403,7 @@ def leaf_row(m: ThetaMorphism) -> tuple[int | None, ...]:
     pairs = fiber_pairs(m.base)
     i_of = {j: i for i, j in pairs}
     comp_rows = {j: leaf_row(c) for (_, j), c in zip(pairs, m.components)}
-    offsets = tuple(accumulate((c.leaf_count for c in m.source.children), initial=0))
+    offsets = tuple(accumulate(m.source.leaf_profile, initial=0))
     row: list[int | None] = []
     for j, child in enumerate(m.target.children, start=1):
         if j in comp_rows:
@@ -435,12 +442,12 @@ def _morphism_of_row(
 ) -> ThetaMorphism:
     if source.height == 1:
         return ThetaMorphism(source, target, _base_of(row, source.rank, target.rank))
-    offsets = tuple(accumulate((c.leaf_count for c in source.children), initial=0))
+    offsets = tuple(accumulate(source.leaf_profile, initial=0))
     # child_of[v]: the root child of source leaf v
     child_of = [0]
     for i, child in enumerate(source.children, start=1):
         child_of.extend([i] * child.leaf_count)
-    starts = accumulate((c.leaf_count for c in target.children), initial=0)
+    starts = accumulate(target.leaf_profile, initial=0)
     level_map, blocks = [], []
     for start, child in zip(starts, target.children):
         block = row[start : start + child.leaf_count]
@@ -786,66 +793,60 @@ def _injective_bases(
 
 
 @lru_cache(maxsize=None)
-def _masked_rows(
-    source: Tree, target: Tree, offset: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _masked_rows(source: Tree, target: Tree, offset: int) -> tuple[tuple, dict]:
     """Injective-morphism rows shifted into the global leaf numbering,
-    each paired with the bitmask of the leaves it uses.  The one row
-    cache: child pairs recur across bases and across trees."""
+    each paired with the bitmask of the leaves it uses, and the same rows
+    grouped by mask (in list order).  The one row cache: child pairs
+    recur across bases and across trees."""
     out = []
+    by_mask: dict[int, list[tuple[int, ...]]] = {}
     for row in _injective_rows(source, target):
         shifted = tuple(v + offset for v in row)
         mask = 0
         for v in shifted:
             mask |= 1 << v
         out.append((shifted, mask))
-    return tuple(out)
+        by_mask.setdefault(mask, []).append(shifted)
+    return tuple(out), {mask: tuple(rows) for mask, rows in by_mask.items()}
 
 
-# the one choice of an empty row, padding short lists of lists
-_NO_ROW = (((), 0),)
+# the one choice of an empty row, padding short lists of _masked_rows entries
+_NO_ROW = ((((), 0),), {0: ((),)})
 
 
 def _assemble_disjoint(
-    masked_lists: list[tuple[tuple[tuple[int, ...], int], ...]],
+    entries: list[tuple[tuple, dict]], cover: int | None = None
 ) -> list[tuple[int, ...]]:
-    """One row from each list, masks pairwise disjoint, concatenated, in
-    lexicographic order of the choices.
+    """One row from each _masked_rows entry, masks pairwise disjoint,
+    concatenated, in lexicographic order of the choices; given ``cover``,
+    a mask holding every row, only the choices that use all of it.
 
     Depth first from a stack, dropping a prefix as soon as it collides,
     which the plain cartesian product cannot; one comprehension pairs the
     last two lists.  The stack holds at most one list's choices per level,
-    so a prefix that dies on a later list costs no memory.
+    so a prefix that dies on a later list costs no memory.  Given
+    ``cover``, the last row's mask is the rest of it: a lookup, no scan.
     """
-    *heads, second, last = [_NO_ROW] * (2 - len(masked_lists)) + masked_lists
+    *heads, (second, _), (last, by_mask) = [_NO_ROW] * (2 - len(entries)) + entries
     out: list[tuple[int, ...]] = []
     stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     while stack:
         prefix, acc, depth = stack.pop()
-        if depth == len(heads):
-            out.extend(
-                [
-                    prefix + row + row2
-                    for row, mask in second
-                    if not acc & mask
-                    for row2, mask2 in last
-                    if not (acc | mask) & mask2
-                ]
-            )
+        if depth < len(heads):
+            stack.extend(reversed([(prefix + row, acc | mask, depth + 1)
+                                   for row, mask in heads[depth][0] if not acc & mask]))
+        elif cover is None:
+            out.extend([prefix + row + row2 for row, mask in second if not acc & mask
+                        for row2, mask2 in last if not (acc | mask) & mask2])
         else:
-            stack.extend(
-                reversed(
-                    [
-                        (prefix + row, acc | mask, depth + 1)
-                        for row, mask in heads[depth]
-                        if not acc & mask
-                    ]
-                )
-            )
+            out.extend([prefix + row + row2 for row, mask in second if not acc & mask
+                        for row2 in by_mask.get(cover ^ acc ^ mask, ())])
     return out
 
 
-def _injective_rows(source: Tree, target: Tree) -> Iterator[tuple[int, ...]]:
+def _injective_rows(
+    source: Tree, target: Tree, cap: int | None = None
+) -> list[tuple[int, ...]]:
     """Leaf rows of the active morphisms source -> target whose leaf map
     is injective, for a healthy target, in wreath enumeration order.
 
@@ -853,40 +854,57 @@ def _injective_rows(source: Tree, target: Tree) -> Iterator[tuple[int, ...]]:
     level of an active morphism into it is recoverable from its leaf
     row; rows therefore stand in for morphisms one to one.  The walk
     mirrors the wreath enumeration (one row per base and component
-    choice) over the bases of _injective_bases, and raises if it ever
-    produces a duplicate row, which would refute that correspondence.
-    Nothing is cached at this level: the child pairs' rows are, in
-    _masked_rows, and a whole tree's rows are listed afresh per call.
+    choice) over the bases of _injective_bases, base by base into one
+    list; it raises ResourceCapError once a base takes the list past
+    ``cap``, and RuntimeError on a duplicate row, which would refute that
+    correspondence.  With equal leaf counts every row covers all source
+    leaves, which fixes each last child row by its mask.  Nothing is
+    cached at this level: the child pairs' rows are, in _masked_rows.
     """
     if source.height == 1:
         # rows of active maps [p] -> [q] are weakly increasing, so the
         # injective ones are exactly the strictly increasing q-tuples
-        yield from combinations(range(1, source.rank + 1), target.rank)
-        return
-    offsets = tuple(accumulate((c.leaf_count for c in source.children), initial=0))
-    seen_rows: set[tuple[int, ...]] = set()
-    for base in _injective_bases(
-        tuple(c.leaf_count for c in source.children),
-        tuple(c.leaf_count for c in target.children),
-    ):
-        masked_lists = []
+        rows = list(combinations(range(1, source.rank + 1), target.rank))
+        _check_cap(rows, cap, source, target)
+        return rows
+    bases = _injective_bases(source.leaf_profile, target.leaf_profile)
+    if not bases:
+        return []
+    offsets = tuple(accumulate(source.leaf_profile, initial=0))
+    # leaves 1..k, each covered once when the leaf counts agree
+    cover = (2 << source.leaf_count) - 2
+    if source.leaf_count != target.leaf_count:
+        cover = None
+    rows = []
+    for base in bases:
+        entries = []
         for i, j in fiber_pairs(base):
-            masked = _masked_rows(
+            entry = _masked_rows(
                 source.children[i - 1], target.children[j - 1], offsets[i - 1]
             )
-            if not masked:
+            if not entry[0]:
                 break
-            masked_lists.append(masked)
+            entries.append(entry)
         else:
-            for row in _assemble_disjoint(masked_lists):
-                if row in seen_rows:
-                    raise RuntimeError(
-                        f"duplicate leaf row {row} for distinct morphisms "
-                        f"{format_tree(source)} -> {format_tree(target)}; "
-                        "rows do not determine morphisms here"
-                    )
-                seen_rows.add(row)
-                yield row
+            rows.extend(_assemble_disjoint(entries, cover))
+            _check_cap(rows, cap, source, target)
+    if len(set(rows)) != len(rows):
+        seen: set[tuple[int, ...]] = set()
+        row = next(row for row in rows if row in seen or seen.add(row))
+        raise RuntimeError(
+            f"duplicate leaf row {row} for distinct morphisms "
+            f"{format_tree(source)} -> {format_tree(target)}; "
+            "rows do not determine morphisms here"
+        )
+    return rows
+
+
+def _check_cap(rows: list, cap: int | None, source: Tree, target: Tree) -> None:
+    if cap is not None and len(rows) > cap:
+        raise ResourceCapError(
+            f"row enumeration exceeded cap {cap} for "
+            f"{format_tree(source)} -> {format_tree(target)}"
+        )
 
 
 def w_hom_rows(
@@ -897,9 +915,9 @@ def w_hom_rows(
     The target must be healthy, so rows determine morphisms (see
     _injective_rows).  Between trees with equal leaf counts an injective
     leaf map is a bijection, so these are exactly the injective rows;
-    with unequal counts there are none.  Raises ResourceCapError once
-    there are more than ``cap`` rows.  The only reader of a tree's rows:
-    the pruning suite checks them row for row against the harness's
+    with unequal counts there are none.  Raises ResourceCapError exactly
+    when there are more than ``cap`` rows.  The only reader of a tree's
+    rows: the pruning suite checks them row for row against the harness's
     wreath-level walk where it is affordable.
     """
     if source.height != target.height:
@@ -911,13 +929,7 @@ def w_hom_rows(
         )
     if source.leaf_count != target.leaf_count:
         return ()
-    rows = tuple(islice(_injective_rows(source, target), cap + 1))
-    if len(rows) > cap:
-        raise ResourceCapError(
-            f"row enumeration exceeded cap {cap} for "
-            f"{format_tree(source)} -> {format_tree(target)}"
-        )
-    return rows
+    return tuple(_injective_rows(source, target, cap))
 
 
 @lru_cache(maxsize=None)
@@ -938,10 +950,7 @@ def _injective_row_bound(source: Tree, target: Tree) -> int:
             "row bound", source, target,
         )
     rows = largest = 0
-    for base in _injective_bases(
-        tuple(c.leaf_count for c in source.children),
-        tuple(c.leaf_count for c in target.children),
-    ):
+    for base in _injective_bases(source.leaf_profile, target.leaf_profile):
         term = 1
         for i, j in fiber_pairs(base):
             child = _injective_row_bound(
@@ -1019,8 +1028,8 @@ def verify_initiality_by_rows(
     are read through w_hom_rows.  Rows determine morphisms into healthy
     trees (a duplicate anywhere raises inside the row enumeration), so
     set equality here is morphism-level existence and uniqueness of the
-    factorization.  The suite cross-checks the two verifiers against
-    each other wherever the direct one is affordable.
+    factorization (no sets where neither side has a row).  The suite
+    cross-checks the two verifiers against each other where affordable.
     """
     if tree.leaf_count > leaf_bound:
         raise ValueError(
@@ -1037,8 +1046,10 @@ def verify_initiality_by_rows(
         targets_checked += 1
         direct = w_hom_rows(tree, target, cap)
         factored = w_hom_rows(result.pruned, target, cap)
-        factored_set = set(factored)
         rows_checked += len(direct)
+        if not (direct or factored):
+            continue
+        factored_set = set(factored)
         if len(factored_set) != len(factored) or factored_set != set(direct):
             return InitialityReport(
                 False,

@@ -415,6 +415,13 @@ class TestConfig:
         assert message in err
         assert "Traceback" not in out + err
 
+    def test_decimal_and_exponent_text_is_usage_error(self, capsys, tmp_path):
+        points = write_json(tmp_path / "pts.json", [["1.5"], ["2e1"]])
+        code, out, err = run(capsys, "config", "tree", "--points", points)
+        assert code == 2
+        assert "rationals must be integers or 'p/q' strings, got '1.5'" in err
+        assert "Traceback" not in out + err
+
     def test_zero_denominator_is_usage_error(self, capsys, tmp_path):
         points = write_json(tmp_path / "pts.json", [["1/0"]])
         code, _, err = run(capsys, "config", "tree", "--points", points)

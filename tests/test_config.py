@@ -66,6 +66,15 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="zero denominator"):
             configuration(1, [["1/0"]])
 
+    def test_reads_only_integer_and_fraction_text(self):
+        # the documented forms, signed or not, are read exactly; decimal,
+        # exponent, padded and grouped forms that Fraction would take are not
+        cfg = configuration(1, [["+3"], ["-1/2"], ["07"]])
+        assert cfg.points == ((Fr(-1, 2),), (Fr(3),), (Fr(7),))
+        for text in ("1e-2", "1.5", "2e1", " 1", "1_0", "1/-2", "/2", ""):
+            with pytest.raises(ValueError, match="rationals must be"):
+                configuration(1, [[text]])
+
 
 class TestTreeOfConfiguration:
     def test_frozen_shared_first_coordinate(self):

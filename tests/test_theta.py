@@ -8,6 +8,7 @@ obtained.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import accumulate, chain, product
 from math import comb
@@ -565,23 +566,41 @@ class TestHomRows:
 
     def test_disjoint_assembly_is_filtered_product(self):
         # against the cartesian product in lexicographic order, keeping
-        # the choices whose rows share no value (rows have no repeats)
+        # the choices whose rows share no value (rows have no repeats);
+        # with a cover holding every row, only the choices that use all
+        # of it
+        def entry(rows):
+            by_mask = {}
+            for row in rows:
+                by_mask.setdefault(sum(1 << v for v in row), []).append(row)
+            return (
+                tuple((row, sum(1 << v for v in row)) for row in rows),
+                {mask: tuple(rows) for mask, rows in by_mask.items()},
+            )
+
         rng = random.Random(5)
-        for _ in range(300):
-            masked_lists = []
-            for _ in range(rng.randrange(6)):
-                masked = []
-                for _ in range(rng.randrange(5)):
-                    row = tuple(rng.sample(range(8), rng.randrange(3)))
-                    masked.append((row, sum(1 << v for v in row)))
-                masked_lists.append(tuple(masked))
-            oracle = [
-                tuple(chain.from_iterable(row for row, _ in combo))
-                for combo in product(*masked_lists)
-                if len({v for row, _ in combo for v in row})
-                == sum(len(row) for row, _ in combo)
+        covered = 0
+        for _ in range(600):
+            cover = rng.sample(range(8), rng.randrange(7))
+            lists = [
+                [
+                    tuple(rng.sample(cover, rng.randrange(min(3, len(cover) + 1))))
+                    for _ in range(rng.randrange(5))
+                ]
+                for _ in range(rng.randrange(6))
             ]
-            assert _assemble_disjoint(masked_lists) == oracle
+            disjoint = [
+                tuple(chain.from_iterable(combo))
+                for combo in product(*lists)
+                if len(set(chain.from_iterable(combo))) == sum(map(len, combo))
+            ]
+            entries = [entry(rows) for rows in lists]
+            assert _assemble_disjoint(entries) == disjoint
+            exact = [row for row in disjoint if set(row) == set(cover)]
+            mask = sum(1 << v for v in cover)
+            assert _assemble_disjoint(entries, mask) == exact
+            covered += bool(exact)
+        assert covered > 100
 
     def test_frozen_shuffle_rows(self):
         src = parse_tree("[1]([2])")
@@ -614,6 +633,62 @@ class TestHomRows:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             w_hom_rows(parse_tree("[1]([2])"), parse_tree("[2]([1],[1])"), cap=1)
+
+    def test_cap_boundary(self):
+        # the singleton fan has 3! = 6 rows: a cap of 6 lists them all,
+        # a cap of 5 raises
+        source, target = parse_tree("[1]([3])"), parse_tree("[3]([1],[1],[1])")
+        assert len(w_hom_rows(source, target, cap=6)) == 6
+        with pytest.raises(ResourceCapError):
+            w_hom_rows(source, target, cap=5)
+
+    def test_no_base_reads_no_child_rows(self, monkeypatch):
+        # no active base sends leaf profile (2, 1) into (1, 2) injectively,
+        # so the walk returns before any child pair's rows are read
+        def unread(source, target, offset):
+            raise AssertionError("child rows read without a base")
+
+        monkeypatch.setattr(theta, "_masked_rows", unread)
+        rows = w_hom_rows(parse_tree("[2]([1],[2])"), parse_tree("[2]([2],[1])"))
+        assert rows == ()
+
+    def test_duplicate_row_is_named(self, monkeypatch):
+        # a child pair listing its first row twice makes two choices give
+        # one row; the walk refuses and names the row
+        masked_rows = theta._masked_rows
+
+        def doubled(source, target, offset):
+            masked, by_mask = masked_rows(source, target, offset)
+            return masked[:1] + masked, {
+                mask: rows[:1] + rows for mask, rows in by_mask.items()
+            }
+
+        monkeypatch.setattr(theta, "_masked_rows", doubled)
+        with pytest.raises(RuntimeError) as info:
+            w_hom_rows(parse_tree("[1]([2])"), parse_tree("[2]([1],[1])"))
+        assert str(info.value) == (
+            "duplicate leaf row (1, 2) for distinct morphisms "
+            "[1]([2]) -> [2]([1],[1]); rows do not determine morphisms here"
+        )
+
+    def test_rows_pinned_in_order(self):
+        # one-graft decorated sources of height 1-3 with at most 5 leaves
+        # against every healthy target with as many: 76,700 pairs and
+        # 186,291 rows; the digest of their reprs, in order, was taken
+        # from the scan-only walk before the mask lookup replaced it
+        digest = hashlib.sha256()
+        pairs = rows = 0
+        for height, k in product((1, 2, 3), range(6)):
+            for source in decorated_trees(height, k, 1):
+                for target in healthy_trees(height, k):
+                    listed = w_hom_rows(source, target)
+                    pairs += 1
+                    rows += len(listed)
+                    digest.update(repr(listed).encode())
+        assert (pairs, rows) == (76700, 186291)
+        assert digest.hexdigest() == (
+            "634a21680a82294dd659de7e61ef0e4a36769b5cf8a2509742651c4cbb48c3e2"
+        )
 
     def test_row_verifier_agrees_with_direct(self):
         for tree in decorated_trees(3, 3, 1) + decorated_trees(2, 4, 1):
