@@ -29,7 +29,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import pairwise
 from math import lcm
 from random import Random
@@ -104,10 +103,6 @@ class Configuration:
             "(" + ", ".join(str(c) for c in p) + ")" for p in self.points
         )
         return "{" + inner + "}"
-
-
-def configuration(dimension: int, points) -> Configuration:
-    return Configuration(dimension, tuple(tuple(p) for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +223,6 @@ class ExitPath:
     def dimension(self) -> int:
         return self.source.dimension
 
-    @cached_property
-    def is_point_bijection(self) -> bool:
-        return (
-            self.source.size == self.target.size
-            and len(set(self.mapping)) == self.target.size
-        )
-
 
 def _common_denominator(points: tuple[Point, ...]) -> int:
     return lcm(*{c.denominator for p in points for c in p})
@@ -316,16 +304,6 @@ def build_exit_path(
     return ExitPath(source, target, mapping, verdict)
 
 
-def rescale_exit_path(path: ExitPath, factor) -> ExitPath:
-    """Rescale both endpoints, re-indexing the mapping to canonical order."""
-    factor = _as_fraction(factor)
-    if factor == 0:
-        raise ValueError("rescaling factor must be nonzero")
-    src_scaled = [tuple(factor * c for c in p) for p in path.source.points]
-    tgt_scaled = [tuple(factor * c for c in p) for p in path.target.points]
-    return _reindexed_path(path.dimension, src_scaled, tgt_scaled, path.mapping)
-
-
 def _reindexed_path(dimension: int, src_points, tgt_points, mapping) -> ExitPath:
     """A certified path between points listed in any order, ``mapping``
     indexing them as listed; both sides go to canonical sorted order."""
@@ -383,23 +361,6 @@ def compose_point_maps(
     return tuple(first[m] for m in second)
 
 
-def path_flags(path: ExitPath) -> tuple[bool, bool]:
-    """(leaf bijection, levelwise surjection with nonempty endpoints)."""
-    bijective = path.is_point_bijection
-    if path.source.size == 0 or path.target.size == 0:
-        return bijective, False
-    surjective = True
-    src = path.source.points
-    tgt = path.target.points
-    for k in range(1, path.dimension + 1):
-        hit = {src[path.mapping[t]][:k] for t in range(len(tgt))}
-        all_prefixes = {p[:k] for p in src}
-        if hit != all_prefixes:
-            surjective = False
-            break
-    return bijective, surjective
-
-
 # ---------------------------------------------------------------------------
 # seeded generators
 
@@ -430,16 +391,16 @@ def _minimum_gap(points: list[tuple[int, ...]], dimension: int) -> int:
     return min((hi - lo for axis in axes for lo, hi in pairwise(axis)), default=0)
 
 
-def random_exit_path(
-    source: Configuration, seed: int, budget: int = 200
-) -> ExitPath:
+def random_exit_path(source: Configuration, seed: int) -> ExitPath:
     """A certified path out of ``source``: split, keep, or drop each point.
 
     Every target point stays within a box of radius gap/4 around its
     origin, where gap is the smallest positive coordinate difference in
     the source; boxes of distinct origins therefore never meet at any
     projection level, and strands sharing an origin only touch at u = 0.
-    The construction retries until the validator agrees.
+    So the one draw is valid, and distinct offsets give distinct points.
+    The validator still certifies it; a rejection raises
+    InvalidExitPathError, as it would refute the box argument.
     """
     rng = Random(seed)
     if source.size == 0:
@@ -450,39 +411,29 @@ def random_exit_path(
     # gap/16, at most 3 per axis
     unit = 16 * scale
     step = _minimum_gap(grid, source.dimension) or scale
-    for _ in range(budget):
-        points: list[tuple[int, ...]] = []
-        origins: list[int] = []
-        for s_idx, base_point in enumerate(grid):
-            multiplicity = rng.choices((0, 1, 2, 3), weights=(1, 6, 3, 1))[0]
-            offsets: set[tuple[int, ...]] = set()
-            while len(offsets) < multiplicity:
-                offsets.add(
-                    tuple(rng.randint(-3, 3) for _ in range(source.dimension))
-                )
-            for off in offsets:
-                points.append(
-                    tuple(16 * c + step * o for c, o in zip(base_point, off))
-                )
-                origins.append(s_idx)
-        if len(set(points)) != len(points):
-            continue  # cannot happen under the box bound; kept as a guard
-        shift = tuple(
-            unit * rng.randint(-2, 2) for _ in range(source.dimension)
-        )
-        shifted = [tuple(c + s for c, s in zip(p, shift)) for p in points]
-        order = sorted(range(len(shifted)), key=shifted.__getitem__)
-        target = Configuration(
-            source.dimension,
-            tuple(tuple(Fraction(c, unit) for c in shifted[i]) for i in order),
-        )
-        mapping = tuple(origins[i] for i in order)
-        path = build_exit_path(source, target, mapping)
-        if path.verdict is not None and path.verdict.valid:
-            return path
-    raise SamplingBudgetError(
-        f"no valid exit path from {source} within {budget} attempts"
+    points: list[tuple[int, ...]] = []
+    origins: list[int] = []
+    for s_idx, base_point in enumerate(grid):
+        multiplicity = rng.choices((0, 1, 2, 3), weights=(1, 6, 3, 1))[0]
+        offsets: set[tuple[int, ...]] = set()
+        while len(offsets) < multiplicity:
+            offsets.add(tuple(rng.randint(-3, 3) for _ in range(source.dimension)))
+        for off in offsets:
+            points.append(tuple(16 * c + step * o for c, o in zip(base_point, off)))
+            origins.append(s_idx)
+    shift = tuple(unit * rng.randint(-2, 2) for _ in range(source.dimension))
+    shifted = [tuple(c + s for c, s in zip(p, shift)) for p in points]
+    order = sorted(range(len(shifted)), key=shifted.__getitem__)
+    target = Configuration(
+        source.dimension,
+        tuple(tuple(Fraction(c, unit) for c in shifted[i]) for i in order),
     )
+    path = build_exit_path(source, target, tuple(origins[i] for i in order))
+    if not path.verdict.valid:
+        raise InvalidExitPathError(
+            f"the drawn exit path from {source} (seed {seed}) fails validation"
+        )
+    return path
 
 
 # ---------------------------------------------------------------------------

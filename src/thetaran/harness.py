@@ -352,9 +352,7 @@ def _reference_w_hom(
     return _enumerate_w(source, target)
 
 
-def verify_initiality(
-    tree: Tree, leaf_bound: int = 6, cap: int = DEFAULT_HOM_CAP
-) -> InitialityReport:
+def verify_initiality(tree: Tree, leaf_bound: int = 6) -> InitialityReport:
     """Check that the pruning unit is initial among maps to healthy trees.
 
     For every healthy tree S of the same height with at most ``leaf_bound``
@@ -380,15 +378,15 @@ def verify_initiality(
 
     for target in healthy_trees(tree.height, tree.leaf_count):
         targets_checked += 1
-        outgoing = _reference_w_hom(tree, target, cap)
-        rows = w_hom_rows(tree, target, cap)
+        outgoing = _reference_w_hom(tree, target)
+        rows = w_hom_rows(tree, target, DEFAULT_HOM_CAP)
         if len(rows) != len(outgoing) or set(rows) != {
             leaf_row(f) for f in outgoing
         }:
             return failure("hom rows disagree with the reference hom-set")
         if not outgoing:
             continue
-        factored = _reference_w_hom(result.pruned, target, cap)
+        factored = _reference_w_hom(result.pruned, target)
         composites = Counter(
             compose_theta(g, result.morphism) for g in factored
         )

@@ -41,7 +41,16 @@ from .theta import DEFAULT_HOM_CAP, ResourceCapError, healthy_trees, w_hom_rows
 # nord(2,4) (12,288 cells) and 1.0 KB on w_hlt(2,5) (14,048 cells), where
 # the nerve dominates; 2.4 KB on w_hlt(3,4) (403,853 cells, 988 MB), where
 # Smith-form fill-in does.  So a build at the cap can take about 1.2 GB.
+# build_category holds a category's objects and arrows (0- and 1-cells)
+# to it as it lists them, so a category past it is never finished.
 DEFAULT_CHAIN_CAP = 500_000
+
+# Composition-table entries (composable arrow pairs) allowed in one
+# build, counted before the table is built.  Measured peak RSS of the
+# build alone, Python 3.11: 170 MB on w_hlt(2,7) (1,391,088 entries) and
+# 902 MB on nord(4,4) (7,315,200), about 0.12 KB per entry, so a table at
+# the cap stays within the same ~1.2 GB.
+COMPOSITION_CAP = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +418,11 @@ def build_category(
 
     Objects are the nerve's 0-cells and non-identity arrows its 1-cells,
     so a category with more than ``DEFAULT_CHAIN_CAP`` arrows has a nerve
-    over that cap.  Both counts are checked before they are materialized:
-    the objects before any row is listed, the arrows (k! per w-arrow in
-    ``nord``) before the cover is built.  Either raises
+    over that cap.  Each count is checked before it is materialized: the
+    objects before any row is listed, the arrows (k! per w-arrow in
+    ``nord``) as each source tree's rows are added, and the composable
+    pairs, one composition-table entry each, against
+    ``COMPOSITION_CAP`` before the table is built.  Each raises
     ``ResourceCapError``.
     """
     if kind not in _KINDS:
@@ -420,13 +431,25 @@ def build_category(
         raise ValueError("need n >= 1 and k >= 0")
     trees = healthy_trees(n, k)
     lifts = factorial(k) if kind == "nord" else 1
-    _cap_cells(f"{kind}({n},{k}) objects", len(trees) * lifts)
-    rows_out = [
-        [(b, row) for b, tree_b in enumerate(trees)
-         for row in w_hom_rows(tree_a, tree_b, cap)]
-        for tree_a in trees
-    ]
-    _cap_cells(f"{kind}({n},{k}) arrows", lifts * sum(map(len, rows_out)))
+    name = f"{kind}({n},{k})"
+    _cap_cells(f"{name} objects", len(trees) * lifts)
+    rows_out = []
+    arrow_count = 0
+    for tree_a in trees:
+        out = [(b, row) for b, tree_b in enumerate(trees)
+               for row in w_hom_rows(tree_a, tree_b, cap)]
+        rows_out.append(out)
+        arrow_count += lifts * len(out)
+        _cap_cells(f"{name} arrows", arrow_count)
+    # g after f for every f into b and g out of b; in nord each of the k!
+    # labelings of b has the in- and out-degree of b in w_hlt
+    incoming = Counter(b for out in rows_out for b, _ in out)
+    pairs = lifts * sum(incoming[b] * len(out) for b, out in enumerate(rows_out))
+    if pairs > COMPOSITION_CAP:
+        raise ResourceCapError(
+            f"{pairs} {name} composable pairs exceed the "
+            f"{COMPOSITION_CAP}-entry composition cap"
+        )
     if kind == "w_hlt":
         objects: tuple = trees
         arrows = [(a, b, row) for a, out in enumerate(rows_out) for b, row in out]

@@ -163,10 +163,6 @@ class PointedMap:
         return len(self.pairs) == self.source_size
 
 
-def identity_pointed(size: int) -> PointedMap:
-    return PointedMap(size, size, tuple((j, j) for j in range(1, size + 1)))
-
-
 def compose_pointed(second: PointedMap, first: PointedMap) -> PointedMap:
     """The composite ``second`` after ``first``; basepoints absorb."""
     if first.target_size != second.source_size:

@@ -23,9 +23,9 @@ The module also provides the classification flags used downstream:
           every level surjective, which for such endpoints the leaf row
           alone decides (see classify_morphism);
 
-together with truncation (dropping top levels), pruning (the left adjoint
-onto healthy trees, with its unit), hom-set enumeration under a resource
-cap, tree text and morphism JSON.
+together with pruning (the left adjoint onto healthy trees, with its
+unit), hom-set enumeration under a resource cap, tree text and morphism
+JSON.
 
 Into a healthy target an active morphism is fixed by its leaf row, so w
 hom-sets are listed in one form, as rows: one walk (_injective_rows),
@@ -33,7 +33,8 @@ base by base into one list, one row cache for the child pairs it
 recurs on (_masked_rows, with the rows also indexed by leaf mask, so
 that between equal leaf counts the last pair's row is looked up, not
 scanned for), and one reader of a tree's rows (w_hom_rows), which the
-pruning check uses on both sides.  morphism_of_row rebuilds a row's wreath datum, for
+pruning check reads once per target for a healthy tree and on both
+sides otherwise.  morphism_of_row rebuilds a row's wreath datum, for
 enumerate_theta_hom and for the point assignments of ``config``.  The
 wreath-level walk of the same hom-sets is the reference in ``harness``.
 
@@ -521,49 +522,6 @@ def classify_morphism(m: ThetaMorphism) -> MorphismFlags:
 
 
 # ---------------------------------------------------------------------------
-# truncation
-
-
-def truncate(obj: Tree | ThetaMorphism, level: int):
-    """Forget all structure above the given level.
-
-    For trees this deletes the vertices at levels > level; for morphisms it
-    drops the corresponding components, leaving the wreath datum of the
-    truncated endpoints.
-    """
-    if isinstance(obj, Tree):
-        return _truncate_tree(obj, level)
-    if isinstance(obj, ThetaMorphism):
-        return _truncate_morphism(obj, level)
-    raise TypeError(f"cannot truncate {type(obj).__name__}")
-
-
-def _truncate_tree(tree: Tree, level: int) -> Tree:
-    if not (1 <= level <= tree.height):
-        raise ValueError(f"level {level} outside 1..{tree.height}")
-    if level == tree.height:
-        return tree
-    if level == 1:
-        return Tree(1, tree.rank)
-    return Tree(
-        level, tree.rank, tuple(_truncate_tree(c, level - 1) for c in tree.children)
-    )
-
-
-def _truncate_morphism(m: ThetaMorphism, level: int) -> ThetaMorphism:
-    if not (1 <= level <= m.height):
-        raise ValueError(f"level {level} outside 1..{m.height}")
-    if level == m.height:
-        return m
-    src = _truncate_tree(m.source, level)
-    tgt = _truncate_tree(m.target, level)
-    if level == 1:
-        return ThetaMorphism(src, tgt, m.base)
-    comps = tuple(_truncate_morphism(c, level - 1) for c in m.components)
-    return ThetaMorphism(src, tgt, m.base, comps)
-
-
-# ---------------------------------------------------------------------------
 # hom-set enumeration
 
 
@@ -1015,21 +973,28 @@ def count_filtered_hom(
     return len(enumerate_theta_hom(source, target, morphism_filter, cap))
 
 
-def verify_initiality_by_rows(
-    tree: Tree, leaf_bound: int = 6, cap: int = DEFAULT_HOM_CAP
-) -> InitialityReport:
+def verify_initiality_by_rows(tree: Tree, leaf_bound: int = 6) -> InitialityReport:
     """The row-level check of harness.verify_initiality, for big hom-sets.
 
     Same claim, checked on leaf rows.  Pruning only drops leafless
     branches, so the unit's leaf row is the identity (1..k), checked once
     per tree; composing with the unit then keeps every row of
     W(prune(tree), S), and these must be exactly the rows of W(tree, S),
-    for every healthy S of matching height and leaf count.  Both sides
-    are read through w_hom_rows.  Rows determine morphisms into healthy
-    trees (a duplicate anywhere raises inside the row enumeration), so
-    set equality here is morphism-level existence and uniqueness of the
-    factorization (no sets where neither side has a row).  The suite
-    cross-checks the two verifiers against each other where affordable.
+    for every healthy S of matching height and leaf count.  Rows
+    determine morphisms into healthy trees (a duplicate anywhere raises
+    inside the row enumeration), so equal row sets are morphism-level
+    existence and uniqueness of the factorization.
+
+    Each side is listed once, through w_hom_rows.  A healthy tree is its
+    own pruning, so its rows are listed once per target and not compared
+    with themselves.  Otherwise both walks list the same sequence: a
+    leafless source child has profile entry 0 and so an empty fiber under
+    every base of _injective_bases, which therefore match the pruned
+    tree's one for one and in order, with the same child pairs below.  So
+    the row tuples are compared as listed, and sets (which pass a
+    reordering and catch a missing, repeated or foreign row) are built
+    only when the tuples differ.  The suite cross-checks the two
+    verifiers against each other where affordable.
     """
     if tree.leaf_count > leaf_bound:
         raise ValueError(
@@ -1040,17 +1005,21 @@ def verify_initiality_by_rows(
     if unit_row != tuple(range(1, tree.leaf_count + 1)):
         return InitialityReport(False, 0, 0, f"tree={format_tree(tree)} unit leaf "
                                 f"row {unit_row} is not (1..{tree.leaf_count})")
+    healthy = result.pruned == tree
     targets_checked = 0
     rows_checked = 0
     for target in healthy_trees(tree.height, tree.leaf_count):
         targets_checked += 1
-        direct = w_hom_rows(tree, target, cap)
-        factored = w_hom_rows(result.pruned, target, cap)
+        direct = w_hom_rows(tree, target, DEFAULT_HOM_CAP)
         rows_checked += len(direct)
-        if not (direct or factored):
+        if healthy:
+            continue
+        factored = w_hom_rows(result.pruned, target, DEFAULT_HOM_CAP)
+        if direct == factored:
             continue
         factored_set = set(factored)
-        if len(factored_set) != len(factored) or factored_set != set(direct):
+        direct_set = set(direct)
+        if len(factored_set) != len(factored) or factored_set != direct_set:
             return InitialityReport(
                 False,
                 targets_checked,
@@ -1058,7 +1027,7 @@ def verify_initiality_by_rows(
                 counterexample=(
                     f"tree={format_tree(tree)} target={format_tree(target)} "
                     f"rows: {len(direct)} direct vs {len(factored)} factored, "
-                    f"{len(factored_set & set(direct))} shared"
+                    f"{len(factored_set & direct_set)} shared"
                 ),
             )
     return InitialityReport(True, targets_checked, rows_checked)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 import time
 from fractions import Fraction as Fr
 from random import Random
 
 import pytest
 
+from thetaran import config
 from thetaran.config import (
     Configuration,
     ExitPath,
@@ -17,17 +21,16 @@ from thetaran.config import (
     SamplingBudgetError,
     build_exit_path,
     compose_point_maps,
-    configuration,
     configuration_from_json,
     exit_path_from_json,
     induced_morphism,
     morphism_of_exit_path,
-    path_flags,
     random_configuration,
     random_exit_path,
     realize_tree,
-    rescale_exit_path,
     tree_of_configuration,
+    _as_fraction,
+    _reindexed_path,
     validate_exit_path,
 )
 from thetaran.theta import (
@@ -37,14 +40,47 @@ from thetaran.theta import (
     empty_tree,
     identity_theta,
     leaf_row,
+    morphism_to_json,
     parse_tree,
     prune,
 )
 
 
+def is_point_bijection(path: ExitPath) -> bool:
+    return (
+        path.source.size == path.target.size
+        and len(set(path.mapping)) == path.target.size
+    )
+
+
+def path_flags(path: ExitPath) -> tuple[bool, bool]:
+    """(leaf bijection, levelwise surjection with nonempty endpoints),
+    read off the points: the oracle for classify_morphism on paths."""
+    bijective = is_point_bijection(path)
+    if path.source.size == 0 or path.target.size == 0:
+        return bijective, False
+    src = path.source.points
+    for k in range(1, path.dimension + 1):
+        hit = {src[origin][:k] for origin in path.mapping}
+        if hit != {p[:k] for p in src}:
+            return bijective, False
+    return bijective, True
+
+
+def rescale_exit_path(path: ExitPath, factor) -> ExitPath:
+    """Both endpoints times ``factor``, the mapping re-indexed to canonical
+    order and the path certified again."""
+    factor = _as_fraction(factor)
+    if factor == 0:
+        raise ValueError("rescaling factor must be nonzero")
+    src_scaled = [tuple(factor * c for c in p) for p in path.source.points]
+    tgt_scaled = [tuple(factor * c for c in p) for p in path.target.points]
+    return _reindexed_path(path.dimension, src_scaled, tgt_scaled, path.mapping)
+
+
 class TestConfiguration:
     def test_canonical_order_and_coercion(self):
-        cfg = configuration(2, [["3", "1/2"], [1, 4], [Fr(1), Fr(2)]])
+        cfg = Configuration(2, [["3", "1/2"], [1, 4], [Fr(1), Fr(2)]])
         assert cfg.points == (
             (Fr(1), Fr(2)),
             (Fr(1), Fr(4)),
@@ -54,42 +90,42 @@ class TestConfiguration:
 
     def test_rejects_coincident_and_malformed(self):
         with pytest.raises(ValueError):
-            configuration(2, [[1, 2], [1, 2]])
+            Configuration(2, [[1, 2], [1, 2]])
         with pytest.raises(ValueError):
-            configuration(2, [[1, 2, 3]])
+            Configuration(2, [[1, 2, 3]])
         with pytest.raises(ValueError):
-            configuration(0, [])
+            Configuration(0, [])
         with pytest.raises(TypeError):
-            configuration(1, [[1.5]])  # floats never enter verdicts
+            Configuration(1, [[1.5]])  # floats never enter verdicts
         with pytest.raises(TypeError):
-            configuration(1, [[True], [2]])  # nor bools, though ints
+            Configuration(1, [[True], [2]])  # nor bools, though ints
         with pytest.raises(ValueError, match="zero denominator"):
-            configuration(1, [["1/0"]])
+            Configuration(1, [["1/0"]])
 
     def test_reads_only_integer_and_fraction_text(self):
         # the documented forms, signed or not, are read exactly; decimal,
         # exponent, padded and grouped forms that Fraction would take are not
-        cfg = configuration(1, [["+3"], ["-1/2"], ["07"]])
+        cfg = Configuration(1, [["+3"], ["-1/2"], ["07"]])
         assert cfg.points == ((Fr(-1, 2),), (Fr(3),), (Fr(7),))
         for text in ("1e-2", "1.5", "2e1", " 1", "1_0", "1/-2", "/2", ""):
             with pytest.raises(ValueError, match="rationals must be"):
-                configuration(1, [[text]])
+                Configuration(1, [[text]])
 
 
 class TestTreeOfConfiguration:
     def test_frozen_shared_first_coordinate(self):
-        cfg = configuration(2, [[2, 1], [2, "5/2"]])
+        cfg = Configuration(2, [[2, 1], [2, "5/2"]])
         assert tree_of_configuration(cfg) == parse_tree("[1]([2])")
 
     def test_frozen_distinct_first_coordinates(self):
-        cfg = configuration(2, [[2, 1], ["23/2", "5/2"]])
+        cfg = Configuration(2, [[2, 1], ["23/2", "5/2"]])
         assert tree_of_configuration(cfg) == parse_tree("[2]([1],[1])")
 
     def test_empty(self):
         assert tree_of_configuration(Configuration(2, ())) == empty_tree(2)
 
     def test_height_three(self):
-        cfg = configuration(3, [[0, 0, 0], [0, 0, 1], [0, 1, 0], [2, 0, 0]])
+        cfg = Configuration(3, [[0, 0, 0], [0, 0, 1], [0, 1, 0], [2, 0, 0]])
         assert tree_of_configuration(cfg) == parse_tree(
             "[2]([2]([2],[1]),[1]([1]))"
         )
@@ -230,14 +266,14 @@ class TestValidation:
         assert all(seen.values()), seen
 
     def test_frozen_split_is_valid(self):
-        s = configuration(1, [[0]])
-        t = configuration(1, [[-1], [1]])
+        s = Configuration(1, [[0]])
+        t = Configuration(1, [[-1], [1]])
         verdict = validate_exit_path(s, t, (0, 0))
         assert verdict.valid
         assert all(lv.ok for lv in verdict.levels)
 
     def test_frozen_swap_collides_halfway(self):
-        s = configuration(1, [[0], [1]])
+        s = Configuration(1, [[0], [1]])
         verdict = validate_exit_path(s, s, (1, 0))
         assert not verdict.valid
         check = verdict.levels[0]
@@ -245,14 +281,14 @@ class TestValidation:
         assert check.collision == (0, 1, Fr(1, 2))
 
     def test_identity_is_valid(self):
-        cfg = configuration(2, [[0, 0], [1, 3], [2, "1/3"]])
+        cfg = Configuration(2, [[0, 0], [1, 3], [2, "1/3"]])
         assert validate_exit_path(cfg, cfg, (0, 1, 2)).valid
 
     def test_incompatible_merge(self):
         # two target points share a first coordinate but come from
         # distinct first coordinates: level 1 rejects the merge
-        s = configuration(2, [[0, 0], [4, 0]])
-        t = configuration(2, [[1, 0], [1, 1]])
+        s = Configuration(2, [[0, 0], [4, 0]])
+        t = Configuration(2, [[1, 0], [1, 1]])
         verdict = validate_exit_path(s, t, (0, 1))
         assert not verdict.valid
         level_one = verdict.levels[0]
@@ -262,8 +298,8 @@ class TestValidation:
     def test_level_one_crossing_caught(self):
         # strands cross in the first coordinate while staying apart in
         # the plane: level 2 passes, level 1 does not
-        s = configuration(2, [[0, 0], [1, 5]])
-        t = configuration(2, [[0, 5], [1, 0]])
+        s = Configuration(2, [[0, 0], [1, 5]])
+        t = Configuration(2, [[0, 5], [1, 0]])
         verdict = validate_exit_path(s, t, (1, 0))
         assert not verdict.valid
         assert not verdict.levels[0].separation_ok
@@ -272,16 +308,16 @@ class TestValidation:
     def test_endpoint_touch_counts(self):
         # coincident targets are rejected before validation starts
         with pytest.raises(ValueError):
-            configuration(1, [[1], ["1/1"]])
+            Configuration(1, [[1], ["1/1"]])
         # crossing strands meet strictly inside (0, 1]
-        s = configuration(1, [[0], [2]])
-        t = configuration(1, [[1], [3]])
+        s = Configuration(1, [[0], [2]])
+        t = Configuration(1, [[1], [3]])
         verdict = validate_exit_path(s, t, (1, 0))
         assert not verdict.valid
 
     def test_mapping_shape_errors(self):
-        s = configuration(1, [[0]])
-        t = configuration(2, [[0, 0]])
+        s = Configuration(1, [[0]])
+        t = Configuration(2, [[0, 0]])
         with pytest.raises(ValueError):
             ExitPath(s, t, (0,))
         with pytest.raises(ValueError):
@@ -292,27 +328,27 @@ class TestValidation:
 
 class TestInducedMorphism:
     def test_frozen_height_one_base(self):
-        s = configuration(1, [[0], [1], [2]])
-        t = configuration(1, [["-1/2"], ["1/2"], ["3/2"]])
+        s = Configuration(1, [[0], [1], [2]])
+        t = Configuration(1, [["-1/2"], ["1/2"], ["3/2"]])
         m = morphism_of_exit_path(build_exit_path(s, t, (0, 0, 1)))
         assert m.base.values == (0, 2, 3, 3)
 
     def test_identity_path_gives_identity(self):
-        cfg = configuration(2, [[0, 0], [1, 3], [2, "1/3"]])
+        cfg = Configuration(2, [[0, 0], [1, 3], [2, "1/3"]])
         path = build_exit_path(cfg, cfg, (0, 1, 2))
         m = morphism_of_exit_path(path)
         assert m == identity_theta(tree_of_configuration(cfg))
 
     def test_frozen_height_two_collapse(self):
-        s = configuration(2, [[1, 1], [2, 1]])
-        t = configuration(2, [[1, 1], [1, 2], [2, 1]])
+        s = Configuration(2, [[1, 1], [2, 1]])
+        t = Configuration(2, [[1, 1], [1, 2], [2, 1]])
         m = morphism_of_exit_path(build_exit_path(s, t, (0, 0, 1)))
         assert m.base.values == (0, 1, 2)
         assert m.components[0].base.values == (0, 2)
         assert m.components[1].base.values == (0, 1)
 
     def test_verdict_gate(self):
-        s = configuration(1, [[0], [1]])
+        s = Configuration(1, [[0], [1]])
         bare = ExitPath(s, s, (0, 1))  # no certificate attached
         with pytest.raises(InvalidExitPathError):
             morphism_of_exit_path(bare)
@@ -321,11 +357,11 @@ class TestInducedMorphism:
             morphism_of_exit_path(swapped)
 
     def test_induced_rejects_incoherent_data(self):
-        s = configuration(2, [[1, 1], [2, 1]])
-        t = configuration(2, [[1, 1], [1, 2]])
+        s = Configuration(2, [[1, 1], [2, 1]])
+        t = Configuration(2, [[1, 1], [1, 2]])
         with pytest.raises(ValueError):
             induced_morphism(s, t, (0, 1))
-        line = configuration(1, [[0], [1]])
+        line = Configuration(1, [[0], [1]])
         with pytest.raises(ValueError):
             induced_morphism(line, line, (1, 0))
 
@@ -343,7 +379,7 @@ class TestInducedMorphism:
             flags = classify_morphism(morphism_of_exit_path(path))
             bijective, surjective = path_flags(path)
             assert flags.active
-            assert flags.in_w == bijective == path.is_point_bijection
+            assert flags.in_w == bijective
             assert flags.exit == surjective
 
     def test_functoriality_sample(self):
@@ -389,7 +425,7 @@ class TestRescaleInvariance:
         assert checked >= 100
 
     def test_positive_rescale_keeps_morphism(self):
-        cfg = configuration(2, [[0, 0], [1, 2]])
+        cfg = Configuration(2, [[0, 0], [1, 2]])
         path = random_exit_path(cfg, 3)
         scaled = rescale_exit_path(path, Fr(5, 3))
         assert morphism_of_exit_path(scaled) == morphism_of_exit_path(path)
@@ -432,16 +468,50 @@ class TestGenerators:
     def test_budget_errors(self):
         with pytest.raises(SamplingBudgetError):
             random_configuration(1, 2, 0, budget=1)
-        cfg = random_configuration(2, 3, 1)
-        with pytest.raises(SamplingBudgetError):
-            random_exit_path(cfg, 5, budget=0)
         with pytest.raises(ValueError):
             random_configuration(0, 1, 0)
+
+    def test_rejected_draw_is_an_invalid_path(self, monkeypatch):
+        # the box argument makes the one draw valid; a validator that
+        # disagrees refutes it, and the path is not redrawn
+        def reject(source, target, mapping):
+            return PathVerdict(False, ())
+
+        monkeypatch.setattr(config, "validate_exit_path", reject)
+        cfg = random_configuration(2, 3, 1)
+        with pytest.raises(InvalidExitPathError, match=re.escape(str(cfg))):
+            random_exit_path(cfg, 5)
+
+    def test_draws_are_pinned(self):
+        # the cases of the functoriality suite at pairs=2000, seed 1: the
+        # start, both paths and the direct morphism, digest taken before
+        # the retry loop went
+        digest = hashlib.sha256()
+        seed, dims = 1, (1, 2, 3)
+        for i in range(2000):
+            base = seed + 3 * i
+            k = Random(base).randint(0, 5)
+            start = random_configuration(dims[i % 3], k, seed=base)
+            first = random_exit_path(start, seed=base + 1)
+            second = random_exit_path(first.target, seed=base + 2)
+            direct = induced_morphism(
+                start, second.target,
+                compose_point_maps(second.mapping, first.mapping),
+            )
+            for part in (start, first.target, second.target, first.mapping,
+                         second.mapping, first.verdict, second.verdict):
+                digest.update(repr(part).encode())
+            digest.update(
+                json.dumps(morphism_to_json(direct), sort_keys=True).encode()
+            )
+        assert digest.hexdigest() == (
+            "d26be4053ad1c532b6c9a3364006e691a8d2a658c2299d151100871e0d83e0ca"
+        )
 
 
 class TestFileFormats:
     def test_configuration_from_json(self):
-        cfg = configuration(2, [[1, "1/2"], ["-3/4", 2]])
+        cfg = Configuration(2, [[1, "1/2"], ["-3/4", 2]])
         assert configuration_from_json([["1", "1/2"], ["-3/4", 2]]) == cfg
         assert configuration_from_json([], dimension=3) == Configuration(3, ())
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from random import Random
 
 import pytest
 
+from thetaran import homology
 from thetaran.harness import _enumerate_w, minor_gcd, ordered_betti_oracle
 from thetaran.homology import (
     FiniteCategoryView,
@@ -331,6 +332,40 @@ class TestNerve:
         cat = build_category("w_hlt", 2, 3)
         with pytest.raises(ResourceCapError):
             nerve_chain_complex(cat, 4, cap=10)
+
+    def test_arrow_cap_stops_listing_rows(self, monkeypatch):
+        # w_hlt(2,5): 16 objects fit a cap of 20 cells, its 848 arrows do
+        # not; the running count raises before all 16 x 16 hom-sets are
+        # listed
+        listed = homology.w_hom_rows
+        calls = []
+
+        def counted(source, target, cap):
+            calls.append((source, target))
+            return listed(source, target, cap)
+
+        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 20)
+        monkeypatch.setattr(homology, "w_hom_rows", counted)
+        with pytest.raises(ResourceCapError, match="arrows"):
+            build_category("w_hlt", 2, 5)
+        assert len(calls) < 16 * 16
+
+    def test_composition_cap_counts_pairs_before_the_table(self, monkeypatch):
+        # the closed form sum in(b) * out(b) is the table's size exactly:
+        # w_hlt(2,5) has 5,808 composable pairs
+        monkeypatch.setattr(homology, "COMPOSITION_CAP", 5808)
+        assert len(build_category("w_hlt", 2, 5).composition) == 5808
+        monkeypatch.setattr(homology, "COMPOSITION_CAP", 5807)
+        with pytest.raises(ResourceCapError, match="5808 w_hlt.2,5. composable"):
+            build_category("w_hlt", 2, 5)
+
+    def test_nord_pairs_are_k_factorial_times_w_hlt(self, monkeypatch):
+        # each labeling of a tree has the tree's in- and out-degree
+        pairs = len(build_category("w_hlt", 2, 3).composition)
+        assert len(build_category("nord", 2, 3).composition) == 6 * pairs
+        monkeypatch.setattr(homology, "COMPOSITION_CAP", 6 * pairs - 1)
+        with pytest.raises(ResourceCapError, match="composable"):
+            build_category("nord", 2, 3)
 
     def test_identity_free_bases(self):
         cat = chain_poset(2)

@@ -6,7 +6,8 @@ either would still run; this test reads every module's import statements
 instead.  Reading them also keeps every import pointing down the layers,
 so no production module reaches the harness's reference enumerations.
 The same kind of source check keeps exit-path validation free of float
-arithmetic.
+arithmetic, and every exported name in use by the package itself, so no
+API lives on only for its own tests.
 """
 
 from __future__ import annotations
@@ -113,3 +114,36 @@ def test_exit_path_validation_stays_exact():
         )
     ]
     assert not inexact, inexact
+
+
+def _reads_outside_own_definition(tree: ast.Module):
+    """Names loaded (bare or as attributes) anywhere in a module, except
+    inside the function or class that defines that same name."""
+    reads = set()
+
+    def visit(node: ast.AST, defining: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in defining:
+            reads.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_every_export_has_a_reader():
+    reads = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        if path.name != "__init__.py":
+            source = path.read_text(encoding="utf-8")
+            reads |= _reads_outside_own_definition(ast.parse(source))
+    unread = sorted(set(thetaran.__all__) - reads)
+    assert not unread, unread

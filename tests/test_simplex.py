@@ -19,9 +19,12 @@ from thetaran.simplex import (
     compose_pointed,
     enumerate_delta_hom,
     identity_delta,
-    identity_pointed,
     simplicial_circle,
 )
+
+
+def identity_pointed(size: int) -> PointedMap:
+    return PointedMap(size, size, tuple((j, j) for j in range(1, size + 1)))
 
 
 def step_map(q: int, j: int) -> MonotoneMap:

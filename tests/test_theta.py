@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from itertools import accumulate, chain, product
 from math import comb
 
@@ -43,10 +44,45 @@ from thetaran.theta import (
     morphism_of_row,
     parse_tree,
     prune,
-    truncate,
     verify_initiality_by_rows,
     w_hom_rows,
 )
+
+
+def truncate(obj: Tree | ThetaMorphism, level: int):
+    """Forget all structure above the given level: for trees the vertices
+    at levels > level, for morphisms the corresponding components,
+    leaving the wreath datum of the truncated endpoints."""
+    if isinstance(obj, Tree):
+        return _truncate_tree(obj, level)
+    if isinstance(obj, ThetaMorphism):
+        return _truncate_morphism(obj, level)
+    raise TypeError(f"cannot truncate {type(obj).__name__}")
+
+
+def _truncate_tree(tree: Tree, level: int) -> Tree:
+    if not (1 <= level <= tree.height):
+        raise ValueError(f"level {level} outside 1..{tree.height}")
+    if level == tree.height:
+        return tree
+    if level == 1:
+        return Tree(1, tree.rank)
+    return Tree(
+        level, tree.rank, tuple(_truncate_tree(c, level - 1) for c in tree.children)
+    )
+
+
+def _truncate_morphism(m: ThetaMorphism, level: int) -> ThetaMorphism:
+    if not (1 <= level <= m.height):
+        raise ValueError(f"level {level} outside 1..{m.height}")
+    if level == m.height:
+        return m
+    src = _truncate_tree(m.source, level)
+    tgt = _truncate_tree(m.target, level)
+    if level == 1:
+        return ThetaMorphism(src, tgt, m.base)
+    comps = tuple(_truncate_morphism(c, level - 1) for c in m.components)
+    return ThetaMorphism(src, tgt, m.base, comps)
 
 
 class TestTreeBasics:
@@ -697,6 +733,30 @@ class TestHomRows:
             assert direct.passed == by_rows.passed
             assert direct.targets_checked == by_rows.targets_checked
             assert direct.morphisms_checked == by_rows.morphisms_checked
+
+    @pytest.mark.parametrize(
+        "text, healthy",
+        [("[2]([1],[2])", True), ("[3]([1],[0],[2])", False)],
+    )
+    def test_row_verifier_walks_each_side_once(self, monkeypatch, text, healthy):
+        # a healthy tree is its own pruning, so its rows are listed once
+        # per target; an unhealthy tree's rows and its pruning's both are
+        tree = parse_tree(text)
+        pruned = prune(tree).pruned
+        assert (pruned == tree) is healthy
+        listed = theta.w_hom_rows
+        calls = Counter()
+
+        def counted(source, target, cap):
+            calls[source] += 1
+            return listed(source, target, cap)
+
+        monkeypatch.setattr(theta, "w_hom_rows", counted)
+        report = verify_initiality_by_rows(tree, 4)
+        targets = len(healthy_trees(2, 3))
+        assert report.passed and report.targets_checked == targets
+        expected = {tree: targets} if healthy else {tree: targets, pruned: targets}
+        assert calls == expected
 
     @pytest.mark.parametrize(
         "patch, counterexample",
