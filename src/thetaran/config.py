@@ -11,10 +11,11 @@ target point an origin in S and moves it there-to-here along a straight
 line, p_t(u) = (1-u) f(t) + u t.  The path is valid when, at every
 projection level, strands that end apart stay apart on (0, 1] (they may
 share their start: points split instantly) and strands that end together
-started together.  Validation is exact: coordinates are scaled once to
-integers by a common denominator, each collision test is a rational
-linear system solved by cross-multiplication, and floating point never
-enters a verdict.
+started together.  Coordinates are scaled once, on construction, to
+integer points over one denominator, and the tree, the validator and the
+generators work on those; each collision test is a rational linear system
+solved by cross-multiplication.  Fractions return only for text, JSON
+and collision times, and floating point never enters a verdict.
 
 A valid path induces a morphism of the two trees whose leaf row is the
 point assignment, read target-to-source; ``theta.morphism_of_row``
@@ -29,8 +30,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
-from math import lcm
+from functools import cached_property
+from itertools import chain, groupby, pairwise
+from math import gcd, lcm
+from operator import itemgetter
 from random import Random
 
 from .theta import ThetaMorphism, Tree, empty_tree, morphism_of_row
@@ -66,42 +69,72 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Configuration:
-    """Distinct points in Q^n, stored sorted lexicographically.
+    """Distinct points in Q^n: the integer points ``grid`` over ``scale``.
 
-    Construction canonicalizes the order and reads coordinates given as
+    ``grid`` is sorted lexicographically, the order of Q^n as ``scale`` > 0,
+    and ``scale`` is the lcm of the reduced denominators, so equal point
+    sets have equal fields.  Construction reads coordinates given as
     Fractions, ints or "p/q" strings (never bools or floats) as exact
-    rationals; coincident points are rejected, not repaired.
+    rationals; coincident points are rejected, not repaired.  ``points``,
+    the Fractions, is built on first use, for text and JSON.
     """
 
     dimension: int
-    points: tuple[Point, ...]
+    grid: tuple[tuple[int, ...], ...]
+    scale: int
 
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
+    def __init__(self, dimension: int, points) -> None:
+        if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        cleaned = []
-        for point in self.points:
-            if len(point) != self.dimension:
+        rows = []
+        for point in points:
+            if len(point) != dimension:
                 raise ValueError(
-                    f"point {point} does not have {self.dimension} coordinates"
+                    f"point {point} does not have {dimension} coordinates"
                 )
-            cleaned.append(tuple(_as_fraction(c) for c in point))
-        cleaned.sort()
-        for a, b in zip(cleaned, cleaned[1:]):
+            rows.append([_as_fraction(c) for c in point])
+        scale = lcm(*(c.denominator for row in rows for c in row))
+        grid = [tuple(c.numerator * (scale // c.denominator) for c in r) for r in rows]
+        self._fill(dimension, grid, scale)
+
+    @classmethod
+    def _from_grid(cls, dimension: int, grid: list, scale: int) -> Configuration:
+        """The points grid/scale, in any order, scale > 0, reduced by gcd."""
+        common = gcd(scale, *chain.from_iterable(grid))
+        if common > 1:
+            scale //= common
+            grid = [tuple(c // common for c in p) for p in grid]
+        cfg = cls.__new__(cls)
+        cfg._fill(dimension, grid, scale)
+        return cfg
+
+    def _fill(self, dimension: int, grid: list, scale: int) -> None:
+        grid.sort()
+        for a, b in pairwise(grid):
             if a == b:
-                raise ValueError(f"coincident point {a}")
-        object.__setattr__(self, "points", tuple(cleaned))
+                point = tuple(Fraction(c, scale) for c in a)
+                raise ValueError(f"coincident point {point}")
+        self.__dict__.update(dimension=dimension, grid=tuple(grid), scale=scale)
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(tuple(Fraction(c, self.scale) for c in p) for p in self.grid)
+
+    @cached_property
+    def _tree(self) -> Tree:
+        return _tree_of_grid(self.grid, self.dimension)
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.grid)
+
+    def __repr__(self) -> str:
+        return f"Configuration(dimension={self.dimension!r}, points={self.points!r})"
 
     def __str__(self) -> str:
-        inner = ", ".join(
-            "(" + ", ".join(str(c) for c in p) + ")" for p in self.points
-        )
+        inner = ", ".join("(" + ", ".join(map(str, p)) + ")" for p in self.points)
         return "{" + inner + "}"
 
 
@@ -110,36 +143,24 @@ class Configuration:
 
 
 def tree_of_configuration(cfg: Configuration) -> Tree:
-    """The height-n tree of coordinate prefixes, ordered by Q."""
-    return _tree_of_points(cfg.points, cfg.dimension)
+    """The height-n tree of coordinate prefixes, built once per object."""
+    return cfg._tree
 
 
-def _tree_of_points(points: tuple[Point, ...], dimension: int) -> Tree:
-    if not points:
-        return empty_tree(dimension)
-    if dimension == 1:
-        return Tree(1, len(points))
-    children = []
-    for _, fiber in _fibers(points):
-        children.append(_tree_of_points(fiber, dimension - 1))
-    return Tree(dimension, len(children), tuple(children))
+def _tree_of_grid(grid: tuple[tuple[int, ...], ...], height: int) -> Tree:
+    """Level k of the tree groups the sorted points by their first k
+    coordinates; each group is a child, in order."""
+    if not grid:
+        return empty_tree(height)
 
+    def walk(points, k: int) -> Tree:
+        if k == height - 1:
+            return Tree(1, len(points))
+        fibers = groupby(points, itemgetter(k))
+        children = tuple(walk(list(fiber), k + 1) for _, fiber in fibers)
+        return Tree(height - k, len(children), children)
 
-def _fibers(points: tuple[Point, ...]) -> list[tuple[Fraction, tuple[Point, ...]]]:
-    """Group sorted points by first coordinate and drop it, order kept."""
-    out: list[tuple[Fraction, tuple[Point, ...]]] = []
-    current: Fraction | None = None
-    bucket: list[Point] = []
-    for point in points:
-        if point[0] != current:
-            if bucket:
-                out.append((current, tuple(bucket)))
-            current = point[0]
-            bucket = []
-        bucket.append(point[1:])
-    if bucket:
-        out.append((current, tuple(bucket)))
-    return out
+    return walk(grid, 0)
 
 
 def realize_tree(tree: Tree) -> Configuration:
@@ -147,19 +168,16 @@ def realize_tree(tree: Tree) -> Configuration:
 
     Child s of the root contributes first coordinate s; leafless branches
     leave no points behind, so only the pruned shape survives the round
-    trip, and healthy trees come back exactly.
+    trip, and healthy trees come back exactly.  The points go straight
+    onto the grid with scale 1.
     """
-    return Configuration(tree.height, tuple(_realize(tree)))
+    return Configuration._from_grid(tree.height, _realize(tree), 1)
 
 
-def _realize(tree: Tree) -> list[Point]:
+def _realize(tree: Tree) -> list[tuple[int, ...]]:
     if tree.height == 1:
-        return [(Fraction(i),) for i in range(1, tree.rank + 1)]
-    out: list[Point] = []
-    for s, child in enumerate(tree.children, start=1):
-        first = Fraction(s)
-        out.extend((first,) + p for p in _realize(child))
-    return out
+        return [(i,) for i in range(1, tree.rank + 1)]
+    return [(s,) + p for s, c in enumerate(tree.children, 1) for p in _realize(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +242,6 @@ class ExitPath:
         return self.source.dimension
 
 
-def _common_denominator(points: tuple[Point, ...]) -> int:
-    return lcm(*{c.denominator for p in points for c in p})
-
-
-def _scaled(points: tuple[Point, ...], scale: int) -> list[tuple[int, ...]]:
-    """The points times ``scale``, a multiple of every denominator."""
-    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
-
-
 def validate_exit_path(
     source: Configuration, target: Configuration, mapping: tuple[int, ...]
 ) -> PathVerdict:
@@ -243,17 +252,18 @@ def validate_exit_path(
     equal prefixes have origins with equal prefixes.  Each level reports
     its first offending pair.
 
-    Coordinates are scaled once to integers by a common denominator.  One
-    pass per pair walks them, carrying the common collision root num/den
-    and whether the targets and the origins still agree; the state after
-    k coordinates is the verdict at level k.  In a coordinate whose gap is
-    s at u = 0 and e at u = 1 the strands meet at u = s/(s-e), nowhere
-    when s = e != 0, and everywhere when s = e = 0.
+    Both grids are rescaled to the lcm of the two scales, the common
+    denominator of all the points.  One pass per pair walks them, carrying
+    the common collision root num/den and whether the targets and the
+    origins still agree; the state after k coordinates is the verdict at
+    level k.  In a coordinate whose gap is s at u = 0 and e at u = 1 the
+    strands meet at u = s/(s-e), nowhere when s = e != 0, and everywhere
+    when s = e = 0.
     """
     path = ExitPath(source, target, tuple(mapping))
-    scale = _common_denominator(source.points + target.points)
-    src = _scaled(source.points, scale)
-    ends = _scaled(target.points, scale)
+    scale = lcm(source.scale, target.scale)
+    src = [tuple(c * (scale // source.scale) for c in p) for p in source.grid]
+    ends = [tuple(c * (scale // target.scale) for c in p) for p in target.grid]
     origins = path.mapping
     starts = [src[s_idx] for s_idx in origins]
     dims = range(path.dimension)
@@ -382,7 +392,7 @@ def random_configuration(
                 f"could not draw {size} distinct points in {budget} attempts"
             )
         seen.add(tuple(rng.randint(0, span) for _ in range(dimension)))
-    return Configuration(dimension, tuple(tuple(map(Fraction, p)) for p in seen))
+    return Configuration._from_grid(dimension, list(seen), 1)
 
 
 def _minimum_gap(points: list[tuple[int, ...]], dimension: int) -> int:
@@ -400,20 +410,19 @@ def random_exit_path(source: Configuration, seed: int) -> ExitPath:
     projection level, and strands sharing an origin only touch at u = 0.
     So the one draw is valid, and distinct offsets give distinct points.
     The validator still certifies it; a rejection raises
-    InvalidExitPathError, as it would refute the box argument.
+    InvalidExitPathError, as it would refute the box argument.  The draw
+    stays on the integer grid: the target's scale is 16 times the source's.
     """
     rng = Random(seed)
     if source.size == 0:
         return build_exit_path(source, Configuration(source.dimension, ()), ())
-    scale = _common_denominator(source.points)
-    grid = _scaled(source.points, scale)
     # integers in units of 1/(16 scale): offsets are multiples of
     # gap/16, at most 3 per axis
-    unit = 16 * scale
-    step = _minimum_gap(grid, source.dimension) or scale
+    unit = 16 * source.scale
+    step = _minimum_gap(source.grid, source.dimension) or source.scale
     points: list[tuple[int, ...]] = []
     origins: list[int] = []
-    for s_idx, base_point in enumerate(grid):
+    for s_idx, base_point in enumerate(source.grid):
         multiplicity = rng.choices((0, 1, 2, 3), weights=(1, 6, 3, 1))[0]
         offsets: set[tuple[int, ...]] = set()
         while len(offsets) < multiplicity:
@@ -424,10 +433,7 @@ def random_exit_path(source: Configuration, seed: int) -> ExitPath:
     shift = tuple(unit * rng.randint(-2, 2) for _ in range(source.dimension))
     shifted = [tuple(c + s for c, s in zip(p, shift)) for p in points]
     order = sorted(range(len(shifted)), key=shifted.__getitem__)
-    target = Configuration(
-        source.dimension,
-        tuple(tuple(Fraction(c, unit) for c in shifted[i]) for i in order),
-    )
+    target = Configuration._from_grid(source.dimension, shifted, unit)
     path = build_exit_path(source, target, tuple(origins[i] for i in order))
     if not path.verdict.valid:
         raise InvalidExitPathError(
@@ -460,9 +466,7 @@ def configuration_from_json(doc, dimension: int | None = None) -> Configuration:
     points = _points_from_json(doc, "points")
     if dimension is None:
         if not points:
-            raise ValueError(
-                "an empty point list needs an explicit dimension"
-            )
+            raise ValueError("an empty point list needs an explicit dimension")
         dimension = len(points[0])
     return Configuration(dimension, tuple(points))
 
@@ -478,6 +482,9 @@ def exit_path_from_json(doc: dict) -> ExitPath:
             "an exit path must be a JSON object with dimension, source, "
             "target and map"
         )
+    missing = [k for k in ("dimension", "source", "target", "map") if k not in doc]
+    if missing:
+        raise ValueError(f"the exit path has no {' and no '.join(missing)}")
     dimension = doc["dimension"]
     if not isinstance(dimension, int) or isinstance(dimension, bool):
         raise ValueError(f"dimension must be a JSON integer, got {dimension!r}")

@@ -176,18 +176,23 @@ def canonical_report(report: SuiteReport) -> str:
 
 
 class _Tally:
-    """Sequential case runner; counts passes, keeps the first failure."""
+    """Sequential case runner; counts passes, keeps the first failure.
+
+    ``describe()`` gives a case's name and detail (or None); it runs only
+    for the first failing case, so passing cases format no text.
+    """
 
     def __init__(self) -> None:
         self.cases = 0
         self.passes = 0
         self.first: str | None = None
 
-    def record(self, name: str, ok: bool, detail: str | None = None) -> None:
+    def record(self, ok: bool, describe) -> None:
         self.cases += 1
         if ok:
             self.passes += 1
         elif self.first is None:
+            name, detail = describe()
             self.first = name if detail is None else f"{name}: {detail}"
 
 
@@ -259,12 +264,11 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
         staged = compose_theta(
             morphism_of_exit_path(second), morphism_of_exit_path(first)
         )
-        tally.record(
+        tally.record(direct == staged, lambda: (
             f"case {i} n={n} k={k}",
-            direct == staged,
-            detail=f"start={start} mid={first.target} end={second.target} "
+            f"start={start} mid={first.target} end={second.target} "
             f"maps={first.mapping}/{second.mapping}",
-        )
+        ))
     return tally
 
 
@@ -438,21 +442,18 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
                         agreements += 1
                     elif bad is None:
                         bad = f"{format_tree(s)} -> {format_tree(t)}"
-            tally.record(
-                f"row/direct agreement on the healthy ({height},{k}) grid",
-                agreements == pairs,
-                detail=bad,
-            )
+            tally.record(agreements == pairs, lambda: (
+                f"row/direct agreement on the healthy ({height},{k}) grid", bad
+            ))
     for tree in _decoration_family(params, leaf_default=6, deep_default=3):
         bound = max(leaf_bound, tree.leaf_count)
         report = verify_initiality_by_rows(tree, leaf_bound=bound)
         if report.passed and tree.leaf_count <= direct_bound:
             report = verify_initiality(tree, leaf_bound=bound)
-        tally.record(
+        tally.record(report.passed, lambda: (
             f"tree {format_tree(tree)} height {tree.height}",
-            report.passed,
-            detail=report.counterexample,
-        )
+            report.counterexample,
+        ))
     return tally
 
 
@@ -468,11 +469,10 @@ def _run_roundtrip(params: dict, seed: int) -> _Tally:
         ok = back == expected
         if ok and tree.is_healthy:
             ok = back == tree
-        tally.record(
+        tally.record(ok, lambda: (
             f"tree {format_tree(tree)} height {tree.height}",
-            ok,
-            detail=f"round trip gave {format_tree(back)}",
-        )
+            f"round trip gave {format_tree(back)}",
+        ))
     return tally
 
 
@@ -594,19 +594,17 @@ def _run_homology(params: dict, seed: int) -> _Tally:
         cat = chain_poset(length)
         result = _checked_homology(cat, max_degree)
         tally.record(
-            f"chain poset length {length}",
             result.betti == _pad((1,), max_degree + 1)
             and all(not t for t in result.torsion),
-            detail=str(result),
+            lambda: (f"chain poset length {length}", str(result)),
         )
 
     circle = poset_category("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     result = _checked_homology(circle, max_degree)
     tally.record(
-        "two-minima two-maxima poset",
         result.betti == _pad((1, 1), max_degree + 1)
         and all(not t for t in result.torsion),
-        detail=str(result),
+        lambda: ("two-minima two-maxima poset", str(result)),
     )
 
     rng = Random(seed)
@@ -618,7 +616,7 @@ def _run_homology(params: dict, seed: int) -> _Tally:
             cols,
         )
         ok, why = _snf_agrees_with_minors(matrix)
-        tally.record(f"random matrix {index} ({rows}x{cols})", ok, detail=why)
+        tally.record(ok, lambda: (f"random matrix {index} ({rows}x{cols})", why))
 
     for label, builder in (
         ("nord22", lambda: build_category("nord", 2, 2)),
@@ -630,9 +628,8 @@ def _run_homology(params: dict, seed: int) -> _Tally:
         Random(seed + 1).shuffle(perm)
         moved = _checked_homology(cat.permuted(tuple(perm)), max_degree)
         tally.record(
-            f"object order invariance {label}",
             base.betti == moved.betti and base.torsion == moved.torsion,
-            detail=f"{base} vs {moved}",
+            lambda: (f"object order invariance {label}", f"{base} vs {moved}"),
         )
     return tally
 
@@ -668,13 +665,12 @@ def _homology_case(
         and result.betti == expected_betti
         and result.torsion == expected_torsion
     )
-    tally.record(
+    tally.record(ok, lambda: (
         f"{kind} n={n} k={k}",
-        ok,
-        detail=f"got {result} expected betti {expected_betti} "
+        f"got {result} expected betti {expected_betti} "
         f"torsion {expected_torsion} (category valid: {validation.ok}, "
         f"max hom size {cat.max_hom_size})",
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -699,29 +695,25 @@ def _run_delta_laws(params: dict, seed: int) -> _Tally:
             sharp = sharp and all(
                 simplicial_circle(f).pairs == () for f in constants
             )
-            tally.record(
+            tally.record(sharp, lambda: (
                 f"injectivity p={p} q={q}",
-                sharp,
-                detail=f"{len(homs)} maps, {len(rest_images)} images, "
+                f"{len(homs)} maps, {len(rest_images)} images, "
                 f"{len(constants)} constants",
-            )
+            ))
             actives = [f for f in homs if f.is_active]
             active_images = {simplicial_circle(f).pairs for f in actives}
-            tally.record(
+            tally.record(len(active_images) == len(actives), lambda: (
                 f"active injectivity p={p} q={q}",
-                len(active_images) == len(actives),
-                detail=f"{len(actives)} active maps, "
-                f"{len(active_images)} images",
-            )
+                f"{len(actives)} active maps, {len(active_images)} images",
+            ))
             totals = sum(1 for f in homs if simplicial_circle(f).is_total)
             matched = all(
                 f.is_active == simplicial_circle(f).is_total for f in homs
             )
-            tally.record(
+            tally.record(matched and len(actives) == totals, lambda: (
                 f"active equivalence p={p} q={q}",
-                matched and len(actives) == totals,
-                detail=f"{len(actives)} active vs {totals} total",
-            )
+                f"{len(actives)} active vs {totals} total",
+            ))
 
     for p in range(compose_rank + 1):
         for q in range(compose_rank + 1):
@@ -741,9 +733,7 @@ def _run_delta_laws(params: dict, seed: int) -> _Tally:
                             break
                     if not ok:
                         break
-                tally.record(
-                    f"contravariance p={p} q={q} r={r}", ok, detail=witness
-                )
+                tally.record(ok, lambda: (f"contravariance p={p} q={q} r={r}", witness))
     return tally
 
 

@@ -415,6 +415,15 @@ class TestConfig:
         assert message in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("key", ["dimension", "source", "target", "map"])
+    def test_missing_key_is_named(self, capsys, tmp_path, key):
+        doc = {k: v for k, v in VALID_SPLIT.items() if k != key}
+        path = write_json(tmp_path / "path.json", doc)
+        code, out, err = run(capsys, "config", "validate", "--path", path)
+        assert code == 2
+        assert err == f"error: the exit path has no {key}\n"
+        assert out == ""
+
     def test_decimal_and_exponent_text_is_usage_error(self, capsys, tmp_path):
         points = write_json(tmp_path / "pts.json", [["1.5"], ["2e1"]])
         code, out, err = run(capsys, "config", "tree", "--points", points)

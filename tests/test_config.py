@@ -7,6 +7,7 @@ import json
 import re
 import time
 from fractions import Fraction as Fr
+from math import lcm
 from random import Random
 
 import pytest
@@ -33,7 +34,9 @@ from thetaran.config import (
     _reindexed_path,
     validate_exit_path,
 )
+from thetaran.harness import run_suite
 from thetaran.theta import (
+    Tree,
     classify_morphism,
     compose_theta,
     decorated_trees,
@@ -131,6 +134,111 @@ class TestTreeOfConfiguration:
         )
 
 
+def _tree_of_points(points, dimension):
+    """The Fraction oracle for tree_of_configuration: group sorted points
+    by first coordinate, drop it, recurse."""
+    if not points:
+        return empty_tree(dimension)
+    if dimension == 1:
+        return Tree(1, len(points))
+    children = tuple(
+        _tree_of_points(fiber, dimension - 1) for _, fiber in _fibers(points)
+    )
+    return Tree(dimension, len(children), children)
+
+
+def _fibers(points):
+    """Group sorted points by first coordinate and drop it, order kept."""
+    out = []
+    current = None
+    bucket = []
+    for point in points:
+        if point[0] != current:
+            if bucket:
+                out.append((current, tuple(bucket)))
+            current = point[0]
+            bucket = []
+        bucket.append(point[1:])
+    if bucket:
+        out.append((current, tuple(bucket)))
+    return out
+
+
+def _on_grid(points, n: int, rng: Random) -> Configuration:
+    """The points through the grid constructor, over a random multiple of
+    their common denominator, listed in a random order."""
+    scale = lcm(*(c.denominator for p in points for c in p)) * rng.randint(1, 5)
+    grid = [tuple(int(c * scale) for c in p) for p in points]
+    rng.shuffle(grid)
+    return Configuration._from_grid(n, grid, scale)
+
+
+class TestIntegerGrid:
+    def test_grid_agrees_with_fractions(self):
+        # points, tree, equality and hash against the Fraction route; the
+        # validator on grids of unrelated scales against the level oracle
+        rng = Random(20261019)
+        for _ in range(2000):
+            n = rng.randint(1, 4)
+            drawn = [[] for _ in range(n)]
+            ends = []
+            for size in (rng.randint(1, 4), rng.randint(0, 5)):
+                raw = _random_points(rng, drawn, size)
+                expected = tuple(sorted(raw))
+                cfg = Configuration(n, tuple(raw))
+                assert cfg.points == expected
+                assert tree_of_configuration(cfg) == _tree_of_points(expected, n)
+                assert cfg.scale == lcm(*(c.denominator for p in raw for c in p))
+                texts = [[f"{c.numerator}/{c.denominator}" for c in p] for p in raw]
+                on_grid = _on_grid(raw, n, rng)
+                for other in (Configuration(n, texts), on_grid):
+                    assert other == cfg and hash(other) == hash(cfg)
+                    assert (other.grid, other.scale) == (cfg.grid, cfg.scale)
+                ends.append(on_grid)
+            source, target = ends
+            mapping = tuple(rng.randrange(source.size) for _ in range(target.size))
+            assert repr(validate_exit_path(source, target, mapping)) == repr(
+                _oracle_verdict(source, target, mapping)
+            )
+
+    def test_grid_constructor_reduces(self):
+        cfg = Configuration._from_grid(2, [(6, 3), (3, 0)], 6)
+        assert (cfg.grid, cfg.scale) == (((1, 0), (2, 1)), 2)
+        assert cfg.points == ((Fr(1, 2), Fr(0)), (Fr(1), Fr(1, 2)))
+        assert Configuration._from_grid(1, [], 5).scale == 1
+        with pytest.raises(ValueError, match="coincident point"):
+            Configuration._from_grid(1, [(2,), (4,), (2,)], 4)
+
+    def test_functoriality_builds_no_fraction(self, monkeypatch):
+        made = []
+
+        class CountingFraction(Fr):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(config, "Fraction", CountingFraction)
+        report = run_suite("functoriality", {"pairs": 50}, 1)
+        assert report.passed and made == []
+        # the boundary still builds them, through the counted name
+        assert str(Configuration(1, [["1/2"]])) == "{(1/2)}" and made
+
+    def test_one_tree_per_configuration(self, monkeypatch):
+        # three configurations per case: start, middle and end
+        walk = config._tree_of_grid
+        built = []
+
+        def counted(grid, height):
+            built.append(grid)
+            return walk(grid, height)
+
+        monkeypatch.setattr(config, "_tree_of_grid", counted)
+        for seed in range(4):
+            built.clear()
+            report = run_suite("functoriality", {"pairs": 1}, seed)
+            assert report.passed and len(built) == 3
+
+
 class TestRealizeTree:
     def test_frozen_examples(self):
         assert realize_tree(parse_tree("[2]([1],[1])")).points == (
@@ -210,15 +318,13 @@ def _strand_collision(start_a, start_b, end_a, end_b):
     return None
 
 
-def _random_validation_case(rng: Random):
-    """Endpoints in [-1, 1]^n with denominators 1-6 and an arbitrary map.
+def _random_points(rng: Random, drawn: list[list], size: int) -> set:
+    """``size`` distinct Fraction points in [-1, 1]^n, n = len(drawn),
+    with denominators 1-6.
 
-    Half the coordinates repeat one already drawn in the same position,
-    so shared prefixes (merges, splits, equal origins at a level) are
-    common.
+    Half the coordinates repeat one already drawn in the same position
+    (``drawn`` keeps them per position), so shared prefixes are common.
     """
-    n = rng.randint(1, 4)
-    drawn = [[] for _ in range(n)]
 
     def coordinate(c):
         if drawn[c] and rng.random() < 0.5:
@@ -228,14 +334,20 @@ def _random_validation_case(rng: Random):
         drawn[c].append(value)
         return value
 
-    def points(size):
-        out = set()
-        while len(out) < size:
-            out.add(tuple(coordinate(c) for c in range(n)))
-        return Configuration(n, tuple(out))
+    out = set()
+    while len(out) < size:
+        out.add(tuple(coordinate(c) for c in range(len(drawn))))
+    return out
 
-    source = points(rng.randint(0, 4))
-    target = points(rng.randint(0, 5) if source.size else 0)
+
+def _random_validation_case(rng: Random):
+    """Endpoints from _random_points and an arbitrary map: merges, splits
+    and equal origins at a level are common."""
+    n = rng.randint(1, 4)
+    drawn = [[] for _ in range(n)]
+    source = Configuration(n, tuple(_random_points(rng, drawn, rng.randint(0, 4))))
+    size = rng.randint(0, 5) if source.size else 0
+    target = Configuration(n, tuple(_random_points(rng, drawn, size)))
     mapping = tuple(rng.randrange(source.size) for _ in range(target.size))
     return source, target, mapping
 

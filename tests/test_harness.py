@@ -26,7 +26,7 @@ from thetaran.harness import (
     run_suite,
 )
 from thetaran.homology import IntegerMatrix, smith_normal_form
-from thetaran.theta import ResourceCapError, parse_tree
+from thetaran.theta import ResourceCapError, empty_tree, parse_tree
 
 
 def cofactor_determinant(rows):
@@ -169,6 +169,46 @@ class TestRunSuite:
     def test_functoriality_case_count_tracks_pairs(self):
         report = run_suite("functoriality", {"pairs": 3}, 4)
         assert report.cases == 3 and report.passed
+
+
+class TestPlantedFailures:
+    """Case text is formatted only for a failing case; the first
+    counterexample must read as it did when every case formatted its own.
+    The expected strings were taken from the eager formatting."""
+
+    def test_functoriality_counterexample_text(self, monkeypatch):
+        compose = harness.compose_theta
+        calls = []
+
+        def third_call_fails(second, first):
+            calls.append(None)
+            return None if len(calls) == 3 else compose(second, first)
+
+        monkeypatch.setattr(harness, "compose_theta", third_call_fails)
+        report = run_suite("functoriality", {"pairs": 12}, 0)
+        assert (report.cases, report.passes) == (12, 11)
+        assert report.first_counterexample == (
+            "case 2 n=3 k=4: start={(0, 8, 15), (1, 0, 4), (2, 15, 8), "
+            "(15, 11, 10)} mid={(7/8, 9, 105/8), (45/16, 255/16, 97/16), "
+            "(45/16, 257/16, 47/8)} end={(15/8, 639/64, 903/64), "
+            "(485/128, 1083/64, 451/64), (485/128, 273/16, 55/8), "
+            "(491/128, 2169/128, 451/64)} maps=(0, 2, 2)/(0, 1, 2, 1)"
+        )
+
+    def test_roundtrip_counterexample_text(self, monkeypatch):
+        tree_of = harness.tree_of_configuration
+
+        def wrong_on_big_solids(cfg):
+            if cfg.dimension == 3 and cfg.size > 2:
+                return empty_tree(3)
+            return tree_of(cfg)
+
+        monkeypatch.setattr(harness, "tree_of_configuration", wrong_on_big_solids)
+        report = run_suite("roundtrip", {"max_height": 3, "leaf_bound": 3}, 0)
+        assert (report.cases, report.passes) == (507, 170)
+        assert report.first_counterexample == (
+            "tree [1]([1]([3])) height 3: round trip gave [0]"
+        )
 
 
 class TestWreathReference:

@@ -85,8 +85,10 @@ def test_imports_go_down_the_layers():
 
 
 # Python's / on two ints gives a float, so an exact integer routine must
-# not contain it at all; Fraction(num, den) is the exact division
-EXACT_FUNCTIONS = ("validate_exit_path", "_common_denominator", "_scaled")
+# not contain it at all; Fraction(num, den) is the exact division.  The
+# validator and the two routes onto a configuration's integer grid
+# (Configuration.__init__, the one __init__ in config.py, and _from_grid)
+EXACT_FUNCTIONS = ("validate_exit_path", "__init__", "_from_grid")
 
 
 def test_exit_path_validation_stays_exact():
