@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,7 +37,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from random import Random
 
-from .theta import ThetaMorphism, Tree, empty_tree, morphism_of_row
+from .theta import ThetaMorphism, Tree, check_height, empty_tree, morphism_of_row
 
 Point = tuple[Fraction, ...]
 
@@ -92,7 +93,7 @@ class Configuration:
         for point in points:
             if len(point) != dimension:
                 raise ValueError(
-                    f"point {point} does not have {dimension} coordinates"
+                    f"point {_point_text(point)} does not have {dimension} coordinates"
                 )
             rows.append([_as_fraction(c) for c in point])
         scale = lcm(*(c.denominator for row in rows for c in row))
@@ -111,10 +112,11 @@ class Configuration:
         return cfg
 
     def _fill(self, dimension: int, grid: list, scale: int) -> None:
+        check_height("dimension", dimension)
         grid.sort()
         for a, b in pairwise(grid):
             if a == b:
-                point = tuple(Fraction(c, scale) for c in a)
+                point = _point_text(Fraction(c, scale) for c in a)
                 raise ValueError(f"coincident point {point}")
         self.__dict__.update(dimension=dimension, grid=tuple(grid), scale=scale)
 
@@ -134,8 +136,12 @@ class Configuration:
         return f"Configuration(dimension={self.dimension!r}, points={self.points!r})"
 
     def __str__(self) -> str:
-        inner = ", ".join("(" + ", ".join(map(str, p)) + ")" for p in self.points)
-        return "{" + inner + "}"
+        return "{" + ", ".join(map(_point_text, self.points)) + "}"
+
+
+def _point_text(point) -> str:
+    """A point in the input grammar: ``(1/2, -3)``."""
+    return "(" + ", ".join(map(str, point)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -505,4 +511,10 @@ def exit_path_from_json(doc: dict) -> ExitPath:
 
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(
+                f"{path} nests JSON deeper than the "
+                f"{sys.getrecursionlimit()}-frame recursion limit"
+            ) from None

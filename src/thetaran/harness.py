@@ -66,6 +66,7 @@ from .theta import (
     Tree,
     _enumerate_plain,
     _injective_bases,
+    check_height,
     compose_theta,
     count_theta_hom,
     decorated_trees,
@@ -103,7 +104,8 @@ _PARAM_KEYS = {
 
 def _check_params(name: str, params: dict) -> None:
     """ValueError on a key the suite does not read, a negative integer
-    value or a homology case without an oracle, before any case runs."""
+    value, a height over ``MAX_TREE_DEPTH`` or a homology case without an
+    oracle, before any case runs."""
     if name != "all":
         unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
         if unknown:
@@ -113,6 +115,7 @@ def _check_params(name: str, params: dict) -> None:
                           if isinstance(v, int) and v < 0)
         if negative:
             raise ValueError(f"suite {name!r} needs nonnegative {', '.join(negative)}")
+        check_height("max_height", int(params.get("max_height", 0)))
         if name == "homology":
             _check_homology_case(params)
     elif all(k in _PARAM_KEYS and isinstance(v, dict) for k, v in params.items()):

@@ -7,7 +7,9 @@ Boundary matrices are sparse integer columns, one ``{row: coefficient}``
 dict per chain, straight from the nerve, and one sparse elimination loop
 over those columns gives their Smith normal form.  Betti numbers plus
 torsion coefficients drop out degree by degree.  Only the brute-force
-oracles and tests build a dense view of a matrix.
+oracles and tests build a dense view of a matrix.  ``validate`` checks
+every category law in full, associativity on every composable triple,
+streamed rather than stored.
 
 Two category builders connect back to the tree machinery.  ``w_hlt``
 takes the unlabeled healthy height-n trees with k leaves and all active
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import factorial, gcd
-from random import Random
 
 from .theta import DEFAULT_HOM_CAP, ResourceCapError, healthy_trees, w_hom_rows
 
@@ -267,67 +268,52 @@ class FiniteCategoryView:
 
     def permuted(self, perm: tuple[int, ...]) -> FiniteCategoryView:
         """Relabel object positions: object i moves to position perm[i]."""
-        size = len(self.objects)
-        new_objects: list = [None] * size
-        new_identities = [0] * size
-        for i in range(size):
-            new_objects[perm[i]] = self.objects[i]
-            new_identities[perm[i]] = self.identities[i]
-        new_morphisms = tuple(
-            (perm[a], perm[b], label) for a, b, label in self.morphisms
-        )
+        moved_from = sorted(range(len(perm)), key=perm.__getitem__)
         return FiniteCategoryView(
-            tuple(new_objects),
-            new_morphisms,
-            tuple(new_identities),
+            tuple(self.objects[i] for i in moved_from),
+            tuple((perm[a], perm[b], label) for a, b, label in self.morphisms),
+            tuple(self.identities[i] for i in moved_from),
             dict(self.composition),
         )
 
-    def validate(self, triple_limit: int = 20_000, seed: int = 0) -> CategoryValidation:
-        """Identity and closure laws in full, associativity up to a limit."""
-        for i, m in enumerate(self.identities):
-            if self.morphisms[m][0] != i or self.morphisms[m][1] != i:
-                return CategoryValidation(False, False, False, 0, True)
-        identities_ok = True
-        for m, (a, b, _) in enumerate(self.morphisms):
-            if self.composition.get((m, self.identities[a])) != m:
-                identities_ok = False
-            if self.composition.get((self.identities[b], m)) != m:
-                identities_ok = False
-        composition_ok = True
-        pairs = []
-        for f, (_, b, _) in enumerate(self.morphisms):
-            for g in self.outgoing[b]:
-                pairs.append((g, f))
-                comp = self.composition.get((g, f))
-                if comp is None:
-                    composition_ok = False
-                    continue
-                ca, cb, _ = self.morphisms[comp]
-                if ca != self.morphisms[f][0] or cb != self.morphisms[g][1]:
-                    composition_ok = False
-        triples = [
-            (h, g, f)
-            for g, f in pairs
-            for h in self.outgoing[self.morphisms[g][1]]
-        ]
-        exhaustive = len(triples) <= triple_limit
-        if not exhaustive:
-            rng = Random(seed)
-            triples = [triples[rng.randrange(len(triples))] for _ in range(triple_limit)]
-        associativity_ok = composition_ok
-        checked = 0
-        if composition_ok:
-            for h, g, f in triples:
-                checked += 1
-                left = self.composition[(h, self.composition[(g, f)])]
-                right = self.composition[(self.composition[(h, g)], f)]
-                if left != right:
-                    associativity_ok = False
-                    break
-        return CategoryValidation(
-            identities_ok, composition_ok, associativity_ok, checked, exhaustive
+    def validate(self, seed: int = 0) -> CategoryValidation:
+        """Every category law on every arrow, pair and triple, streamed.
+
+        The identity laws hold on every arrow, every composable pair has a
+        composite with the right endpoints, and every composable triple
+        h, g, f has h(gf) = (hg)f.  Triples are walked through ``outgoing``
+        and never stored, so memory stays flat in their number.  ``seed``
+        is accepted and never read: the benchmark's category workload
+        still passes it.
+        """
+        arrows, comp, out, units = (
+            self.morphisms, self.composition, self.outgoing, self.identities
         )
+        if any(arrows[m][:2] != (i, i) for i, m in enumerate(units)):
+            return CategoryValidation(False, False, False)
+        identities_ok = all(
+            comp.get((m, units[a])) == m == comp.get((units[b], m))
+            for m, (a, b, _) in enumerate(arrows)
+        )
+        composition_ok = all(
+            (gf := comp.get((g, f))) is not None
+            and arrows[gf][:2] == (a, arrows[g][1])
+            for f, (a, b, _) in enumerate(arrows)
+            for g in out[b]
+        )
+        associativity_ok = composition_ok and self._associative()
+        return CategoryValidation(identities_ok, composition_ok, associativity_ok)
+
+    def _associative(self) -> bool:
+        """h(gf) = (hg)f for every composable triple h, g, f, none stored."""
+        arrows, comp, out = self.morphisms, self.composition, self.outgoing
+        for f, (_, b, _) in enumerate(arrows):
+            for g in out[b]:
+                gf = comp[(g, f)]
+                for h in out[arrows[g][1]]:
+                    if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+                        return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -335,8 +321,6 @@ class CategoryValidation:
     identities_ok: bool
     composition_ok: bool
     associativity_ok: bool
-    triples_checked: int
-    exhaustive: bool
 
     @property
     def ok(self) -> bool:
@@ -351,34 +335,23 @@ def poset_category(elements, relations) -> FiniteCategoryView:
     """
     elements = tuple(elements)
     index = {e: i for i, e in enumerate(elements)}
-    size = len(elements)
-    leq = [[False] * size for _ in range(size)]
-    for i in range(size):
-        leq[i][i] = True
+    above = [{i} for i in range(len(elements))]  # above[i]: every j >= i
     for a, b in relations:
-        leq[index[a]][index[b]] = True
-    for k in range(size):
-        for i in range(size):
-            if leq[i][k]:
-                row_k = leq[k]
-                row_i = leq[i]
-                for j in range(size):
-                    if row_k[j]:
-                        row_i[j] = True
-    morphisms = []
-    arrow = {}
-    for i in range(size):
-        for j in range(size):
-            if leq[i][j]:
-                arrow[(i, j)] = len(morphisms)
-                morphisms.append((i, j, (elements[i], elements[j])))
-    identities = tuple(arrow[(i, i)] for i in range(size))
-    composition = {}
-    for (i, j), f in arrow.items():
-        for (j2, k), g in arrow.items():
-            if j2 == j:
-                composition[(g, f)] = arrow[(i, k)]
-    return FiniteCategoryView(elements, tuple(morphisms), identities, composition)
+        above[index[a]].add(index[b])
+    for k, above_k in enumerate(above):  # Warshall's transitive closure
+        for above_i in above:
+            if k in above_i:
+                above_i |= above_k
+    pairs = [(i, j) for i, js in enumerate(above) for j in sorted(js)]
+    arrow = {pair: m for m, pair in enumerate(pairs)}
+    morphisms = tuple((i, j, (elements[i], elements[j])) for i, j in pairs)
+    identities = tuple(arrow[(i, i)] for i in range(len(elements)))
+    composition = {
+        (arrow[(j, k)], f): arrow[(i, k)]
+        for (i, j), f in arrow.items()
+        for k in above[j]
+    }
+    return FiniteCategoryView(elements, morphisms, identities, composition)
 
 
 def chain_poset(length: int) -> FiniteCategoryView:

@@ -62,10 +62,19 @@ from .simplex import (
 
 DEFAULT_HOM_CAP = 10**6
 
-# Nesting depth ``parse_tree`` accepts.  Tree walks (formatting, leaves,
-# pruning) recurse once per level, so this stays far below the
-# interpreter's recursion limit.
+# Tree height, and so nesting depth, that ``parse_tree``, ``healthy_trees``
+# and configurations accept.  Tree walks (formatting, leaves, pruning)
+# recurse once per level, so this stays far below the interpreter's
+# recursion limit.
 MAX_TREE_DEPTH = 200
+
+
+def check_height(what: str, height: int) -> None:
+    """ValueError naming the bound when ``height`` exceeds MAX_TREE_DEPTH."""
+    if height > MAX_TREE_DEPTH:
+        raise ValueError(
+            f"{what} {height} exceeds the tree-height bound {MAX_TREE_DEPTH}"
+        )
 
 
 class ResourceCapError(RuntimeError):
@@ -1054,6 +1063,7 @@ def healthy_trees(height: int, leaf_count: int) -> tuple[Tree, ...]:
     """All healthy trees of the given height with exactly that many leaves."""
     if height < 1 or leaf_count < 0:
         raise ValueError("height must be >= 1 and leaf_count >= 0")
+    check_height("height", height)
     if leaf_count == 0:
         return (empty_tree(height),)
     if height == 1:

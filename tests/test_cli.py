@@ -36,6 +36,9 @@ VALID_SPLIT = {
     "map": [0, 0],
 }
 
+# the message of every height or dimension over MAX_TREE_DEPTH
+BOUND = "exceeds the tree-height bound 200"
+
 SWAP_PATH = {
     "dimension": 1,
     "source": [["0"], ["1"]],
@@ -442,6 +445,40 @@ class TestConfig:
         assert code == 2
         assert "zero denominator" in err
 
+    def test_coincident_point_prints_as_input(self, capsys, tmp_path):
+        points = write_json(tmp_path / "pts.json", [["1"], ["1"]])
+        code, out, err = run(capsys, "config", "tree", "--points", points)
+        assert code == 2
+        assert (out, err) == ("", "error: coincident point (1)\n")
+
+    def test_short_point_prints_as_input(self, capsys, tmp_path):
+        doc = {"dimension": 2, "source": [["0"]], "target": [["0"]], "map": [0]}
+        path = write_json(tmp_path / "path.json", doc)
+        code, out, err = run(capsys, "config", "validate", "--path", path)
+        assert code == 2
+        assert (out, err) == ("", "error: point (0) does not have 2 coordinates\n")
+
+    def test_too_many_dimensions_is_usage_error(self, capsys, tmp_path):
+        points = [["0"] * 3000, ["1"] + ["0"] * 2999, ["2"] + ["0"] * 2999]
+        path = write_json(tmp_path / "pts.json", points)
+        code, out, err = run(capsys, "config", "tree", "--points", path)
+        assert code == 2
+        assert (out, err) == ("", f"error: dimension 3000 {BOUND}\n")
+
+    @pytest.mark.parametrize(
+        "action,flag", [("tree", "--points"), ("validate", "--path")]
+    )
+    def test_deeply_nested_json_is_usage_error(
+        self, capsys, tmp_path, action, flag
+    ):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "config", action, flag, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path} nests JSON deeper than the ")
+        assert err.endswith("-frame recursion limit\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "config", "validate", "--path", str(tmp_path / "no.json")
@@ -515,6 +552,23 @@ class TestHomology:
         )
         assert code == 2
         assert "max_degree" in err
+
+    @pytest.mark.parametrize("n,k,degree", [("2000", "1", "3"), ("900", "2", "0")])
+    def test_height_over_tree_bound_is_usage_error(self, capsys, n, k, degree):
+        code, out, err = run(
+            capsys, "homology", "--category", "w_hlt", "--n", n, "--k", k,
+            "--max-degree", degree,
+        )
+        assert code == 2
+        assert (out, err) == ("", f"error: height {n} {BOUND}\n")
+
+    def test_height_at_tree_bound_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "homology", "--category", "w_hlt", "--n", "200", "--k", "1",
+            "--max-degree", "0",
+        )
+        assert code == 0
+        assert "H = (Z)" in out
 
     @pytest.mark.parametrize("k,what", [("9", "objects"), ("6", "arrows")])
     def test_category_over_cell_cap(self, capsys, k, what):
@@ -663,6 +717,27 @@ class TestVerify:
                 main(list(argv))
             assert exc.value.code == 2
             assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite,params,message",
+        [
+            ("functoriality", ["dims=250", "pairs=3"], f"dimension 250 {BOUND}"),
+            ("roundtrip", ["max_height=1200", "leaf_bound=1", "extra=0",
+                           "deep_leaf_bound=0"], f"max_height 1200 {BOUND}"),
+            ("pruning", ["max_height=1200", "leaf_bound=1", "extra=0",
+                         "deep_leaf_bound=0", "probe_leaf_bound=0"],
+             f"max_height 1200 {BOUND}"),
+            ("homology", ["kind=nord", "n=1500", "k=1", "max_degree=0"],
+             f"height 1500 {BOUND}"),
+        ],
+    )
+    def test_height_over_tree_bound_is_usage_error(
+        self, capsys, suite, params, message
+    ):
+        argv = [arg for p in params for arg in ("--param", p)]
+        code, out, err = run(capsys, "verify", "--suite", suite, *argv)
+        assert code == 2
+        assert (out, err) == ("", f"error: {message}\n")
 
     def test_malformed_param(self, capsys):
         code, _, err = run(

@@ -9,6 +9,7 @@ integers, no reuse of library code).
 from __future__ import annotations
 
 import time
+import tracemalloc
 from itertools import combinations, permutations
 from math import factorial, gcd
 from random import Random
@@ -189,6 +190,43 @@ class TestFiniteCategories:
         assert not validation.ok
         assert not validation.identities_ok
 
+    def test_validate_catches_one_wrong_composite_in_w_hlt_34(self):
+        # a random sample of 20,000 of w_hlt(3,4)'s 139,553 composable
+        # triples passes this table; the wrong composite has the true one's
+        # endpoints, so only associativity can tell
+        cat = build_category("w_hlt", 3, 4)
+        names = [format_tree(t) for t in cat.objects]
+        arrow = {
+            (names[a], names[b], row): m for m, (a, b, row) in enumerate(cat.morphisms)
+        }
+        one = "[2]([1]([1]),[1]([3]))"
+        two = "[3]([1]([1]),[1]([1]),[2]([1],[1]))"
+        three = "[4]([1]([1]),[1]([1]),[1]([1]),[1]([1]))"
+        f = arrow[(one, two, (1, 2, 3, 4))]
+        g = arrow[(two, three, (1, 2, 4, 3))]
+        wrong = arrow[(one, three, (1, 2, 3, 4))]
+        assert cat.composition[(g, f)] == arrow[(one, three, (1, 2, 4, 3))]
+        broken = FiniteCategoryView(
+            cat.objects, cat.morphisms, cat.identities,
+            {**cat.composition, (g, f): wrong},
+        )
+        validation = broken.validate()
+        assert validation.identities_ok and validation.composition_ok
+        assert not validation.associativity_ok
+        assert not validation.ok
+
+    def test_validate_stores_no_triples(self):
+        # a stored triple list peaks at about 11 MB on w_hlt(3,4)
+        cat = build_category("w_hlt", 3, 4)
+        cat.outgoing
+        tracemalloc.start()
+        try:
+            assert cat.validate().ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     def test_permuted_preserves_laws(self):
         cat = build_category("w_hlt", 2, 2)
         shuffled = cat.permuted((1, 0))
@@ -225,7 +263,7 @@ class TestBuildCategory:
         assert len(cat.objects) == 24
         assert len(cat.morphisms) == 120
         assert cat.max_hom_size == 1
-        assert cat.validate(triple_limit=5000).ok
+        assert cat.validate().ok
 
     def test_nord_is_poset_like(self):
         for n, k in [(1, 3), (2, 2), (3, 2)]:
