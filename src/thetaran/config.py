@@ -232,20 +232,22 @@ class ExitPath:
     verdict: PathVerdict | None = None
 
     def __post_init__(self) -> None:
-        if self.source.dimension != self.target.dimension:
-            raise ValueError("exit path endpoints must share a dimension")
-        if len(self.mapping) != self.target.size:
-            raise ValueError(
-                f"mapping covers {len(self.mapping)} of {self.target.size} "
-                "target points"
-            )
-        for idx in self.mapping:
-            if not (0 <= idx < self.source.size):
-                raise ValueError(f"mapping index {idx} out of range")
+        _check_shape(self.source, self.target, self.mapping)
 
     @property
     def dimension(self) -> int:
         return self.source.dimension
+
+
+def _check_shape(source: Configuration, target: Configuration, mapping) -> None:
+    """ValueError unless ``mapping`` gives each target point a source point."""
+    if source.dimension != target.dimension:
+        raise ValueError("exit path endpoints must share a dimension")
+    if len(mapping) != target.size:
+        raise ValueError(f"mapping covers {len(mapping)} of {target.size} target points")
+    for idx in mapping:
+        if not (0 <= idx < source.size):
+            raise ValueError(f"mapping index {idx} out of range")
 
 
 def validate_exit_path(
@@ -256,7 +258,7 @@ def validate_exit_path(
     Level k checks, with prefixes p[:k]: (a) target pairs with distinct
     prefixes never share one at any u in (0, 1]; (b) target pairs with
     equal prefixes have origins with equal prefixes.  Each level reports
-    its first offending pair.
+    its first offending pair; a misshapen mapping raises ValueError.
 
     Both grids are rescaled to the lcm of the two scales, the common
     denominator of all the points.  One pass per pair walks them, carrying
@@ -266,13 +268,13 @@ def validate_exit_path(
     strands meet at u = s/(s-e), nowhere when s = e != 0, and everywhere
     when s = e = 0.
     """
-    path = ExitPath(source, target, tuple(mapping))
+    origins = tuple(mapping)
+    _check_shape(source, target, origins)
     scale = lcm(source.scale, target.scale)
     src = [tuple(c * (scale // source.scale) for c in p) for p in source.grid]
     ends = [tuple(c * (scale // target.scale) for c in p) for p in target.grid]
-    origins = path.mapping
     starts = [src[s_idx] for s_idx in origins]
-    dims = range(path.dimension)
+    dims = range(source.dimension)
     collision: list[tuple[int, int, Fraction] | None] = [None] * len(dims)
     incompatible: list[tuple[int, int] | None] = [None] * len(dims)
     for a, (start_a, end_a) in enumerate(zip(starts, ends)):

@@ -26,7 +26,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import gcd
 from random import Random
 
@@ -41,7 +41,6 @@ from .config import (
 )
 from .homology import (
     _KINDS,
-    DEFAULT_CHAIN_CAP,
     FiniteCategoryView,
     HomologyResult,
     IntegerMatrix,
@@ -61,11 +60,11 @@ from .simplex import (
 from .theta import (
     DEFAULT_HOM_CAP,
     InitialityReport,
-    ResourceCapError,
     ThetaMorphism,
     Tree,
     _enumerate_plain,
     _injective_bases,
+    check_cap,
     check_height,
     compose_theta,
     count_theta_hom,
@@ -158,8 +157,8 @@ class SuiteReport:
     def passed(self) -> bool:
         return self.passes == self.cases
 
-    def to_json(self, include_wall: bool = False) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "suite": self.suite,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "seed": self.seed,
@@ -168,9 +167,6 @@ class SuiteReport:
             "passed": self.passed,
             "first_counterexample": self.first_counterexample,
         }
-        if include_wall:
-            doc["wall_ms"] = self.wall_ms
-        return doc
 
 
 def canonical_report(report: SuiteReport) -> str:
@@ -323,11 +319,7 @@ def _enumerate_w(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
         ]
         if any(not c for c in candidate_lists):
             continue
-        leaf_offsets = []
-        total = 0
-        for c in source.children:
-            leaf_offsets.append(total)
-            total += c.leaf_count
+        leaf_offsets = tuple(accumulate(source.leaf_profile, initial=0))
         for combo in product(*candidate_lists):
             seen: set[int] = set()
             ok = True
@@ -346,16 +338,10 @@ def _enumerate_w(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
     return tuple(out)
 
 
-def _reference_w_hom(
-    source: Tree, target: Tree, cap: int = DEFAULT_HOM_CAP
-) -> tuple[ThetaMorphism, ...]:
-    """_enumerate_w, once the active hom-set count is within ``cap``."""
-    projected = count_theta_hom(source, target, True)
-    if projected > cap:
-        raise ResourceCapError(
-            f"projected hom-set size {projected} exceeds cap {cap} for "
-            f"{format_tree(source)} -> {format_tree(target)}"
-        )
+def _reference_w_hom(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
+    """_enumerate_w, once the active count is within ``DEFAULT_HOM_CAP``."""
+    check_cap(count_theta_hom(source, target, True), DEFAULT_HOM_CAP,
+              "active morphisms", source, target)
     return _enumerate_w(source, target)
 
 
@@ -510,8 +496,8 @@ UNORDERED_FIXTURES = {
 ORDERED_CASES = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 
 
-def _pad(values: tuple[int, ...], length: int) -> tuple[int, ...]:
-    return tuple(values[d] if d < len(values) else 0 for d in range(length))
+def _pad(values: tuple, length: int, fill=0) -> tuple:
+    return tuple(values[d] if d < len(values) else fill for d in range(length))
 
 
 def _boundary_squares(matrices) -> bool:
@@ -641,7 +627,7 @@ def _checked_homology(
     cat: FiniteCategoryView, max_degree: int
 ) -> HomologyResult:
     """Homology plus the boundary-square check in one pass."""
-    matrices = nerve_chain_complex(cat, max_degree + 1, DEFAULT_CHAIN_CAP)
+    matrices = nerve_chain_complex(cat, max_degree + 1)
     if not _boundary_squares(matrices):
         raise AssertionError("boundary of boundary is nonzero")
     return homology_from_boundaries(matrices, max_degree)
@@ -654,15 +640,11 @@ def _homology_case(
     validation = cat.validate()
     result = _checked_homology(cat, max_degree)
     if kind == "nord":
-        expected_betti = _pad(ordered_betti_oracle(n, k), max_degree + 1)
-        expected_torsion = tuple(() for _ in range(max_degree + 1))
+        betti, torsion = ordered_betti_oracle(n, k), ()
     else:
-        expected_betti, expected_torsion = UNORDERED_FIXTURES[(n, k)]
-        expected_betti = _pad(expected_betti, max_degree + 1)
-        expected_torsion = tuple(
-            expected_torsion[d] if d < len(expected_torsion) else ()
-            for d in range(max_degree + 1)
-        )
+        betti, torsion = UNORDERED_FIXTURES[(n, k)]
+    expected_betti = _pad(betti, max_degree + 1)
+    expected_torsion = _pad(torsion, max_degree + 1, ())
     ok = (
         validation.ok
         and result.betti == expected_betti
@@ -772,10 +754,9 @@ def emit_fixture_tables() -> str:
         " H_2 = 0",
         (3, 2): "two space points up to swap: RP^2, torsion Z/2 in degree 1",
     }
-    display = {(2, 2): "(Z, Z, 0)", (2, 3): "(Z, Z, 0)", (3, 2): "(Z, Z/2, 0)"}
-    for key in sorted(UNORDERED_FIXTURES):
-        n, k = key
-        lines.append(f"{n}\t{k}\t{display[key]}\t{notes[key]}")
+    for (n, k), (betti, torsion) in sorted(UNORDERED_FIXTURES.items()):
+        groups = HomologyResult(2, betti[:3], torsion[:3], ())
+        lines.append(f"{n}\t{k}\t{groups}\t{notes[n, k]}")
     lines.extend(
         [
             "",

@@ -32,18 +32,18 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations, repeat
 from math import factorial, gcd
 
-from .theta import DEFAULT_HOM_CAP, ResourceCapError, healthy_trees, w_hom_rows
+from .theta import DEFAULT_HOM_CAP, check_cap, check_height, healthy_trees, w_hom_rows
 
 # Nerve cells allowed in one build.  Measured peak RSS above the bare
 # interpreter (~18 MB), full degree, Python 3.11: 0.7 KB per cell on
 # nord(2,4) (12,288 cells) and 1.0 KB on w_hlt(2,5) (14,048 cells), where
 # the nerve dominates; 2.4 KB on w_hlt(3,4) (403,853 cells, 988 MB), where
 # Smith-form fill-in does.  So a build at the cap can take about 1.2 GB.
-# build_category holds a category's objects and arrows (0- and 1-cells)
-# to it as it lists them, so a category past it is never finished.
+# build_category counts a category's objects (0-cells) before listing
+# them and its arrows (1-cells) as it lists them, against this cap.
 DEFAULT_CHAIN_CAP = 500_000
 
 # Composition-table entries (composable arrow pairs) allowed in one
@@ -390,22 +390,26 @@ def build_category(
     rebuilt categories are identical.
 
     Objects are the nerve's 0-cells and non-identity arrows its 1-cells,
-    so a category with more than ``DEFAULT_CHAIN_CAP`` arrows has a nerve
-    over that cap.  Each count is checked before it is materialized: the
-    objects before any row is listed, the arrows (k! per w-arrow in
-    ``nord``) as each source tree's rows are added, and the composable
-    pairs, one composition-table entry each, against
-    ``COMPOSITION_CAP`` before the table is built.  Each raises
-    ``ResourceCapError``.
+    so both are held to ``DEFAULT_CHAIN_CAP``.  After the usage checks
+    (kind, n >= 1, k >= 0, check_height) each count is capped before it is
+    listed: the objects in closed form before any tree is built, the
+    arrows (k! per w-arrow in ``nord``) as each tree's rows are added, the
+    composable pairs against ``COMPOSITION_CAP`` before the table.  A
+    healthy height-n tree with k >= 1 leaves is a nonempty sequence of
+    ones of height n-1, so H_n = H_(n-1)/(1 - H_(n-1)) for their generating
+    functions, and from H_1 = x/(1-x), H_n = x/(1-nx): n^(k-1) trees (one
+    for k = 0), each with k! labelings in ``nord``.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown category kind {kind!r}; pick from {_KINDS}")
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
+    check_height("height", n)
+    name = f"{kind}({n},{k})"
+    check_cap(_object_count(kind, n, k, DEFAULT_CHAIN_CAP), DEFAULT_CHAIN_CAP,
+              f"{name} objects", exact=False)
     trees = healthy_trees(n, k)
     lifts = factorial(k) if kind == "nord" else 1
-    name = f"{kind}({n},{k})"
-    _cap_cells(f"{name} objects", len(trees) * lifts)
     rows_out = []
     arrow_count = 0
     for tree_a in trees:
@@ -413,16 +417,12 @@ def build_category(
                for row in w_hom_rows(tree_a, tree_b, cap)]
         rows_out.append(out)
         arrow_count += lifts * len(out)
-        _cap_cells(f"{name} arrows", arrow_count)
+        check_cap(arrow_count, DEFAULT_CHAIN_CAP, f"{name} arrows", exact=False)
     # g after f for every f into b and g out of b; in nord each of the k!
     # labelings of b has the in- and out-degree of b in w_hlt
     incoming = Counter(b for out in rows_out for b, _ in out)
     pairs = lifts * sum(incoming[b] * len(out) for b, out in enumerate(rows_out))
-    if pairs > COMPOSITION_CAP:
-        raise ResourceCapError(
-            f"{pairs} {name} composable pairs exceed the "
-            f"{COMPOSITION_CAP}-entry composition cap"
-        )
+    check_cap(pairs, COMPOSITION_CAP, f"{name} composable pairs")
     if kind == "w_hlt":
         objects: tuple = trees
         arrows = [(a, b, row) for a, out in enumerate(rows_out) for b, row in out]
@@ -450,20 +450,23 @@ def build_category(
     return cat
 
 
-def _cap_cells(what: str, count: int) -> None:
-    if count > DEFAULT_CHAIN_CAP:
-        raise ResourceCapError(
-            f"{count} {what} exceed the {DEFAULT_CHAIN_CAP}-cell nerve cap"
-        )
+def _object_count(kind: str, n: int, k: int, bound: int) -> int:
+    """build_category's objects, n^(k-1) (1 for k = 0) times k! in
+    ``nord``, or bound + 1 as soon as the product passes ``bound``."""
+    value = 1
+    for factor in chain(repeat(n, k - 1) if n > 1 else (),
+                        range(2, k + 1) if kind == "nord" else ()):
+        value *= factor
+        if value > bound:
+            return bound + 1
+    return value
 
 
 # ---------------------------------------------------------------------------
 # nerves and homology
 
 
-def _nerve_bases(
-    cat: FiniteCategoryView, max_dim: int, cap: int
-) -> list[tuple]:
+def _nerve_bases(cat: FiniteCategoryView, max_dim: int) -> list[tuple]:
     """Composable strings of non-identity arrows, degree by degree."""
     bases: list[tuple] = [tuple(range(len(cat.objects)))]
     total = len(bases[0])
@@ -472,10 +475,7 @@ def _nerve_bases(
     for d in range(1, max_dim + 1):
         bases.append(current)
         total += len(current)
-        if total > cap:
-            raise ResourceCapError(
-                f"nerve exceeds {cap} cells by dimension {d}"
-            )
+        check_cap(total, DEFAULT_CHAIN_CAP, f"nerve cells in dimensions 0..{d}")
         if d == max_dim:
             break
         extended = []
@@ -488,15 +488,16 @@ def _nerve_bases(
 
 
 def nerve_chain_complex(
-    cat: FiniteCategoryView, max_dim: int, cap: int = DEFAULT_CHAIN_CAP
+    cat: FiniteCategoryView, max_dim: int
 ) -> list[IntegerMatrix]:
     """Boundary matrices of the normalized nerve, degrees 1..max_dim.
 
     A d-chain is a string of d composable non-identity arrows; the i-th
     face composes at the i-th joint, and faces that produce an identity
-    vanish in the normalized complex.
+    vanish in the normalized complex.  The cells through each dimension
+    are held to ``DEFAULT_CHAIN_CAP`` before the next is listed.
     """
-    bases = _nerve_bases(cat, max_dim, cap)
+    bases = _nerve_bases(cat, max_dim)
     matrices = []
     for d in range(1, max_dim + 1):
         lower = bases[d - 1]
@@ -553,16 +554,14 @@ class HomologyResult:
 
 
 def homology_of_category(
-    cat: FiniteCategoryView,
-    max_degree: int = 3,
-    cap: int = DEFAULT_CHAIN_CAP,
+    cat: FiniteCategoryView, max_degree: int = 3
 ) -> HomologyResult:
     """H_0..H_max_degree of the classifying space of the category.
 
-    Builds the nerve one dimension past max_degree so that the top
-    requested degree sees its incoming boundary.
+    Builds the nerve, capped as in nerve_chain_complex, one dimension
+    past max_degree so the top requested degree sees its incoming boundary.
     """
-    matrices = nerve_chain_complex(cat, max_degree + 1, cap)
+    matrices = nerve_chain_complex(cat, max_degree + 1)
     return homology_from_boundaries(matrices, max_degree)
 
 

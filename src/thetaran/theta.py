@@ -81,6 +81,19 @@ class ResourceCapError(RuntimeError):
     """Raised when an enumeration would exceed its configured cap."""
 
 
+def check_cap(count: int, cap: int | None, what: str, source=None, target=None,
+              exact: bool = True) -> None:
+    """The one cap decision, made before the counted list is built:
+    ResourceCapError when ``count`` exceeds ``cap`` (None: no cap), naming
+    ``what`` and the hom-set source -> target if given, with ``count`` only
+    if ``exact`` (else "more than cap").  Builds no text unless it raises."""
+    if cap is not None and count > cap:
+        amount = count if exact else f"more than {cap}"
+        if source is not None:
+            what += f" for {format_tree(source)} -> {format_tree(target)}"
+        raise ResourceCapError(f"{amount} {what} exceed the cap of {cap}")
+
+
 # ---------------------------------------------------------------------------
 # trees
 
@@ -665,12 +678,8 @@ def enumerate_theta_hom(
         homs = [morphism_of_row(source, target, row) for row in rows]
         return tuple(sorted(homs, key=_datum_key))
     active_only = morphism_filter != "all"
-    projected = count_theta_hom(source, target, active_only)
-    if projected > cap:
-        raise ResourceCapError(
-            f"projected hom-set size {projected} exceeds cap {cap} for "
-            f"{format_tree(source)} -> {format_tree(target)}"
-        )
+    check_cap(count_theta_hom(source, target, active_only), cap,
+              "active morphisms" if active_only else "morphisms", source, target)
     homs = _enumerate_plain(source, target, active_only)
     if morphism_filter in ("all", "active"):
         return homs
@@ -832,7 +841,7 @@ def _injective_rows(
         # rows of active maps [p] -> [q] are weakly increasing, so the
         # injective ones are exactly the strictly increasing q-tuples
         rows = list(combinations(range(1, source.rank + 1), target.rank))
-        _check_cap(rows, cap, source, target)
+        check_cap(len(rows), cap, "leaf rows", source, target)
         return rows
     bases = _injective_bases(source.leaf_profile, target.leaf_profile)
     if not bases:
@@ -854,7 +863,7 @@ def _injective_rows(
             entries.append(entry)
         else:
             rows.extend(_assemble_disjoint(entries, cover))
-            _check_cap(rows, cap, source, target)
+            check_cap(len(rows), cap, "leaf rows", source, target, exact=False)
     if len(set(rows)) != len(rows):
         seen: set[tuple[int, ...]] = set()
         row = next(row for row in rows if row in seen or seen.add(row))
@@ -864,14 +873,6 @@ def _injective_rows(
             "rows do not determine morphisms here"
         )
     return rows
-
-
-def _check_cap(rows: list, cap: int | None, source: Tree, target: Tree) -> None:
-    if cap is not None and len(rows) > cap:
-        raise ResourceCapError(
-            f"row enumeration exceeded cap {cap} for "
-            f"{format_tree(source)} -> {format_tree(target)}"
-        )
 
 
 def w_hom_rows(
@@ -952,12 +953,8 @@ def _filter_rows(
         return None
     if source.leaf_count != target.leaf_count:
         return ()
-    projected = _injective_row_bound(source, target)
-    if projected > cap:
-        raise ResourceCapError(
-            f"projected leaf-row list size {projected} exceeds cap {cap} "
-            f"for {format_tree(source)} -> {format_tree(target)}"
-        )
+    check_cap(_injective_row_bound(source, target), cap,
+              "leaf rows by the closed-form bound", source, target)
     return w_hom_rows(source, target, cap)
 
 

@@ -7,13 +7,14 @@ Exit codes under test: 0 success, 1 verification or validation failure,
 from __future__ import annotations
 
 import json
+import re
 import sys
 import time
 from math import comb
 
 import pytest
 
-from thetaran import harness
+from thetaran import harness, homology
 from thetaran.cli import main
 from thetaran.theta import _FILTERS
 
@@ -578,6 +579,32 @@ class TestHomology:
         )
         assert code == 3
         assert "resource cap" in err and what in err
+
+    @pytest.mark.parametrize("kind,n,k", [
+        ("w_hlt", 2, 20), ("w_hlt", 2, 22), ("w_hlt", 2, 24),
+        ("w_hlt", 2, 1200), ("w_hlt", 3, 10_000_000), ("nord", 1, 1_000_000),
+    ])
+    def test_objects_are_counted_before_listing(self, capsys, kind, n, k):
+        # n^(k-1) trees (x k! in nord) pass the cell cap in closed form,
+        # before any tree or k! is built; the message counts no further
+        started = time.monotonic()
+        code, out, err = run(
+            capsys, "homology", "--category", kind, "--n", str(n),
+            "--k", str(k), "--max-degree", "0",
+        )
+        assert time.monotonic() - started < 5.0
+        assert (code, out) == (3, "")
+        assert "resource cap" in err and "objects" in err
+        numbers = re.findall(r"\d+", err.replace(f"{kind}({n},{k})", ""))
+        assert max(map(len, numbers)) == len(str(homology.DEFAULT_CHAIN_CAP))
+
+    def test_height_is_checked_before_objects_are_counted(self, capsys):
+        code, out, err = run(
+            capsys, "homology", "--category", "w_hlt", "--n", "2000",
+            "--k", "300", "--max-degree", "0",
+        )
+        assert code == 2
+        assert (out, err) == ("", f"error: height 2000 {BOUND}\n")
 
 
 class TestVerify:

@@ -594,6 +594,21 @@ class TestGenerators:
         with pytest.raises(InvalidExitPathError, match=re.escape(str(cfg))):
             random_exit_path(cfg, 5)
 
+    def test_each_path_is_built_once(self, monkeypatch):
+        # a functoriality case draws two paths; the validator checks their
+        # shape without a throwaway ExitPath, so each is constructed once
+        built = []
+        check = ExitPath.__post_init__
+
+        def counted(path):
+            built.append(path)
+            check(path)
+
+        monkeypatch.setattr(ExitPath, "__post_init__", counted)
+        report = run_suite("functoriality", {"pairs": 50}, 1)
+        assert report.passed and report.cases == 50
+        assert len(built) == 2 * report.cases
+
     def test_draws_are_pinned(self):
         # the cases of the functoriality suite at pairs=2000, seed 1: the
         # start, both paths and the direct morphism, digest taken before

@@ -269,6 +269,27 @@ class TestBuildCategory:
         for n, k in [(1, 3), (2, 2), (3, 2)]:
             assert build_category("nord", n, k).max_hom_size == 1
 
+    def test_object_count_is_closed_form(self):
+        # n^(k-1) healthy trees, one for k = 0, and k! labelings of each
+        for n in range(1, 7):
+            for k in range(8):
+                if n**k <= 10**6:
+                    trees = len(healthy_trees(n, k))
+                    assert trees == (n ** (k - 1) if k else 1)
+                    assert homology._object_count("w_hlt", n, k, 10**9) == trees
+                    assert (homology._object_count("nord", n, k, 10**9)
+                            == trees * factorial(k))
+
+    def test_object_count_saturates_past_the_bound(self):
+        # neither 3^(10^7 - 1) nor (10^6)! is built
+        started = time.monotonic()
+        assert homology._object_count("w_hlt", 3, 10**7, 500_000) == 500_001
+        assert homology._object_count("nord", 1, 10**6, 500_000) == 500_001
+        assert homology._object_count("w_hlt", 1, 10**7, 500_000) == 1
+        assert homology._object_count("w_hlt", 2, 19, 2**18) == 2**18
+        assert homology._object_count("w_hlt", 2, 20, 2**18) == 2**18 + 1
+        assert time.monotonic() - started < 1.0
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             build_category("mystery", 2, 2)
@@ -366,10 +387,11 @@ class TestNerve:
                    for lower, upper in zip(matrices, matrices[1:]))
         assert not any("entries" in vars(m) for m in matrices)
 
-    def test_chain_cap(self):
+    def test_chain_cap(self, monkeypatch):
         cat = build_category("w_hlt", 2, 3)
+        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 10)
         with pytest.raises(ResourceCapError):
-            nerve_chain_complex(cat, 4, cap=10)
+            nerve_chain_complex(cat, 4)
 
     def test_arrow_cap_stops_listing_rows(self, monkeypatch):
         # w_hlt(2,5): 16 objects fit a cap of 20 cells, its 848 arrows do

@@ -149,3 +149,36 @@ def test_every_export_has_a_reader():
             reads |= _reads_outside_own_definition(ast.parse(source))
     unread = sorted(set(thetaran.__all__) - reads)
     assert not unread, unread
+
+
+# where ResourceCapError may be built: the one cap decision, and the rule
+# for counts too long to print, which is a different one
+CAP_RAISERS = {("theta", "check_cap"), ("theta", "_printable")}
+
+
+def _cap_errors_built(tree: ast.Module):
+    """(enclosing function, line) of each ResourceCapError(...) call."""
+
+    def visit(node: ast.AST, function: str | None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            called = node.func
+            name = getattr(called, "id", None) or getattr(called, "attr", None)
+            if name == "ResourceCapError":
+                yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def test_caps_are_decided_in_one_place():
+    built = [
+        (path.stem, function, line)
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for function, line in _cap_errors_built(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+    ]
+    assert {(module, function) for module, function, _ in built} == CAP_RAISERS, built
