@@ -21,7 +21,8 @@ A valid path induces a morphism of the two trees whose leaf row is the
 point assignment, read target-to-source; ``theta.morphism_of_row``
 rebuilds it one level at a time: the base map counts, for each source
 prefix, how many target prefixes sit over it, and the components recurse
-into the matched fibers with the leading coordinate dropped.
+into the matched fibers with the leading coordinate dropped.  Trees are
+interned, so the memoized rebuild finds equal shapes by identity.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, groupby, pairwise
 from math import gcd, lcm
 from operator import itemgetter
 from random import Random
 
-from .theta import ThetaMorphism, Tree, check_height, empty_tree, morphism_of_row
+from .theta import ThetaMorphism, Tree, check_height, morphism_of_row
 
 Point = tuple[Fraction, ...]
 
@@ -155,18 +156,23 @@ def tree_of_configuration(cfg: Configuration) -> Tree:
 
 def _tree_of_grid(grid: tuple[tuple[int, ...], ...], height: int) -> Tree:
     """Level k of the tree groups the sorted points by their first k
-    coordinates; each group is a child, in order."""
-    if not grid:
-        return empty_tree(height)
+    coordinates; each group is a child, in order.  Nodes are interned, so
+    equal shapes are one object, its cached properties computed once."""
 
     def walk(points, k: int) -> Tree:
         if k == height - 1:
-            return Tree(1, len(points))
+            return _tree_node(1, len(points), ())
         fibers = groupby(points, itemgetter(k))
         children = tuple(walk(list(fiber), k + 1) for _, fiber in fibers)
-        return Tree(height - k, len(children), children)
+        return _tree_node(height - k, len(children), children)
 
     return walk(grid, 0)
+
+
+@lru_cache(maxsize=None)
+def _tree_node(height: int, rank: int, children: tuple[Tree, ...]) -> Tree:
+    """The one Tree of this height, rank and (interned) children."""
+    return Tree(height, rank, children)
 
 
 def realize_tree(tree: Tree) -> Configuration:

@@ -393,10 +393,12 @@ def build_category(
     so both are held to ``DEFAULT_CHAIN_CAP``.  After the usage checks
     (kind, n >= 1, k >= 0, check_height) each count is capped before it is
     listed: the objects in closed form before any tree is built, the
-    arrows (k! per w-arrow in ``nord``) as each tree's rows are added, the
-    composable pairs against ``COMPOSITION_CAP`` before the table.  A
-    healthy height-n tree with k >= 1 leaves is a nonempty sequence of
-    ones of height n-1, so H_n = H_(n-1)/(1 - H_(n-1)) for their generating
+    ordered tree pairs (trees squared, exact within the object cap)
+    against ``COMPOSITION_CAP`` before any row is listed, the arrows (k!
+    per w-arrow in ``nord``) as each tree's rows are added, the composable
+    pairs against ``COMPOSITION_CAP`` before the table.  A healthy
+    height-n tree with k >= 1 leaves is a nonempty sequence of ones of
+    height n-1, so H_n = H_(n-1)/(1 - H_(n-1)) for their generating
     functions, and from H_1 = x/(1-x), H_n = x/(1-nx): n^(k-1) trees (one
     for k = 0), each with k! labelings in ``nord``.
     """
@@ -408,6 +410,8 @@ def build_category(
     name = f"{kind}({n},{k})"
     check_cap(_object_count(kind, n, k, DEFAULT_CHAIN_CAP), DEFAULT_CHAIN_CAP,
               f"{name} objects", exact=False)
+    trees_squared = _object_count("w_hlt", n, k, DEFAULT_CHAIN_CAP) ** 2
+    check_cap(trees_squared, COMPOSITION_CAP, f"{name} tree pairs")
     trees = healthy_trees(n, k)
     lifts = factorial(k) if kind == "nord" else 1
     rows_out = []

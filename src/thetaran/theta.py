@@ -35,7 +35,8 @@ that between equal leaf counts the last pair's row is looked up, not
 scanned for), and one reader of a tree's rows (w_hom_rows), which the
 pruning check reads once per target for a healthy tree and on both
 sides otherwise.  morphism_of_row rebuilds a row's wreath datum, for
-enumerate_theta_hom and for the point assignments of ``config``.  The
+enumerate_theta_hom and for the point assignments of ``config``,
+memoized, so equal rows share one morphism and its components.  The
 wreath-level walk of the same hom-sets is the reference in ``harness``.
 
 All values are immutable; enumeration and classification are pure and
@@ -446,7 +447,10 @@ def morphism_of_row(
 
     Read one level at a time: the leaves over each target child must go
     to one source child, and these choices, like a height-1 row, must be
-    weakly increasing.  Any other row raises ValueError.
+    weakly increasing.  Any other row raises ValueError.  Below the range
+    and length checks the rebuild is memoized, child pairs included: equal
+    inputs return the identical morphism, checked once when first built,
+    and a rejected row, never stored, raises on every call.
     """
     if source.height != target.height:
         raise ValueError("morphism endpoints must have equal heights")
@@ -460,6 +464,7 @@ def morphism_of_row(
     return _morphism_of_row(source, target, row)
 
 
+@lru_cache(maxsize=None)
 def _morphism_of_row(
     source: Tree, target: Tree, row: tuple[int, ...]
 ) -> ThetaMorphism:

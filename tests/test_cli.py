@@ -598,6 +598,22 @@ class TestHomology:
         numbers = re.findall(r"\d+", err.replace(f"{kind}({n},{k})", ""))
         assert max(map(len, numbers)) == len(str(homology.DEFAULT_CHAIN_CAP))
 
+    @pytest.mark.parametrize("kind,n,k,trees", [
+        ("w_hlt", 200, 3, 40_000), ("w_hlt", 2, 13, 4096), ("nord", 57, 3, 3249),
+    ])
+    def test_tree_pairs_are_counted_before_the_walk(self, capsys, kind, n, k,
+                                                    trees):
+        # within the object cap, but trees^2 hom-sets to list pass
+        # COMPOSITION_CAP: exit 3 before the first is walked
+        started = time.monotonic()
+        code, out, err = run(
+            capsys, "homology", "--category", kind, "--n", str(n),
+            "--k", str(k), "--max-degree", "0",
+        )
+        assert time.monotonic() - started < 1.0
+        assert (code, out) == (3, "")
+        assert f"{trees**2} {kind}({n},{k}) tree pairs" in err
+
     def test_height_is_checked_before_objects_are_counted(self, capsys):
         code, out, err = run(
             capsys, "homology", "--category", "w_hlt", "--n", "2000",

@@ -238,6 +238,26 @@ class TestIntegerGrid:
             report = run_suite("functoriality", {"pairs": 1}, seed)
             assert report.passed and len(built) == 3
 
+    def test_equal_shapes_share_one_tree(self):
+        # nodes are interned: draws of one shape give the identical tree,
+        # equal subtrees of distinct shapes are one object, and the
+        # memoized rebuild returns one morphism for one shape and mapping
+        shapes: dict[Tree, Configuration] = {}
+        subtrees: dict[Tree, Tree] = {}
+        for seed in range(40):
+            cfg = random_configuration(2, 3, seed)
+            tree = tree_of_configuration(cfg)
+            drawn = shapes.setdefault(tree, cfg)
+            assert tree_of_configuration(drawn) is tree
+            for child in tree.children:
+                assert subtrees.setdefault(child, child) is child
+            assert induced_morphism(cfg, cfg, range(3)) is induced_morphism(
+                drawn, drawn, range(3))
+        assert len(shapes) < 40 and len(subtrees) < 3 * len(shapes)
+        empty = tree_of_configuration(Configuration(3, ()))
+        assert empty == empty_tree(3)
+        assert tree_of_configuration(random_configuration(3, 0, 1)) is empty
+
 
 class TestRealizeTree:
     def test_frozen_examples(self):

@@ -410,6 +410,21 @@ class TestNerve:
             build_category("w_hlt", 2, 5)
         assert len(calls) < 16 * 16
 
+    def test_tree_pair_cap_stops_before_any_row(self, monkeypatch):
+        # w_hlt(2,5): 16 trees, so 256 hom-sets to list; one more than the
+        # cap raises before the first, and the pair cap then applies
+        calls = []
+        monkeypatch.setattr(homology, "w_hom_rows",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(homology, "COMPOSITION_CAP", 255)
+        with pytest.raises(ResourceCapError, match="256 w_hlt.2,5. tree pairs"):
+            build_category("w_hlt", 2, 5)
+        assert calls == []
+        monkeypatch.undo()
+        monkeypatch.setattr(homology, "COMPOSITION_CAP", 256)
+        with pytest.raises(ResourceCapError, match="5808 w_hlt.2,5. composable"):
+            build_category("w_hlt", 2, 5)
+
     def test_composition_cap_counts_pairs_before_the_table(self, monkeypatch):
         # the closed form sum in(b) * out(b) is the table's size exactly:
         # w_hlt(2,5) has 5,808 composable pairs

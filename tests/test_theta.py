@@ -907,6 +907,31 @@ class TestMorphismOfRow:
         with pytest.raises(ValueError):
             morphism_of_row(parse_tree(source), parse_tree(target), row)
 
+    def test_equal_inputs_share_one_morphism(self):
+        # the rebuild is memoized: equal (source, target, row) give the
+        # identical morphism, and equal child rows one component
+        m = morphism_of_row(parse_tree("[2]([1],[1])"),
+                            parse_tree("[2]([1],[1])"), (1, 2))
+        again = morphism_of_row(parse_tree("[2]([1],[1])"),
+                                parse_tree("[2]([1],[1])"), [1, 2])
+        assert again is m and m == identity_theta(parse_tree("[2]([1],[1])"))
+        assert m.components[0] is m.components[1]
+        assert morphism_of_row(Tree(1, 1), Tree(1, 1), (1,)) is m.components[0]
+
+    @pytest.mark.parametrize(
+        "source, target, row, message",
+        [
+            ("[2]([1],[1])", "[1]([2])", (1, 2), "distinct source children"),
+            ("[1]([2])", "[1]([2])", (2, 1), "not monotone"),
+        ],
+        ids=["root-level", "child-level"],
+    )
+    def test_rejected_row_raises_every_time(self, source, target, row, message):
+        # a failure is never stored, at the root or below it
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                morphism_of_row(parse_tree(source), parse_tree(target), row)
+
     def test_rank_thirty_identity(self):
         fan = parse_tree("[30](" + ",".join(["[1]"] * 30) + ")")
         assert morphism_of_row(fan, fan, range(1, 31)) == identity_theta(fan)
