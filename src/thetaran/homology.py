@@ -42,8 +42,9 @@ from .theta import DEFAULT_HOM_CAP, check_cap, check_height, healthy_trees, w_ho
 # nord(2,4) (12,288 cells) and 1.0 KB on w_hlt(2,5) (14,048 cells), where
 # the nerve dominates; 2.4 KB on w_hlt(3,4) (403,853 cells, 988 MB), where
 # Smith-form fill-in does.  So a build at the cap can take about 1.2 GB.
-# build_category counts a category's objects (0-cells) before listing
-# them and its arrows (1-cells) as it lists them, against this cap.
+# build_category counts a category's objects (0-cells) and k row entries
+# per object before listing them, and its arrows (1-cells) as it lists
+# them, against this cap.
 DEFAULT_CHAIN_CAP = 500_000
 
 # Composition-table entries (composable arrow pairs) allowed in one
@@ -392,15 +393,16 @@ def build_category(
     Objects are the nerve's 0-cells and non-identity arrows its 1-cells,
     so both are held to ``DEFAULT_CHAIN_CAP``.  After the usage checks
     (kind, n >= 1, k >= 0, check_height) each count is capped before it is
-    listed: the objects in closed form before any tree is built, the
-    ordered tree pairs (trees squared, exact within the object cap)
-    against ``COMPOSITION_CAP`` before any row is listed, the arrows (k!
-    per w-arrow in ``nord``) as each tree's rows are added, the composable
-    pairs against ``COMPOSITION_CAP`` before the table.  A healthy
-    height-n tree with k >= 1 leaves is a nonempty sequence of ones of
-    height n-1, so H_n = H_(n-1)/(1 - H_(n-1)) for their generating
-    functions, and from H_1 = x/(1-x), H_n = x/(1-nx): n^(k-1) trees (one
-    for k = 0), each with k! labelings in ``nord``.
+    listed: the objects in closed form before any tree is built, then k
+    times them as row entries (a k-entry row per arrow, at least one
+    arrow per object), the ordered tree pairs (trees squared, exact within
+    the object cap) against ``COMPOSITION_CAP`` before any row is listed,
+    the arrows (k! per w-arrow in ``nord``) as each tree's rows are added,
+    the composable pairs against ``COMPOSITION_CAP`` before the table.  A
+    healthy height-n tree with k >= 1 leaves is a nonempty sequence of
+    ones of height n-1, so H_n = H_(n-1)/(1 - H_(n-1)) for their
+    generating functions, and from H_1 = x/(1-x), H_n = x/(1-nx): n^(k-1)
+    trees (one for k = 0), each with k! labelings in ``nord``.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown category kind {kind!r}; pick from {_KINDS}")
@@ -408,8 +410,9 @@ def build_category(
         raise ValueError("need n >= 1 and k >= 0")
     check_height("height", n)
     name = f"{kind}({n},{k})"
-    check_cap(_object_count(kind, n, k, DEFAULT_CHAIN_CAP), DEFAULT_CHAIN_CAP,
-              f"{name} objects", exact=False)
+    objects = _object_count(kind, n, k, DEFAULT_CHAIN_CAP)
+    check_cap(objects, DEFAULT_CHAIN_CAP, f"{name} objects", exact=False)
+    check_cap(k * objects, DEFAULT_CHAIN_CAP, f"{name} row entries")
     trees_squared = _object_count("w_hlt", n, k, DEFAULT_CHAIN_CAP) ** 2
     check_cap(trees_squared, COMPOSITION_CAP, f"{name} tree pairs")
     trees = healthy_trees(n, k)

@@ -802,27 +802,26 @@ def _assemble_disjoint(
     concatenated, in lexicographic order of the choices; given ``cover``,
     a mask holding every row, only the choices that use all of it.
 
-    Depth first from a stack, dropping a prefix as soon as it collides,
-    which the plain cartesian product cannot; one comprehension pairs the
-    last two lists.  The stack holds at most one list's choices per level,
-    so a prefix that dies on a later list costs no memory.  Given
-    ``cover``, the last row's mask is the rest of it: a lookup, no scan.
+    One list at a time, breadth first: a level holds every live prefix
+    (its rows and their mask), and one comprehension extends it by the
+    next list, dropping a prefix as soon as it collides, which the plain
+    cartesian product cannot; another pairs the last two lists.  A level
+    holds at most the product of the row counts of the lists so far, at
+    most this base's term in _injective_row_bound.  Given ``cover``, the
+    last row's mask is the rest of it: a lookup, no scan.
     """
     *heads, (second, _), (last, by_mask) = [_NO_ROW] * (2 - len(entries)) + entries
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
-    while stack:
-        prefix, acc, depth = stack.pop()
-        if depth < len(heads):
-            stack.extend(reversed([(prefix + row, acc | mask, depth + 1)
-                                   for row, mask in heads[depth][0] if not acc & mask]))
-        elif cover is None:
-            out.extend([prefix + row + row2 for row, mask in second if not acc & mask
-                        for row2, mask2 in last if not (acc | mask) & mask2])
-        else:
-            out.extend([prefix + row + row2 for row, mask in second if not acc & mask
-                        for row2 in by_mask.get(cover ^ acc ^ mask, ())])
-    return out
+    level = [((), 0)]
+    for rows, _ in heads:
+        level = [(prefix + row, acc | mask) for prefix, acc in level
+                 for row, mask in rows if not acc & mask]
+    if cover is None:
+        return [prefix + row + row2 for prefix, acc in level
+                for row, mask in second if not acc & mask
+                for row2, mask2 in last if not (acc | mask) & mask2]
+    return [prefix + row + row2 for prefix, acc in level
+            for row, mask in second if not acc & mask
+            for row2 in by_mask.get(cover ^ acc ^ mask, ())]
 
 
 def _injective_rows(

@@ -614,6 +614,19 @@ class TestHomology:
         assert (code, out) == (3, "")
         assert f"{trees**2} {kind}({n},{k}) tree pairs" in err
 
+    @pytest.mark.parametrize("k", [1_000_000, 3_000_000])
+    def test_row_entries_are_counted_before_listing(self, capsys, k):
+        # one object and one arrow, but its row has k entries: k x objects
+        # passes the cell cap before the identity row is built
+        started = time.monotonic()
+        code, out, err = run(
+            capsys, "homology", "--category", "w_hlt", "--n", "1",
+            "--k", str(k), "--max-degree", "0",
+        )
+        assert time.monotonic() - started < 1.0
+        assert (code, out) == (3, "")
+        assert f"{k} w_hlt(1,{k}) row entries" in err
+
     def test_height_is_checked_before_objects_are_counted(self, capsys):
         code, out, err = run(
             capsys, "homology", "--category", "w_hlt", "--n", "2000",

@@ -427,6 +427,26 @@ class TestValidation:
         assert not level_one.compatibility_ok
         assert level_one.incompatible == (0, 1)
 
+    def test_no_collision_is_pinned_at_u_one(self):
+        # a pair that is apart never has its collision root at u = 1, so
+        # `0 < num <= den` and `0 < num < den` decide alike.  The root
+        # num/den = s/(s-e) is 1 only if the coordinate fixing it has
+        # e = 0.  Being apart needs a coordinate with e != 0, and once the
+        # root is 1 such a coordinate breaks the pass, either on s = e != 0
+        # or on `num * (s - e) == s * den`, which with num = den reads
+        # e = 0.  Here the first coordinates meet at u = 1 while the pair
+        # is not apart: level 1 reports the merge of distinct origins and
+        # no collision, level 2 passes
+        s = Configuration(2, [[0, 0], [2, 0]])
+        t = Configuration(2, [[1, 0], [1, 1]])
+        verdict = validate_exit_path(s, t, (0, 1))
+        level_one, level_two = verdict.levels
+        assert level_one.collision is None and level_one.separation_ok
+        assert level_one.incompatible == (0, 1)
+        assert not level_one.compatibility_ok
+        assert level_two.ok and level_two.collision is None
+        assert level_two.incompatible is None
+
     def test_level_one_crossing_caught(self):
         # strands cross in the first coordinate while staying apart in
         # the plane: level 2 passes, level 1 does not

@@ -394,9 +394,9 @@ class TestNerve:
             nerve_chain_complex(cat, 4)
 
     def test_arrow_cap_stops_listing_rows(self, monkeypatch):
-        # w_hlt(2,5): 16 objects fit a cap of 20 cells, its 848 arrows do
-        # not; the running count raises before all 16 x 16 hom-sets are
-        # listed
+        # w_hlt(2,5): 16 objects and their 5 x 16 row entries fit a cap of
+        # 80 cells, its 848 arrows do not; the running count raises before
+        # all 16 x 16 hom-sets are listed
         listed = homology.w_hom_rows
         calls = []
 
@@ -404,11 +404,24 @@ class TestNerve:
             calls.append((source, target))
             return listed(source, target, cap)
 
-        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 20)
+        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 80)
         monkeypatch.setattr(homology, "w_hom_rows", counted)
         with pytest.raises(ResourceCapError, match="arrows"):
             build_category("w_hlt", 2, 5)
         assert len(calls) < 16 * 16
+
+    def test_row_entry_cap_stops_before_any_tree(self, monkeypatch):
+        # every arrow's row has k entries and there are at least as many
+        # arrows as objects: w_hlt(2,5) holds at least 5 x 16 of them,
+        # counted before a tree is built
+        built = []
+        monkeypatch.setattr(homology, "healthy_trees",
+                            lambda *args: built.append(args))
+        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 79)
+        with pytest.raises(ResourceCapError,
+                           match="^80 w_hlt.2,5. row entries exceed the cap of 79$"):
+            build_category("w_hlt", 2, 5)
+        assert built == []
 
     def test_tree_pair_cap_stops_before_any_row(self, monkeypatch):
         # w_hlt(2,5): 16 trees, so 256 hom-sets to list; one more than the

@@ -604,7 +604,8 @@ class TestHomRows:
         # against the cartesian product in lexicographic order, keeping
         # the choices whose rows share no value (rows have no repeats);
         # with a cover holding every row, only the choices that use all
-        # of it
+        # of it; 0-7 lists, as many as the child pairs of a height-2
+        # target with 7 leaves
         def entry(rows):
             by_mask = {}
             for row in rows:
@@ -623,7 +624,7 @@ class TestHomRows:
                     tuple(rng.sample(cover, rng.randrange(min(3, len(cover) + 1))))
                     for _ in range(rng.randrange(5))
                 ]
-                for _ in range(rng.randrange(6))
+                for _ in range(rng.randrange(8))
             ]
             disjoint = [
                 tuple(chain.from_iterable(combo))
@@ -724,6 +725,26 @@ class TestHomRows:
         assert (pairs, rows) == (76700, 186291)
         assert digest.hexdigest() == (
             "634a21680a82294dd659de7e61ef0e4a36769b5cf8a2509742651c4cbb48c3e2"
+        )
+
+    def test_rows_pinned_for_six_and_seven_leaves(self):
+        # one-graft decorated height-2 sources with 6 and 7 leaves against
+        # every healthy target with as many, so up to 7 child lists per
+        # base: 30,208 pairs and 249,808 rows; the digest of their reprs,
+        # in order, was taken from the depth-first walk before the
+        # level-wise assembly replaced it
+        digest = hashlib.sha256()
+        pairs = rows = 0
+        for k in (6, 7):
+            for source in decorated_trees(2, k, 1):
+                for target in healthy_trees(2, k):
+                    listed = w_hom_rows(source, target)
+                    pairs += 1
+                    rows += len(listed)
+                    digest.update(repr(listed).encode())
+        assert (pairs, rows) == (30208, 249808)
+        assert digest.hexdigest() == (
+            "447a7d8a33eed9580f464f8ae3f8cf3f805756420eb89e3b36e04e69551f2484"
         )
 
     def test_row_verifier_agrees_with_direct(self):
