@@ -34,7 +34,6 @@ from .harness import (
     run_suite,
 )
 from .homology import _KINDS, build_category, homology_of_category
-from .simplex import CompositionError
 from .theta import (
     _FILTERS,
     DEFAULT_HOM_CAP,
@@ -225,6 +224,11 @@ def _handle_config(args) -> int:
         _emit(args, doc, [f"tree: {doc['tree']} (height {tree.height})"])
         return 0
     path = exit_path_from_json(load_json(args.path))
+    if args.action == "morphism":
+        doc = morphism_to_json(morphism_of_exit_path(path))
+        _emit(args, doc, [f"morphism: {doc['source']} -> {doc['target']}",
+                          json.dumps(doc["datum"], separators=(",", ":"))])
+        return 0
     verdict = path.verdict
     levels = [
         {
@@ -245,38 +249,26 @@ def _handle_config(args) -> int:
         }
         for check in verdict.levels
     ]
-    if args.action == "validate":
-        doc = {"valid": verdict.valid, "levels": levels}
-        human = [f"valid: {verdict.valid}"]
-        for entry in levels:
+    doc = {"valid": verdict.valid, "levels": levels}
+    human = [f"valid: {verdict.valid}"]
+    for entry in levels:
+        human.append(
+            f"level {entry['level']}: separation "
+            f"{'ok' if entry['separation_ok'] else 'FAIL'}, "
+            f"compatibility {'ok' if entry['compatibility_ok'] else 'FAIL'}"
+        )
+        if entry["collision"]:
             human.append(
-                f"level {entry['level']}: separation "
-                f"{'ok' if entry['separation_ok'] else 'FAIL'}, "
-                f"compatibility {'ok' if entry['compatibility_ok'] else 'FAIL'}"
+                f"  strands {entry['collision']['targets']} collide "
+                f"at u={entry['collision']['time']}"
             )
-            if entry["collision"]:
-                human.append(
-                    f"  strands {entry['collision']['targets']} collide "
-                    f"at u={entry['collision']['time']}"
-                )
-            if entry["incompatible"]:
-                human.append(
-                    f"  targets {entry['incompatible']} end together "
-                    "but start apart"
-                )
-        _emit(args, doc, human)
-        return 0 if verdict.valid else 1
-    morphism = morphism_of_exit_path(path)
-    doc = morphism_to_json(morphism)
-    _emit(
-        args,
-        doc,
-        [
-            f"morphism: {doc['source']} -> {doc['target']}",
-            json.dumps(doc["datum"], separators=(",", ":")),
-        ],
-    )
-    return 0
+        if entry["incompatible"]:
+            human.append(
+                f"  targets {entry['incompatible']} end together "
+                "but start apart"
+            )
+    _emit(args, doc, human)
+    return 0 if verdict.valid else 1
 
 
 def _handle_homology(args) -> int:
@@ -379,7 +371,7 @@ def main(argv=None) -> int:
     except InvalidExitPathError as err:
         print(f"invalid exit path: {err}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, CompositionError, OSError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

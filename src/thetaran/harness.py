@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, product
-from math import gcd
+from math import factorial, gcd
 from random import Random
 
 from .config import (
@@ -41,6 +41,7 @@ from .config import (
 )
 from .homology import (
     _KINDS,
+    _object_count,
     FiniteCategoryView,
     HomologyResult,
     IntegerMatrix,
@@ -67,7 +68,7 @@ from .theta import (
     check_cap,
     check_height,
     compose_theta,
-    count_theta_hom,
+    count_filtered_hom,
     decorated_trees,
     fiber_pairs,
     format_tree,
@@ -104,7 +105,8 @@ _PARAM_KEYS = {
 def _check_params(name: str, params: dict) -> None:
     """ValueError on a key the suite does not read, a negative integer
     value, a height over ``MAX_TREE_DEPTH`` or a homology case without an
-    oracle, before any case runs."""
+    oracle, and ResourceCapError on a tree family past its cap (see
+    _check_family), before any case runs."""
     if name != "all":
         unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
         if unknown:
@@ -115,6 +117,8 @@ def _check_params(name: str, params: dict) -> None:
         if negative:
             raise ValueError(f"suite {name!r} needs nonnegative {', '.join(negative)}")
         check_height("max_height", int(params.get("max_height", 0)))
+        if name in _FAMILY_DEFAULTS:
+            _check_family(name, params)
         if name == "homology":
             _check_homology_case(params)
     elif all(k in _PARAM_KEYS and isinstance(v, dict) for k, v in params.items()):
@@ -275,7 +279,13 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
 # pruning initiality
 
 
-def _decoration_family(params: dict, leaf_default: int, deep_default: int):
+# leaf_bound and deep_leaf_bound defaults of the tree-family suites
+_FAMILY_DEFAULTS = {"pruning": (6, 3), "roundtrip": (8, 4)}
+
+
+def _family_shapes(name: str, params: dict):
+    """(height, k, graft rounds) of each decorated_trees call of a suite."""
+    leaf_default, deep_default = _FAMILY_DEFAULTS[name]
     max_height = int(params.get("max_height", 3))
     leaf_bound = int(params.get("leaf_bound", leaf_default))
     extra = int(params.get("extra", 1))
@@ -283,8 +293,27 @@ def _decoration_family(params: dict, leaf_default: int, deep_default: int):
     deep_leaves = int(params.get("deep_leaf_bound", deep_default))
     for height in range(1, max_height + 1):
         for k in range(leaf_bound + 1):
-            weight = deep_extra if k <= deep_leaves else extra
-            yield from decorated_trees(height, k, weight)
+            yield height, k, deep_extra if k <= deep_leaves else extra
+
+
+def _check_family(name: str, params: dict) -> None:
+    """ResourceCapError once a suite's tree family may pass DEFAULT_HOM_CAP
+    trees: h^(k-1) healthy trees of height h with k leaves, each of at most
+    h * k vertices, and a graft round multiplies by at most 2V + 1, V the
+    largest vertex count, which the round raises by one."""
+    what = f"{name} trees by the closed-form bound"
+    total = 0
+    for height, k, rounds in _family_shapes(name, params):
+        trees = _object_count("w_hlt", height, k, DEFAULT_HOM_CAP)
+        for vertices in range(height * k, height * k + rounds + 1):
+            total += trees
+            check_cap(total, DEFAULT_HOM_CAP, what, exact=False)
+            trees *= 2 * vertices + 1
+
+
+def _decoration_family(name: str, params: dict):
+    for height, k, rounds in _family_shapes(name, params):
+        yield from decorated_trees(height, k, rounds)
 
 
 @lru_cache(maxsize=None)
@@ -340,7 +369,7 @@ def _enumerate_w(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
 
 def _reference_w_hom(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
     """_enumerate_w, once the active count is within ``DEFAULT_HOM_CAP``."""
-    check_cap(count_theta_hom(source, target, True), DEFAULT_HOM_CAP,
+    check_cap(count_filtered_hom(source, target, "active"), DEFAULT_HOM_CAP,
               "active morphisms", source, target)
     return _enumerate_w(source, target)
 
@@ -372,7 +401,7 @@ def verify_initiality(tree: Tree, leaf_bound: int = 6) -> InitialityReport:
     for target in healthy_trees(tree.height, tree.leaf_count):
         targets_checked += 1
         outgoing = _reference_w_hom(tree, target)
-        rows = w_hom_rows(tree, target, DEFAULT_HOM_CAP)
+        rows = w_hom_rows(tree, target)
         if len(rows) != len(outgoing) or set(rows) != {
             leaf_row(f) for f in outgoing
         }:
@@ -434,7 +463,7 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
             tally.record(agreements == pairs, lambda: (
                 f"row/direct agreement on the healthy ({height},{k}) grid", bad
             ))
-    for tree in _decoration_family(params, leaf_default=6, deep_default=3):
+    for tree in _decoration_family("pruning", params):
         bound = max(leaf_bound, tree.leaf_count)
         report = verify_initiality_by_rows(tree, leaf_bound=bound)
         if report.passed and tree.leaf_count <= direct_bound:
@@ -452,7 +481,7 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
 
 def _run_roundtrip(params: dict, seed: int) -> _Tally:
     tally = _Tally()
-    for tree in _decoration_family(params, leaf_default=8, deep_default=4):
+    for tree in _decoration_family("roundtrip", params):
         back = tree_of_configuration(realize_tree(tree))
         expected = prune(tree).pruned
         ok = back == expected
@@ -579,22 +608,15 @@ def _run_homology(params: dict, seed: int) -> _Tally:
     for n, k in UNORDERED_FIXTURES:
         _homology_case(tally, "w_hlt", n, k, max_degree)
 
-    for length in range(0, 5):
-        cat = chain_poset(length)
+    circle = poset_category("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    posets = [(f"chain poset length {n}", chain_poset(n), (1,)) for n in range(5)]
+    for label, cat, betti in posets + [("two-minima two-maxima poset", circle, (1, 1))]:
         result = _checked_homology(cat, max_degree)
         tally.record(
-            result.betti == _pad((1,), max_degree + 1)
+            result.betti == _pad(betti, max_degree + 1)
             and all(not t for t in result.torsion),
-            lambda: (f"chain poset length {length}", str(result)),
+            lambda: (label, str(result)),
         )
-
-    circle = poset_category("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
-    result = _checked_homology(circle, max_degree)
-    tally.record(
-        result.betti == _pad((1, 1), max_degree + 1)
-        and all(not t for t in result.torsion),
-        lambda: ("two-minima two-maxima poset", str(result)),
-    )
 
     rng = Random(seed)
     for index in range(matrices_requested):
@@ -645,8 +667,15 @@ def _homology_case(
         betti, torsion = UNORDERED_FIXTURES[(n, k)]
     expected_betti = _pad(betti, max_degree + 1)
     expected_torsion = _pad(torsion, max_degree + 1, ())
+    # a nerve with no cells past its top built dimension is complete: its
+    # cells' Euler characteristic is P(-1) of the ordered oracle, over k! in w_hlt
+    chi = sum((-1) ** d * b for d, b in enumerate(ordered_betti_oracle(n, k)))
+    chi //= factorial(k) if kind == "w_hlt" else 1
+    cells_chi = sum((-1) ** d * c for d, c in enumerate(result.chain_sizes))
+    euler_ok = result.chain_sizes[-1] > 0 or cells_chi == chi
     ok = (
         validation.ok
+        and euler_ok
         and result.betti == expected_betti
         and result.torsion == expected_torsion
     )
@@ -654,6 +683,7 @@ def _homology_case(
         f"{kind} n={n} k={k}",
         f"got {result} expected betti {expected_betti} "
         f"torsion {expected_torsion} (category valid: {validation.ok}, "
+        f"cells' Euler characteristic {cells_chi}, oracle's {chi}, "
         f"max hom size {cat.max_hom_size})",
     ))
 

@@ -480,17 +480,12 @@ def _nerve_bases(cat: FiniteCategoryView, max_dim: int) -> list[tuple]:
     current: tuple = tuple((m,) for a in range(len(cat.objects))
                            for m in cat.outgoing_non_identity[a])
     for d in range(1, max_dim + 1):
+        if d > 1:
+            current = tuple(chain + (m,) for chain in current
+                            for m in cat.outgoing_non_identity[cat.target(chain[-1])])
         bases.append(current)
         total += len(current)
         check_cap(total, DEFAULT_CHAIN_CAP, f"nerve cells in dimensions 0..{d}")
-        if d == max_dim:
-            break
-        extended = []
-        for chain in current:
-            tip = cat.target(chain[-1])
-            for m in cat.outgoing_non_identity[tip]:
-                extended.append(chain + (m,))
-        current = tuple(extended)
     return bases
 
 
@@ -577,9 +572,9 @@ def homology_from_boundaries(
 ) -> HomologyResult:
     """Homology of a chain complex given as boundaries for degrees 1..D+1.
 
-    When no cells lie above degree D the complex is complete, and the
-    Euler characteristic of the cells must equal that of the Betti
-    numbers; a mismatch raises ``AssertionError``.
+    A negative Betti number raises ``AssertionError``.  No Euler check:
+    b_d = c_d - r_d - r_(d+1) telescopes, so the cells and Betti numbers
+    agree on it by construction (the harness checks it against oracles).
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
@@ -598,14 +593,6 @@ def homology_from_boundaries(
             raise AssertionError("negative Betti number; the complex is broken")
         betti.append(betti_d)
         torsion.append(tuple(v for v in forms[d].divisors if v > 1))
-    if not any(sizes[max_degree + 1 :]):
-        cells_chi = sum((-1) ** d * size for d, size in enumerate(sizes))
-        betti_chi = sum((-1) ** d * b for d, b in enumerate(betti))
-        if cells_chi != betti_chi:
-            raise AssertionError(
-                f"Euler characteristic {cells_chi} of the cells is not "
-                f"{betti_chi} of the Betti numbers; the complex is broken"
-            )
     return HomologyResult(
         max_degree, tuple(betti), tuple(torsion), tuple(sizes)
     )

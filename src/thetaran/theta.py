@@ -555,17 +555,6 @@ def classify_morphism(m: ThetaMorphism) -> MorphismFlags:
 _FILTERS = ("all", "active", "exit", "w")
 
 
-def count_theta_hom(source: Tree, target: Tree, active_only: bool = False) -> int:
-    """Exact hom-set size (all morphisms, or active ones only), or
-    ResourceCapError when it is too long to print (see _printable)."""
-    if source.height != target.height:
-        raise ValueError("hom-sets only exist between trees of equal height")
-    return _printable(
-        lambda bits: _hom_count(source, target, active_only, bits),
-        "hom-set size", source, target,
-    )
-
-
 @lru_cache(maxsize=None)
 def _hom_count(source: Tree, target: Tree, active_only: bool, bits: int) -> int:
     """The hom-set size _saturated at 2**bits, in closed form, so a cap is
@@ -683,8 +672,8 @@ def enumerate_theta_hom(
         homs = [morphism_of_row(source, target, row) for row in rows]
         return tuple(sorted(homs, key=_datum_key))
     active_only = morphism_filter != "all"
-    check_cap(count_theta_hom(source, target, active_only), cap,
-              "active morphisms" if active_only else "morphisms", source, target)
+    check_cap(count_filtered_hom(source, target, "active" if active_only else "all"),
+              cap, "active morphisms" if active_only else "morphisms", source, target)
     homs = _enumerate_plain(source, target, active_only)
     if morphism_filter in ("all", "active"):
         return homs
@@ -905,34 +894,32 @@ def w_hom_rows(
 
 
 @lru_cache(maxsize=None)
-def _injective_row_bound(source: Tree, target: Tree) -> int:
+def _injective_row_bound(source: Tree, target: Tree, bits: int) -> int:
     """Closed-form upper bound on every list that listing the injective
     rows source -> target builds: the rows themselves, and each child
-    pair's cached rows.
+    pair's cached rows; _saturated at 2**bits, as _hom_count is, and read
+    through _printable.
 
     At height 1 the rows are the q-subsets of the p source leaves, a
-    binomial that raises ResourceCapError once too long to print.  Above
-    it each base of _injective_bases adds the product of its child pairs'
-    bounds (disjointness only removes rows); the walk lists child pairs up
-    to the first empty one, and the scan up to the first zero bound.
+    binomial.  Above it each base of _injective_bases adds the product of
+    its child pairs' bounds (disjointness only removes rows); the walk
+    lists child pairs up to the first empty one, and the scan up to the
+    first zero bound.
     """
     if source.height == 1:
-        return _printable(
-            lambda bits: _binomial(source.rank, target.rank, bits),
-            "row bound", source, target,
-        )
+        return _binomial(source.rank, target.rank, bits)
     rows = largest = 0
     for base in _injective_bases(source.leaf_profile, target.leaf_profile):
         term = 1
         for i, j in fiber_pairs(base):
             child = _injective_row_bound(
-                source.children[i - 1], target.children[j - 1]
+                source.children[i - 1], target.children[j - 1], bits
             )
             largest = max(largest, child)
-            term *= child
+            term = _saturated(term * child, bits)
             if term == 0:
                 break
-        rows += term
+        rows = _saturated(rows + term, bits)
     return max(rows, largest)
 
 
@@ -957,8 +944,9 @@ def _filter_rows(
         return None
     if source.leaf_count != target.leaf_count:
         return ()
-    check_cap(_injective_row_bound(source, target), cap,
-              "leaf rows by the closed-form bound", source, target)
+    bound = _printable(lambda bits: _injective_row_bound(source, target, bits),
+                       "row bound", source, target)
+    check_cap(bound, cap, "leaf rows by the closed-form bound", source, target)
     return w_hom_rows(source, target, cap)
 
 
@@ -968,15 +956,17 @@ def count_filtered_hom(
     morphism_filter: str = "all",
     cap: int = DEFAULT_HOM_CAP,
 ) -> int:
-    """Size of the hom-set source -> target under a filter of
-    enumerate_theta_hom, raising ResourceCapError past ``cap``: a closed
-    form for "all" and "active", the number of leaf rows where they stand
-    for the hom-set (see _filter_rows), else the enumeration's length.
-    """
+    """The one hom-set count: the size of source -> target under a filter
+    of enumerate_theta_hom.  Exact in closed form (_hom_count) for "all"
+    and "active", whatever ``cap``; else the leaf rows where they stand for
+    the hom-set (see _filter_rows), or the enumeration, listed within
+    ``cap``.  ResourceCapError past ``cap`` or too long to print."""
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
     if morphism_filter in ("all", "active"):
-        return count_theta_hom(source, target, morphism_filter == "active")
+        active_only = morphism_filter == "active"
+        return _printable(lambda bits: _hom_count(source, target, active_only, bits),
+                          "hom-set size", source, target)
     rows = _filter_rows(source, target, morphism_filter, cap)
     if rows is not None:
         return len(rows)
@@ -995,16 +985,17 @@ def verify_initiality_by_rows(tree: Tree, leaf_bound: int = 6) -> InitialityRepo
     inside the row enumeration), so equal row sets are morphism-level
     existence and uniqueness of the factorization.
 
-    Each side is listed once, through w_hom_rows.  A healthy tree is its
-    own pruning, so its rows are listed once per target and not compared
-    with themselves.  Otherwise both walks list the same sequence: a
-    leafless source child has profile entry 0 and so an empty fiber under
-    every base of _injective_bases, which therefore match the pruned
-    tree's one for one and in order, with the same child pairs below.  So
-    the row tuples are compared as listed, and sets (which pass a
-    reordering and catch a missing, repeated or foreign row) are built
-    only when the tuples differ.  The suite cross-checks the two
-    verifiers against each other where affordable.
+    Each side is listed once, through w_hom_rows, under its default cap.
+    A tree is its own pruning exactly when it has no leafless branch,
+    which is what is_healthy decides, so a healthy tree's rows are listed
+    once per target and not compared with themselves.  Otherwise both
+    walks list the same sequence: a leafless source child has profile
+    entry 0 and so an empty fiber under every base of _injective_bases,
+    which therefore match the pruned tree's one for one and in order, with
+    the same child pairs below.  So the row tuples are compared as listed,
+    and sets (which pass a reordering and catch a missing, repeated or
+    foreign row) are built only when the tuples differ.  The suite
+    cross-checks the two verifiers against each other where affordable.
     """
     if tree.leaf_count > leaf_bound:
         raise ValueError(
@@ -1015,16 +1006,15 @@ def verify_initiality_by_rows(tree: Tree, leaf_bound: int = 6) -> InitialityRepo
     if unit_row != tuple(range(1, tree.leaf_count + 1)):
         return InitialityReport(False, 0, 0, f"tree={format_tree(tree)} unit leaf "
                                 f"row {unit_row} is not (1..{tree.leaf_count})")
-    healthy = result.pruned == tree
     targets_checked = 0
     rows_checked = 0
     for target in healthy_trees(tree.height, tree.leaf_count):
         targets_checked += 1
-        direct = w_hom_rows(tree, target, DEFAULT_HOM_CAP)
+        direct = w_hom_rows(tree, target)
         rows_checked += len(direct)
-        if healthy:
+        if tree.is_healthy:
             continue
-        factored = w_hom_rows(result.pruned, target, DEFAULT_HOM_CAP)
+        factored = w_hom_rows(result.pruned, target)
         if direct == factored:
             continue
         factored_set = set(factored)

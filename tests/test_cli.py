@@ -301,16 +301,24 @@ class TestHom:
 
     def test_unprintable_row_bound_is_a_cap(self, capsys):
         # the child pair [9999999] -> [5000000] bounds its rows by a
-        # binomial with millions of digits, never built
-        started = time.monotonic()
-        code, out, err = run(
-            capsys, "hom", "--source", "[1]([9999999])",
-            "--target", "[2]([5000000],[4999999])", "--filter", "w",
-        )
-        assert time.monotonic() - started < 1.0
-        assert code == 3
-        assert not out
-        assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+        # binomial with millions of digits, never built; each child pair
+        # [4000] -> [2000] is printable, but the bound saturates through
+        # the products and sums above it, for the count and the listing
+        fans = ("[2]([4000],[4000])", "[4]([2000],[2000],[2000],[2000])")
+        for argv in (
+            ("[1]([9999999])", "[2]([5000000],[4999999])", "--filter", "w"),
+            (*fans, "--filter", "w"),
+            (*fans, "--filter", "exit"),
+            (*fans, "--filter", "w", "--enumerate"),
+        ):
+            started = time.monotonic()
+            code, out, err = run(
+                capsys, "hom", "--source", argv[0], "--target", argv[1], *argv[2:]
+            )
+            assert time.monotonic() - started < 1.0
+            assert code == 3
+            assert not out
+            assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
 
     def test_height_mismatch(self, capsys):
         code, _, err = run(
@@ -800,6 +808,20 @@ class TestVerify:
             capsys, "verify", "--suite", "functoriality", "--param", "pairs"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("suite", ["roundtrip", "pruning"])
+    def test_tree_family_is_capped_before_any_case(self, capsys, monkeypatch, suite):
+        # 2^29 healthy height-2 trees with 30 leaves alone pass the cap;
+        # bounded from the params, so no tree is listed and no case runs
+        monkeypatch.setattr(harness, "_run_" + suite, None)
+        started = time.monotonic()
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--param", "leaf_bound=30", "--param", "max_height=2")
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert out == ""
+        assert err == (f"resource cap: more than 1000000 {suite} trees by the "
+                       "closed-form bound exceed the cap of 1000000\n")
 
 
 class TestFixtures:

@@ -9,6 +9,7 @@ the whole file stays fast.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from math import factorial
 from random import Random
 
@@ -154,6 +155,32 @@ class TestRunSuite:
         report = run_suite("homology", {"kind": "nord", "n": 2, "k": 2}, 0)
         assert report.cases == 1 and report.passed
 
+    def test_euler_check_catches_planted_errors(self, monkeypatch):
+        # w_hlt(2, 3) has cells (4, 16, 12) and chi 0 = 0/3!; its betti
+        # and torsion come from UNORDERED_FIXTURES, so only the Euler
+        # check reads the ordered oracle or counts the cells
+        params = {"kind": "w_hlt", "n": 2, "k": 3}
+        assert run_suite("homology", params, 0).passed
+        checked = harness._checked_homology
+
+        def one_more_cell(cat, max_degree):
+            result = checked(cat, max_degree)
+            sizes = (result.chain_sizes[0] + 1,) + result.chain_sizes[1:]
+            return replace(result, chain_sizes=sizes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_checked_homology", one_more_cell)
+            report = run_suite("homology", params, 0)
+        assert not report.passed
+        assert "cells' Euler characteristic 1, oracle's 0" in report.first_counterexample
+        # a wrong oracle fails the case while the nerve is complete, and is
+        # not read below its top dimension, where the cells' sum is partial
+        monkeypatch.setattr(harness, "ordered_betti_oracle", lambda n, k: (6,))
+        report = run_suite("homology", params, 0)
+        assert not report.passed
+        assert "cells' Euler characteristic 0, oracle's 1" in report.first_counterexample
+        assert run_suite("homology", {**params, "max_degree": 0}, 0).passed
+
     def test_pruning_tiny_family_case_count(self):
         # height 1 only: probes at k = 0, 1, 2 plus the three trees
         # [0], [1], [2], which have no leafless decorations
@@ -218,7 +245,7 @@ class TestWreathReference:
         fan = parse_tree("[3]([1],[1],[1])")
         listed = harness.w_hom_rows
 
-        def dropped(source, target, cap):
+        def dropped(source, target, cap=harness.DEFAULT_HOM_CAP):
             rows = listed(source, target, cap)
             return rows[:-1] if (source, target) == (tree, fan) else rows
 

@@ -393,6 +393,16 @@ class TestNerve:
         with pytest.raises(ResourceCapError):
             nerve_chain_complex(cat, 4)
 
+    def test_chain_cap_counts_only_the_dimensions_built(self, monkeypatch):
+        # w_hlt(2, 3) has cells (4, 16, 12): through dimension 1 the nerve
+        # fits a cap of 20, and the walk lists no 2-chains beyond it
+        cat = build_category("w_hlt", 2, 3)
+        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 20)
+        (boundary,) = nerve_chain_complex(cat, 1)
+        assert (boundary.rows, boundary.cols) == (4, 16)
+        with pytest.raises(ResourceCapError, match="32 nerve cells in dimensions 0..2"):
+            nerve_chain_complex(cat, 2)
+
     def test_arrow_cap_stops_listing_rows(self, monkeypatch):
         # w_hlt(2,5): 16 objects and their 5 x 16 row entries fit a cap of
         # 80 cells, its 848 arrows do not; the running count raises before
@@ -545,7 +555,9 @@ def test_cover_euler_characteristics(n, k):
 
 
 # Full-degree homology: max_degree is the nerve's top nonempty dimension,
-# so the Euler check runs.  Each case has a 10 s budget.
+# so every group is final and the Betti numbers' Euler characteristic is
+# the space's, checked against the oracle below.  Each case has a 10 s
+# budget.
 FULL_DEGREE_CASES = [
     ("nord", 3, 3, (1, 0, 3, 0, 2), ((),) * 5),
     ("nord", 2, 4, (1, 6, 11, 6), ((),) * 4),

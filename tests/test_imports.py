@@ -6,8 +6,9 @@ either would still run; this test reads every module's import statements
 instead.  Reading them also keeps every import pointing down the layers,
 so no production module reaches the harness's reference enumerations.
 The same kind of source check keeps exit-path validation free of float
-arithmetic, and every exported name in use by the package itself, so no
-API lives on only for its own tests.
+arithmetic, every exported name in use by the package itself, so no
+API lives on only for its own tests, and every memoized function named in
+one inventory, so no cache is added unseen.
 """
 
 from __future__ import annotations
@@ -182,3 +183,41 @@ def test_caps_are_decided_in_one_place():
         )
     ]
     assert {(module, function) for module, function, _ in built} == CAP_RAISERS, built
+
+
+# every memoized function: a cache added or dropped is an edit to this list
+LRU_CACHED = {
+    ("config", "_tree_node"),
+    ("harness", "_enumerate_w"),
+    ("harness", "_w_candidates"),
+    ("simplex", "enumerate_delta_hom"),
+    ("simplex", "simplicial_circle"),
+    ("theta", "_enumerate_plain"),
+    ("theta", "_hom_count"),
+    ("theta", "_injective_bases"),
+    ("theta", "_injective_row_bound"),
+    ("theta", "_masked_rows"),
+    ("theta", "_morphism_of_row"),
+    ("theta", "fiber_pairs"),
+    ("theta", "healthy_trees"),
+    ("theta", "leaf_row"),
+    ("theta", "leaves"),
+    ("theta", "prune"),
+}
+
+
+def _cache_name(decorator: ast.expr) -> str | None:
+    called = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(called, "id", None) or getattr(called, "attr", None)
+
+
+def test_caches_are_inventoried():
+    cached = [
+        (path.stem, node.name)
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_cache_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+    ]
+    assert len(cached) == len(set(cached)) == 16
+    assert set(cached) == LRU_CACHED, sorted(set(cached) ^ LRU_CACHED)

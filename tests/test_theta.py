@@ -32,7 +32,6 @@ from thetaran.theta import (
     classify_morphism,
     compose_theta,
     count_filtered_hom,
-    count_theta_hom,
     decorated_trees,
     empty_tree,
     enumerate_theta_hom,
@@ -253,8 +252,8 @@ class TestEnumeration:
         ]
         for src_text, tgt_text in pairs:
             s, t = parse_tree(src_text), parse_tree(tgt_text)
-            assert count_theta_hom(s, t) == len(enumerate_theta_hom(s, t))
-            assert count_theta_hom(s, t, True) == len(
+            assert count_filtered_hom(s, t) == len(enumerate_theta_hom(s, t))
+            assert count_filtered_hom(s, t, "active") == len(
                 enumerate_theta_hom(s, t, "active")
             )
 
@@ -290,7 +289,8 @@ class TestEnumeration:
     def test_height_one_counts_in_closed_form(self):
         for p, q in product(range(7), repeat=2):
             for active in (False, True):
-                assert count_theta_hom(Tree(1, p), Tree(1, q), active) == len(
+                counted = "active" if active else "all"
+                assert count_filtered_hom(Tree(1, p), Tree(1, q), counted) == len(
                     enumerate_delta_hom(p, q, active)
                 )
 
@@ -330,7 +330,7 @@ class TestEnumeration:
         # rows of the first child pair before it meets the empty second
         s = parse_tree("[2]([1]([30]),[2]([1],[1]))")
         t = parse_tree("[2]([2]([15],[15]),[1]([2]))")
-        assert _injective_row_bound(s, t) == comb(30, 15) ** 2
+        assert _injective_row_bound(s, t, 0) == comb(30, 15) ** 2
         with pytest.raises(ResourceCapError):
             count_filtered_hom(s, t, "w")
 
@@ -444,7 +444,7 @@ class TestTruncation:
             for s in family:
                 sizes = leaves(s).sizes
                 for t in family:
-                    if count_theta_hom(s, t) > 60:
+                    if count_filtered_hom(s, t) > 60:
                         continue
                     for m in enumerate_theta_hom(s, t):
                         rows = [
@@ -505,6 +505,9 @@ class TestPruning:
     def test_laws_on_decorated_family(self):
         for t in decorated_trees(3, 3, 1):
             res = prune(t)
+            # a tree is its own pruning exactly when it is healthy, the
+            # test verify_initiality_by_rows reads
+            assert (res.pruned == t) is t.is_healthy
             assert res.pruned.is_healthy
             assert res.pruned.leaf_count == t.leaf_count
             flags = classify_morphism(res.morphism)
@@ -595,7 +598,7 @@ class TestHomRows:
                 for target_k in range(k + 1):
                     for target in healthy_trees(height, target_k):
                         rows = len(tuple(_injective_rows(source, target)))
-                        bound = _injective_row_bound(source, target)
+                        bound = _injective_row_bound(source, target, 0)
                         assert rows <= bound
                         if height == 1:
                             assert rows == bound
@@ -768,7 +771,7 @@ class TestHomRows:
         listed = theta.w_hom_rows
         calls = Counter()
 
-        def counted(source, target, cap):
+        def counted(source, target, cap=theta.DEFAULT_HOM_CAP):
             calls[source] += 1
             return listed(source, target, cap)
 
@@ -811,7 +814,7 @@ class TestHomRows:
         patched = parse_tree("[3]([1],[1],[1])")
         w_hom_rows = theta.w_hom_rows
 
-        def factored(source, target, cap):
+        def factored(source, target, cap=theta.DEFAULT_HOM_CAP):
             rows = w_hom_rows(source, target, cap)
             if (source, target) == (pruned, patched):
                 assert len(rows) == 6
