@@ -281,6 +281,8 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
 
 # leaf_bound and deep_leaf_bound defaults of the tree-family suites
 _FAMILY_DEFAULTS = {"pruning": (6, 3), "roundtrip": (8, 4)}
+# probe_leaf_bound default of the pruning suite's healthy probe grid
+_PROBE_LEAF_DEFAULT = 5
 
 
 def _family_shapes(name: str, params: dict):
@@ -300,9 +302,23 @@ def _check_family(name: str, params: dict) -> None:
     """ResourceCapError once a suite's tree family may pass DEFAULT_HOM_CAP
     trees: h^(k-1) healthy trees of height h with k leaves, each of at most
     h * k vertices, and a graft round multiplies by at most 2V + 1, V the
-    largest vertex count, which the round raises by one."""
+    largest vertex count, which the round raises by one.  The pruning
+    suite's healthy probe grid adds its ordered tree pairs, (h^(k-1))^2 per
+    height and k up to ``probe_leaf_bound``, to the same count.  Every
+    (height, k) shape adds at least one tree or pair, so the shape count,
+    a lower bound of the sum, is checked first."""
     what = f"{name} trees by the closed-form bound"
+    max_height = int(params.get("max_height", 3))
+    leaf_bound = int(params.get("leaf_bound", _FAMILY_DEFAULTS[name][0]))
+    probe_bound = (int(params.get("probe_leaf_bound", _PROBE_LEAF_DEFAULT))
+                   if name == "pruning" else -1)  # -1: no probe grid
+    check_cap(max_height * (leaf_bound + probe_bound + 2), DEFAULT_HOM_CAP, what,
+              exact=False)
     total = 0
+    for height in range(1, max_height + 1):
+        for k in range(probe_bound + 1):
+            total += _object_count("w_hlt", height, k, DEFAULT_HOM_CAP) ** 2
+            check_cap(total, DEFAULT_HOM_CAP, what, exact=False)
     for height, k, rounds in _family_shapes(name, params):
         trees = _object_count("w_hlt", height, k, DEFAULT_HOM_CAP)
         for vertices in range(height * k, height * k + rounds + 1):
@@ -442,7 +458,7 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
     """
     leaf_bound = int(params.get("leaf_bound", 6))
     direct_bound = int(params.get("direct_leaf_bound", 4))
-    probe_bound = int(params.get("probe_leaf_bound", 5))
+    probe_bound = int(params.get("probe_leaf_bound", _PROBE_LEAF_DEFAULT))
     max_height = int(params.get("max_height", 3))
     tally = _Tally()
     for height in range(1, max_height + 1):

@@ -9,7 +9,8 @@ over those columns gives their Smith normal form.  Betti numbers plus
 torsion coefficients drop out degree by degree.  Only the brute-force
 oracles and tests build a dense view of a matrix.  ``validate`` checks
 every category law in full, associativity on every composable triple,
-streamed rather than stored.
+compared one composable pair's list of composites at a time and never
+stored.
 
 Two category builders connect back to the tree machinery.  ``w_hlt``
 takes the unlabeled healthy height-n trees with k leaves and all active
@@ -278,43 +279,39 @@ class FiniteCategoryView:
         )
 
     def validate(self, seed: int = 0) -> CategoryValidation:
-        """Every category law on every arrow, pair and triple, streamed.
+        """Every category law on every arrow, pair and triple.
 
         The identity laws hold on every arrow, every composable pair has a
         composite with the right endpoints, and every composable triple
-        h, g, f has h(gf) = (hg)f.  Triples are walked through ``outgoing``
-        and never stored, so memory stays flat in their number.  ``seed``
-        is accepted and never read: the benchmark's category workload
-        still passes it.
+        h, g, f has h(gf) = (hg)f.  One pass reads the table into
+        ``after[f]``: the composites g∘f for g in ``outgoing[target f]``, in
+        that order, None where an entry is missing.  Associativity is one
+        list compare per composable pair (f, g): ``after[gf]`` lists h(gf)
+        for every h out of g's target, and ``after[g]`` mapped through f's
+        g' ↦ g'f lists (hg)f for the same h in the same order.  So each
+        triple is compared inside a list compare and none is stored.
+        ``seed`` is accepted and never read: the benchmark's category
+        workload still passes it.
         """
-        arrows, comp, out, units = (
-            self.morphisms, self.composition, self.outgoing, self.identities
-        )
+        arrows, out, units = self.morphisms, self.outgoing, self.identities
+        get = self.composition.get
         if any(arrows[m][:2] != (i, i) for i, m in enumerate(units)):
             return CategoryValidation(False, False, False)
         identities_ok = all(
-            comp.get((m, units[a])) == m == comp.get((units[b], m))
+            get((m, units[a])) == m == get((units[b], m))
             for m, (a, b, _) in enumerate(arrows)
         )
-        composition_ok = all(
-            (gf := comp.get((g, f))) is not None
-            and arrows[gf][:2] == (a, arrows[g][1])
-            for f, (a, b, _) in enumerate(arrows)
-            for g in out[b]
-        )
-        associativity_ok = composition_ok and self._associative()
-        return CategoryValidation(identities_ok, composition_ok, associativity_ok)
-
-    def _associative(self) -> bool:
-        """h(gf) = (hg)f for every composable triple h, g, f, none stored."""
-        arrows, comp, out = self.morphisms, self.composition, self.outgoing
+        after = [[get((g, f)) for g in out[b]] for f, (_, b, _) in enumerate(arrows)]
+        for f, (a, b, _) in enumerate(arrows):
+            for g, gf in zip(out[b], after[f]):
+                if gf is None or arrows[gf][:2] != (a, arrows[g][1]):
+                    return CategoryValidation(identities_ok, False, False)
         for f, (_, b, _) in enumerate(arrows):
-            for g in out[b]:
-                gf = comp[(g, f)]
-                for h in out[arrows[g][1]]:
-                    if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
-                        return False
-        return True
+            then_f = dict(zip(out[b], after[f])).__getitem__
+            for g, gf in zip(out[b], after[f]):
+                if after[gf] != list(map(then_f, after[g])):
+                    return CategoryValidation(identities_ok, True, False)
+        return CategoryValidation(identities_ok, True, True)
 
 
 @dataclass(frozen=True)

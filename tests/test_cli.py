@@ -823,6 +823,35 @@ class TestVerify:
         assert err == (f"resource cap: more than 1000000 {suite} trees by the "
                        "closed-form bound exceed the cap of 1000000\n")
 
+    def test_pruning_probe_grid_is_capped_before_any_case(self, capsys,
+                                                          monkeypatch):
+        # 3^8 = 6,561 healthy height-3 trees with 9 leaves: 43 M ordered
+        # probe pairs, counted with the family before the grid is walked
+        monkeypatch.setattr(harness, "_run_pruning", None)
+        started = time.monotonic()
+        code, out, err = run(capsys, "verify", "--suite", "pruning",
+                             "--param", "probe_leaf_bound=9")
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert out == ""
+        assert err == ("resource cap: more than 1000000 pruning trees by the "
+                       "closed-form bound exceed the cap of 1000000\n")
+
+    def test_one_tree_shapes_are_counted_at_once(self, capsys, monkeypatch):
+        # 10^7 + 1 height-1 shapes of one tree each: their count alone
+        # passes the cap, so no shape is summed
+        monkeypatch.setattr(harness, "_run_roundtrip", None)
+        started = time.monotonic()
+        code, out, err = run(capsys, "verify", "--suite", "roundtrip",
+                             "--param", "max_height=1",
+                             "--param", "leaf_bound=10000000",
+                             "--param", "extra=0", "--param", "deep_extra=0")
+        assert time.monotonic() - started < 0.2
+        assert code == 3
+        assert out == ""
+        assert err == ("resource cap: more than 1000000 roundtrip trees by the "
+                       "closed-form bound exceed the cap of 1000000\n")
+
 
 class TestFixtures:
     def test_prints_tables(self, capsys):

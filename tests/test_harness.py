@@ -196,6 +196,28 @@ class TestRunSuite:
         report = run_suite("functoriality", {"pairs": 3}, 4)
         assert report.cases == 3 and report.passed
 
+    @pytest.mark.parametrize("name, params, bound", [
+        # probe grid: 1 + 1 + 1 pairs at height 1, 1 + 1 + 2^2 at height 2;
+        # family, (trees, then x(2V + 1) per graft round): height 1 gives
+        # 1 + 1 at k = 0, 1 + 3 at k = 1, 1 at k = 2; height 2 gives
+        # 1 + 1, 1 + 5, 2: 9 + 17 = 26
+        ("pruning", {"max_height": 2, "leaf_bound": 2, "probe_leaf_bound": 2,
+                     "extra": 0, "deep_extra": 1, "deep_leaf_bound": 1}, 26),
+        # ten one-tree shapes: the shape count alone equals the bound
+        ("roundtrip", {"max_height": 1, "leaf_bound": 9, "extra": 0,
+                       "deep_extra": 0}, 10),
+        # the defaults, well within the cap of 1,000,000
+        ("pruning", {}, 27_332),
+        ("roundtrip", {}, 188_242),
+    ])
+    def test_family_bound_is_exact_at_the_cap(self, monkeypatch, name, params,
+                                              bound):
+        monkeypatch.setattr(harness, "DEFAULT_HOM_CAP", bound)
+        harness._check_family(name, params)
+        monkeypatch.setattr(harness, "DEFAULT_HOM_CAP", bound - 1)
+        with pytest.raises(ResourceCapError):
+            harness._check_family(name, params)
+
 
 class TestPlantedFailures:
     """Case text is formatted only for a failing case; the first

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations
 from math import factorial, gcd
 from random import Random
@@ -19,6 +20,7 @@ import pytest
 from thetaran import homology
 from thetaran.harness import _enumerate_w, minor_gcd, ordered_betti_oracle
 from thetaran.homology import (
+    CategoryValidation,
     FiniteCategoryView,
     IntegerMatrix,
     build_category,
@@ -234,6 +236,131 @@ class TestFiniteCategories:
         assert {format_tree(o) for o in shuffled.objects} == {
             format_tree(o) for o in cat.objects
         }
+
+
+def triple_walk_validation(cat: FiniteCategoryView) -> CategoryValidation:
+    """Brute-force oracle for ``validate``: each law entry by entry, and
+    every composable triple h, g, f walked one at a time with four table
+    lookups.  Arrows out of each object are listed here, not read from
+    the view."""
+    arrows, comp, units = cat.morphisms, cat.composition, cat.identities
+    if any(arrows[m][:2] != (i, i) for i, m in enumerate(units)):
+        return CategoryValidation(False, False, False)
+    out = {}
+    for m, (a, _, _) in enumerate(arrows):
+        out.setdefault(a, []).append(m)
+    identities_ok = all(
+        comp.get((m, units[a])) == m and comp.get((units[b], m)) == m
+        for m, (a, b, _) in enumerate(arrows)
+    )
+    composition_ok = all(
+        (g, f) in comp and arrows[comp[(g, f)]][:2] == (a, arrows[g][1])
+        for f, (a, b, _) in enumerate(arrows)
+        for g in out.get(b, ())
+    )
+    if not composition_ok:
+        return CategoryValidation(identities_ok, False, False)
+    for f, (_, b, _) in enumerate(arrows):
+        for g in out.get(b, ()):
+            gf = comp[(g, f)]
+            for h in out.get(arrows[g][1], ()):
+                if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+                    return CategoryValidation(identities_ok, True, False)
+    return CategoryValidation(identities_ok, True, True)
+
+
+def _shifted_identity(cat: FiniteCategoryView) -> FiniteCategoryView:
+    """Object 0's identity replaced by object 1's, an arrow 1 -> 1."""
+    identities = (cat.identities[1],) + cat.identities[1:]
+    return FiniteCategoryView(cat.objects, cat.morphisms, identities,
+                              cat.composition)
+
+
+ORACLE_CATEGORIES = {
+    "poset-abc": lambda: poset_category("abc", [("a", "b"), ("b", "c")]),
+    "chain-3": lambda: chain_poset(3),
+    "empty-table": lambda: FiniteCategoryView(
+        chain_poset(1).objects, chain_poset(1).morphisms,
+        chain_poset(1).identities, {}
+    ),
+    "w_hlt-2-2-permuted": lambda: build_category("w_hlt", 2, 2).permuted((1, 0)),
+    "w_hlt-2-4-shifted-identity": lambda: _shifted_identity(
+        build_category("w_hlt", 2, 4)
+    ),
+    **{f"{kind}-{n}-{k}": lambda kind=kind, n=n, k=k: build_category(kind, n, k)
+       for kind, n, k in [("w_hlt", 2, 3), ("w_hlt", 3, 2), ("w_hlt", 2, 4),
+                          ("w_hlt", 2, 5), ("w_hlt", 3, 4), ("nord", 2, 3),
+                          ("nord", 3, 3), ("nord", 1, 0)]},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CATEGORIES)
+def test_validate_matches_triple_walk_oracle(name):
+    cat = ORACLE_CATEGORIES[name]()
+    assert cat.validate() == triple_walk_validation(cat)
+
+
+def _planted_faults(cat: FiniteCategoryView, rng: Random, per_kind: int = 25):
+    """(kind, broken view) pairs: up to ``per_kind`` seeded sites per kind.
+
+    ``missing``: a composable pair loses its entry.  ``endpoints``: a pair's
+    composite is an arrow with other endpoints.  ``identity``: m∘id or
+    id∘m is another arrow, one with m's endpoints where there is one.
+    ``associativity``: a pair's composite is another arrow with the true
+    one's endpoints, so only associativity can tell.  In a category with
+    at most one arrow per object pair (a poset, nord) that arrow is the
+    composite, so the last kind has no site there."""
+    arrows, comp = cat.morphisms, cat.composition
+    between = {}
+    for m, (a, b, _) in enumerate(arrows):
+        between.setdefault((a, b), []).append(m)
+    units = set(cat.identities)
+    pairs = sorted(comp)
+    plants = {"missing": [], "endpoints": [], "identity": [], "associativity": []}
+    for g, f in pairs:
+        ends = arrows[comp[(g, f)]][:2]
+        plants["missing"].append(((g, f), None))
+        others = [m for m, arrow in enumerate(arrows) if arrow[:2] != ends]
+        if others:
+            plants["endpoints"].append(((g, f), rng.choice(others)))
+        alternatives = [m for m in between[ends] if m != comp[(g, f)]]
+        if g in units or f in units:
+            fallback = [m for m in range(len(arrows)) if m != comp[(g, f)]]
+            plants["identity"].append(((g, f), rng.choice(alternatives or fallback)))
+        elif alternatives:
+            plants["associativity"].append(((g, f), rng.choice(alternatives)))
+    for kind, sites in plants.items():
+        for key, value in rng.sample(sites, min(per_kind, len(sites))):
+            table = dict(comp)
+            if value is None:
+                del table[key]
+            else:
+                table[key] = value
+            yield kind, FiniteCategoryView(
+                cat.objects, arrows, cat.identities, table
+            )
+
+
+@pytest.mark.parametrize("name", ["chain-3", "w_hlt-2-4", "nord-2-3"])
+def test_validate_matches_oracle_on_planted_faults(name):
+    cat = ORACLE_CATEGORIES[name]()
+    seen = Counter()
+    for kind, broken in _planted_faults(cat, Random(name)):
+        validation = broken.validate()
+        assert validation == triple_walk_validation(broken), (kind, name)
+        seen[kind] += 1
+        if kind in ("missing", "endpoints"):
+            assert not validation.composition_ok
+            assert not validation.associativity_ok
+        elif kind == "identity":
+            assert not validation.identities_ok
+        else:
+            # a wrong composite with the true endpoints may still give a
+            # lawful table; each of these seeded sites breaks a triple
+            assert (validation.identities_ok, validation.composition_ok,
+                    validation.associativity_ok) == (True, True, False)
+    assert min(seen["missing"], seen["endpoints"], seen["identity"]) > 0
+    assert seen["associativity"] == (0 if cat.max_hom_size == 1 else 25)
 
 
 class TestBuildCategory:
