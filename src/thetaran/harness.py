@@ -286,7 +286,7 @@ _PROBE_LEAF_DEFAULT = 5
 
 
 def _family_shapes(name: str, params: dict):
-    """(height, k, graft rounds) of each decorated_trees call of a suite."""
+    """(height, ks, graft rounds): decorated_trees calls, one per k in ks."""
     leaf_default, deep_default = _FAMILY_DEFAULTS[name]
     max_height = int(params.get("max_height", 3))
     leaf_bound = int(params.get("leaf_bound", leaf_default))
@@ -294,8 +294,8 @@ def _family_shapes(name: str, params: dict):
     deep_extra = int(params.get("deep_extra", 2))
     deep_leaves = int(params.get("deep_leaf_bound", deep_default))
     for height in range(1, max_height + 1):
-        for k in range(leaf_bound + 1):
-            yield height, k, deep_extra if k <= deep_leaves else extra
+        yield height, range(min(deep_leaves, leaf_bound) + 1), deep_extra
+        yield height, range(deep_leaves + 1, leaf_bound + 1), extra
 
 
 def _check_family(name: str, params: dict) -> None:
@@ -306,7 +306,8 @@ def _check_family(name: str, params: dict) -> None:
     suite's healthy probe grid adds its ordered tree pairs, (h^(k-1))^2 per
     height and k up to ``probe_leaf_bound``, to the same count.  Every
     (height, k) shape adds at least one tree or pair, so the shape count,
-    a lower bound of the sum, is checked first."""
+    a lower bound of the sum, is checked first.  At height 1 each k adds one
+    probe pair, and one tree if ungrafted: such runs are summed at once."""
     what = f"{name} trees by the closed-form bound"
     max_height = int(params.get("max_height", 3))
     leaf_bound = int(params.get("leaf_bound", _FAMILY_DEFAULTS[name][0]))
@@ -314,22 +315,28 @@ def _check_family(name: str, params: dict) -> None:
                    if name == "pruning" else -1)  # -1: no probe grid
     check_cap(max_height * (leaf_bound + probe_bound + 2), DEFAULT_HOM_CAP, what,
               exact=False)
-    total = 0
-    for height in range(1, max_height + 1):
+    total = probe_bound + 1 if max_height else 0  # height 1: one pair per k
+    for height in range(2, max_height + 1):
         for k in range(probe_bound + 1):
             total += _object_count("w_hlt", height, k, DEFAULT_HOM_CAP) ** 2
             check_cap(total, DEFAULT_HOM_CAP, what, exact=False)
-    for height, k, rounds in _family_shapes(name, params):
-        trees = _object_count("w_hlt", height, k, DEFAULT_HOM_CAP)
-        for vertices in range(height * k, height * k + rounds + 1):
-            total += trees
+    for height, ks, rounds in _family_shapes(name, params):
+        if height == 1 and not rounds:
+            total += len(ks)
             check_cap(total, DEFAULT_HOM_CAP, what, exact=False)
-            trees *= 2 * vertices + 1
+            continue
+        for k in ks:
+            trees = _object_count("w_hlt", height, k, DEFAULT_HOM_CAP)
+            for vertices in range(height * k, height * k + rounds + 1):
+                total += trees
+                check_cap(total, DEFAULT_HOM_CAP, what, exact=False)
+                trees *= 2 * vertices + 1
 
 
 def _decoration_family(name: str, params: dict):
-    for height, k, rounds in _family_shapes(name, params):
-        yield from decorated_trees(height, k, rounds)
+    for height, ks, rounds in _family_shapes(name, params):
+        for k in ks:
+            yield from decorated_trees(height, k, rounds)
 
 
 @lru_cache(maxsize=None)

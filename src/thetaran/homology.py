@@ -50,9 +50,9 @@ DEFAULT_CHAIN_CAP = 500_000
 
 # Composition-table entries (composable arrow pairs) allowed in one
 # build, counted before the table is built.  Measured peak RSS of the
-# build alone, Python 3.11: 170 MB on w_hlt(2,7) (1,391,088 entries) and
-# 902 MB on nord(4,4) (7,315,200), about 0.12 KB per entry, so a table at
-# the cap stays within the same ~1.2 GB.
+# build alone with its row-pair memo, Python 3.11: 195 MB on w_hlt(2,7)
+# (1,391,088 entries) and 902 MB on nord(4,4) (7,315,200), 0.14 and 0.12
+# KB per entry, so a table at the cap stays within about 1.4 GB.
 COMPOSITION_CAP = 10_000_000
 
 
@@ -237,17 +237,11 @@ class FiniteCategoryView:
     identities: tuple[int, ...]
     composition: dict[tuple[int, int], int]
 
-    def source(self, m: int) -> int:
-        return self.morphisms[m][0]
-
     def target(self, m: int) -> int:
         return self.morphisms[m][1]
 
     def is_identity(self, m: int) -> bool:
         return self.identities[self.morphisms[m][0]] == m
-
-    def compose(self, second: int, first: int) -> int:
-        return self.composition[(second, first)]
 
     @cached_property
     def max_hom_size(self) -> int:
@@ -395,7 +389,9 @@ def build_category(
     arrow per object), the ordered tree pairs (trees squared, exact within
     the object cap) against ``COMPOSITION_CAP`` before any row is listed,
     the arrows (k! per w-arrow in ``nord``) as each tree's rows are added,
-    the composable pairs against ``COMPOSITION_CAP`` before the table.  A
+    the composable pairs against ``COMPOSITION_CAP`` before the table,
+    whose memo composes each distinct row pair once: at most
+    min(composable pairs, (k!)^2) entries, as rows permute 1..k.  A
     healthy height-n tree with k >= 1 leaves is a nonempty sequence of
     ones of height n-1, so H_n = H_(n-1)/(1 - H_(n-1)) for their
     generating functions, and from H_1 = x/(1-x), H_n = x/(1-nx): n^(k-1)
@@ -446,11 +442,14 @@ def build_category(
     identities = tuple(index[(a, a, unit)] for a in range(len(objects)))
     cat = FiniteCategoryView(objects, tuple(arrows), identities, {})
     # composable pairs only, found through the view's own outgoing index
+    table, rows = cat.composition, {}
     for f, (a, b, first) in enumerate(arrows):
         for g in cat.outgoing[b]:
             _, c, second = arrows[g]
-            row = tuple(first[v - 1] for v in second)
-            cat.composition[(g, f)] = index[(a, c, row)]
+            row = rows.get((first, second))
+            if row is None:
+                row = rows[first, second] = tuple(first[v - 1] for v in second)
+            table[(g, f)] = index[(a, c, row)]
     return cat
 
 
@@ -497,6 +496,7 @@ def nerve_chain_complex(
     are held to ``DEFAULT_CHAIN_CAP`` before the next is listed.
     """
     bases = _nerve_bases(cat, max_dim)
+    arrows, table, units = cat.morphisms, cat.composition, cat.identities
     matrices = []
     for d in range(1, max_dim + 1):
         lower = bases[d - 1]
@@ -506,14 +506,14 @@ def nerve_chain_complex(
         for chain in upper:
             coeffs: dict[int, int] = defaultdict(int)
             if d == 1:
-                coeffs[cat.target(chain[0])] += 1
-                coeffs[cat.source(chain[0])] -= 1
+                coeffs[arrows[chain[0]][1]] += 1
+                coeffs[arrows[chain[0]][0]] -= 1
             else:
                 coeffs[position[chain[1:]]] += 1
                 sign = -1
                 for i in range(1, d):
-                    composite = cat.compose(chain[i], chain[i - 1])
-                    if not cat.is_identity(composite):
+                    composite = table[(chain[i], chain[i - 1])]
+                    if units[arrows[composite][0]] != composite:
                         face = chain[: i - 1] + (composite,) + chain[i + 1 :]
                         coeffs[position[face]] += sign
                     sign = -sign

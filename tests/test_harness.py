@@ -9,7 +9,9 @@ the whole file stays fast.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
+from itertools import product
 from math import factorial
 from random import Random
 
@@ -217,6 +219,59 @@ class TestRunSuite:
         monkeypatch.setattr(harness, "DEFAULT_HOM_CAP", bound - 1)
         with pytest.raises(ResourceCapError):
             harness._check_family(name, params)
+
+    def test_one_tree_shapes_are_summed_in_one_step(self):
+        # 10^6 height-1 shapes without grafts, exactly the cap
+        params = {"max_height": 1, "leaf_bound": 999_999, "extra": 0,
+                  "deep_extra": 0}
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            harness._check_family("roundtrip", params)
+            best = min(best, time.perf_counter() - started)
+        assert best < 0.05
+
+    @pytest.mark.parametrize("name", ["pruning", "roundtrip"])
+    def test_family_bound_matches_per_shape_sum(self, monkeypatch, name):
+        monkeypatch.setattr(harness, "DEFAULT_HOM_CAP", 60)
+        grid = product(range(4), (0, 2, 5), (0, 1), (0, 2), (0, 1, 3), (0, 2))
+        outcomes = set()
+        for height, leaves, extra, deep_extra, deep_leaves, probe in grid:
+            params = {"max_height": height, "leaf_bound": leaves, "extra": extra,
+                      "deep_extra": deep_extra, "deep_leaf_bound": deep_leaves}
+            if name == "pruning":
+                params["probe_leaf_bound"] = probe
+            try:
+                harness._check_family(name, params)
+                passed = True
+            except ResourceCapError:
+                passed = False
+            assert passed == (per_shape_family_bound(name, params) <= 60), params
+            outcomes.add(passed)
+        assert outcomes == {True, False}
+
+
+def per_shape_family_bound(name: str, params: dict) -> int:
+    """The tree-family bound of ``_check_family`` summed one term per probe
+    (height, k) and per graft round of each (height, k) shape."""
+    leaf_default, deep_default = harness._FAMILY_DEFAULTS[name]
+    max_height = params.get("max_height", 3)
+    leaf_bound = params.get("leaf_bound", leaf_default)
+    deep_leaves = params.get("deep_leaf_bound", deep_default)
+    probe_bound = (params.get("probe_leaf_bound", harness._PROBE_LEAF_DEFAULT)
+                   if name == "pruning" else -1)
+    total = 0
+    for height in range(1, max_height + 1):
+        for k in range(probe_bound + 1):
+            total += (height ** (k - 1) if k else 1) ** 2
+        for k in range(leaf_bound + 1):
+            rounds = (params.get("deep_extra", 2) if k <= deep_leaves
+                      else params.get("extra", 1))
+            trees = height ** (k - 1) if k else 1
+            for vertices in range(height * k, height * k + rounds + 1):
+                total += trees
+                trees *= 2 * vertices + 1
+    return total
 
 
 class TestPlantedFailures:

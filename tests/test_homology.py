@@ -487,6 +487,65 @@ def test_leaf_row_build_matches_wreath_build(kind, n, k):
         assert len(cat.morphisms) == factorial(k) * w_arrows
 
 
+def row_composition_oracle(cat: FiniteCategoryView) -> dict[tuple[int, int], int]:
+    """``build_category``'s composition table with each composable pair's
+    rows composed afresh, in the build's loop order."""
+    arrows = cat.morphisms
+    index = {arrow: i for i, arrow in enumerate(arrows)}
+    table = {}
+    for f, (a, b, first) in enumerate(arrows):
+        for g in cat.outgoing[b]:
+            _, c, second = arrows[g]
+            table[(g, f)] = index[(a, c, tuple(first[v - 1] for v in second))]
+    return table
+
+
+def method_call_boundaries(cat: FiniteCategoryView, max_dim: int) -> list:
+    """``nerve_chain_complex``'s columns through the view's methods, one
+    call per endpoint, composite and identity test."""
+    bases = homology._nerve_bases(cat, max_dim)
+    out = []
+    for d in range(1, max_dim + 1):
+        position = {chain: i for i, chain in enumerate(bases[d - 1])}
+        columns = []
+        for chain in bases[d]:
+            coeffs = Counter()
+            if d == 1:
+                coeffs[cat.target(chain[0])] += 1
+                coeffs[cat.morphisms[chain[0]][0]] -= 1
+            else:
+                coeffs[position[chain[1:]]] += 1
+                sign = -1
+                for i in range(1, d):
+                    composite = cat.composition[(chain[i], chain[i - 1])]
+                    if not cat.is_identity(composite):
+                        face = chain[: i - 1] + (composite,) + chain[i + 1 :]
+                        coeffs[position[face]] += sign
+                    sign = -sign
+                coeffs[position[chain[:-1]]] += sign
+            columns.append({i: v for i, v in coeffs.items() if v})
+        out.append(columns)
+    return out
+
+
+@pytest.mark.parametrize("kind,n,k", [
+    ("w_hlt", 2, 4), ("w_hlt", 3, 3), ("w_hlt", 2, 5), ("w_hlt", 3, 4),
+    ("nord", 2, 3), ("nord", 3, 3),
+])
+def test_composition_table_matches_row_oracle(kind, n, k):
+    cat = build_category(kind, n, k)
+    oracle = row_composition_oracle(cat)
+    assert cat.composition == oracle
+    assert list(cat.composition.items()) == list(oracle.items())
+    matrices = nerve_chain_complex(cat, 4)
+    for matrix, columns in zip(matrices, method_call_boundaries(cat, 4),
+                               strict=True):
+        assert list(matrix.columns) == columns
+        assert [list(c.items()) for c in matrix.columns] == [
+            list(c.items()) for c in columns
+        ]
+
+
 class TestNerve:
     def test_walking_arrow(self):
         cat = poset_category("ab", [("a", "b")])
