@@ -5,8 +5,10 @@ an object list, a morphism list, and a composition table has a normalized
 nerve whose d-chains are composable strings of d non-identity morphisms.
 Boundary matrices are sparse integer columns, one ``{row: coefficient}``
 dict per chain, straight from the nerve, and one sparse elimination loop
-over those columns gives their Smith normal form.  Betti numbers plus
-torsion coefficients drop out degree by degree.  Only the brute-force
+over those columns gives their Smith normal form.  Homology reduces them
+from the top degree down, and the unit pivots of each degree clear
+columns of the one below (``homology_from_boundaries``).  Betti numbers
+plus torsion coefficients drop out degree by degree.  Only the brute-force
 oracles and tests build a dense view of a matrix.  ``validate`` checks
 every category law in full, associativity on every composable triple,
 compared one composable pair's list of composites at a time and never
@@ -39,10 +41,11 @@ from math import factorial, gcd
 from .theta import DEFAULT_HOM_CAP, check_cap, check_height, healthy_trees, w_hom_rows
 
 # Nerve cells allowed in one build.  Measured peak RSS above the bare
-# interpreter (~18 MB), full degree, Python 3.11: 0.7 KB per cell on
-# nord(2,4) (12,288 cells) and 1.0 KB on w_hlt(2,5) (14,048 cells), where
-# the nerve dominates; 2.4 KB on w_hlt(3,4) (403,853 cells, 988 MB), where
-# Smith-form fill-in does.  So a build at the cap can take about 1.2 GB.
+# interpreter (~18 MB), full degree, Python 3.11: 0.6 KB per cell on
+# nord(2,4) (12,288 cells) and w_hlt(2,5) (14,048 cells); 0.8 KB on
+# w_hlt(3,4) (403,853 cells, 319 MB), 0.4 KB of it the nerve and the rest
+# Smith-form fill-in left after clearing.  So a build at the cap can take
+# about 0.4 GB.
 # build_category counts a category's objects (0-cells) and k row entries
 # per object before listing them, and its arrows (1-cells) as it lists
 # them, against this cap.
@@ -50,9 +53,10 @@ DEFAULT_CHAIN_CAP = 500_000
 
 # Composition-table entries (composable arrow pairs) allowed in one
 # build, counted before the table is built.  Measured peak RSS of the
-# build alone with its row-pair memo, Python 3.11: 195 MB on w_hlt(2,7)
-# (1,391,088 entries) and 902 MB on nord(4,4) (7,315,200), 0.14 and 0.12
-# KB per entry, so a table at the cap stays within about 1.4 GB.
+# build alone with its row ids and row-pair memo, Python 3.11: 176 MB on
+# w_hlt(2,7) (1,391,088 entries) and 910 MB on nord(4,4) (7,315,200),
+# 0.12 and 0.13 KB per entry, so a table at the cap stays within about
+# 1.3 GB.
 COMPOSITION_CAP = 10_000_000
 
 
@@ -150,12 +154,21 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithNormalForm:
     exponents at once: they come out sorted, and d_a divides d_b for
     a < b.  Smith form is unique, so this chain is it.
     """
-    columns = [dict(column) for column in matrix.columns]
+    return _smith_and_unit_rows(matrix, ())[0]
+
+
+def _smith_and_unit_rows(
+    matrix: IntegerMatrix, cleared
+) -> tuple[SmithNormalForm, list[int]]:
+    """``smith_normal_form`` of the matrix with the ``cleared`` columns
+    made empty, and the rows of its unit pivots in pivot order."""
+    columns = [{} if j in cleared else dict(column)
+               for j, column in enumerate(matrix.columns)]
     holders: dict[int, set[int]] = defaultdict(set)  # row -> columns with it
     for j, column in enumerate(columns):
         for i in column:
             holders[i].add(j)
-    pivots = 0
+    unit_rows = []
     for j in sorted(range(len(columns)), key=lambda j: len(columns[j])):
         column = columns[j]
         units = [i for i, v in column.items() if v == 1 or v == -1]
@@ -169,7 +182,7 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithNormalForm:
         for other in holders.pop(r):
             _add_multiple(columns, holders, other, -unit * columns[other].pop(r), column)
         columns[j] = {}
-        pivots += 1
+        unit_rows.append(r)
     diagonal = []
     residual = [j for j, column in enumerate(columns) if column]
     while residual:
@@ -201,8 +214,8 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithNormalForm:
         for b in range(a + 1, len(diagonal)):
             g = gcd(diagonal[a], diagonal[b])
             diagonal[a], diagonal[b] = g, diagonal[a] // g * diagonal[b]
-    divisors = (1,) * pivots + tuple(diagonal)
-    return SmithNormalForm(divisors, len(divisors))
+    divisors = (1,) * len(unit_rows) + tuple(diagonal)
+    return SmithNormalForm(divisors, len(divisors)), unit_rows
 
 
 def _add_multiple(columns, holders, other: int, factor: int, column) -> None:
@@ -390,7 +403,7 @@ def build_category(
     the object cap) against ``COMPOSITION_CAP`` before any row is listed,
     the arrows (k! per w-arrow in ``nord``) as each tree's rows are added,
     the composable pairs against ``COMPOSITION_CAP`` before the table,
-    whose memo composes each distinct row pair once: at most
+    whose memo composes each distinct pair of row ids once: at most
     min(composable pairs, (k!)^2) entries, as rows permute 1..k.  A
     healthy height-n tree with k >= 1 leaves is a nonempty sequence of
     ones of height n-1, so H_n = H_(n-1)/(1 - H_(n-1)) for their
@@ -437,19 +450,28 @@ def build_category(
                 (a, b * size + position[tuple(lab[v - 1] for v in row)], row)
                 for b, row in rows_out[a // size]
             ))
-    index = {arrow: i for i, arrow in enumerate(arrows)}
-    unit = tuple(range(1, k + 1))
-    identities = tuple(index[(a, a, unit)] for a in range(len(objects)))
+    # each distinct row as an int, at most k! of them, and each arrow keyed
+    # by the int (source, target, row id) in mixed radix: no two share a key
+    row_id: dict[tuple, int] = {}
+    ids = [row_id.setdefault(row, len(row_id)) for _, _, row in arrows]
+    rows, width, count = list(row_id), len(row_id), len(objects)
+    index = {(a * count + b) * width + r: i
+             for i, ((a, b, _), r) in enumerate(zip(arrows, ids))}
+    unit = row_id[tuple(range(1, k + 1))]
+    identities = tuple(index[(a * count + a) * width + unit] for a in range(count))
     cat = FiniteCategoryView(objects, tuple(arrows), identities, {})
-    # composable pairs only, found through the view's own outgoing index
-    table, rows = cat.composition, {}
-    for f, (a, b, first) in enumerate(arrows):
+    # composable pairs only, found through the view's own outgoing index; a
+    # composite that is no arrow raises KeyError in row_id or index
+    table, memo = cat.composition, {}
+    for f, (a, b, _) in enumerate(arrows):
+        first, source = rows[ids[f]], a * count
+        after = memo.setdefault(ids[f], {})
         for g in cat.outgoing[b]:
-            _, c, second = arrows[g]
-            row = rows.get((first, second))
+            second = ids[g]
+            row = after.get(second)
             if row is None:
-                row = rows[first, second] = tuple(first[v - 1] for v in second)
-            table[(g, f)] = index[(a, c, row)]
+                row = after[second] = row_id[tuple(first[v - 1] for v in rows[second])]
+            table[(g, f)] = index[(source + arrows[g][1]) * width + row]
     return cat
 
 
@@ -569,6 +591,22 @@ def homology_from_boundaries(
 ) -> HomologyResult:
     """Homology of a chain complex given as boundaries for degrees 1..D+1.
 
+    ``matrices[d]`` is the boundary out of degree d+1, so each one's
+    columns must be the next one's rows; a mismatch raises ``ValueError``
+    naming the degree.  The matrices must form a complex, ∂_d ∂_(d+1) = 0;
+    that is not checked here (the harness checks it on the full matrices).
+
+    Clearing (Chen-Kerber, "Persistent homology computation with a
+    twist", 2011): the boundaries are reduced from the top degree down,
+    and each unit pivot row of ∂_(d+1), a d-cell, has its column of ∂_d
+    made empty before ∂_d is reduced.  This changes no rank and no
+    elementary divisor.  At pivot time the pivot column is an integer
+    combination of the columns of ∂_(d+1), with ±1 at its pivot row and 0
+    at every earlier pivot row.  So those columns restricted to the pivot
+    rows form a unimodular triangular matrix, and ∂_d ∂_(d+1) = 0 writes
+    each cleared column of ∂_d as an integer combination of the kept
+    ones: column operations empty it without touching the rest.
+
     A negative Betti number raises ``AssertionError``.  No Euler check:
     b_d = c_d - r_d - r_(d+1) telescopes, so the cells and Betti numbers
     agree on it by construction (the harness checks it against oracles).
@@ -579,8 +617,19 @@ def homology_from_boundaries(
         raise ValueError(
             f"need boundaries through degree {max_degree + 1}, got {len(matrices)}"
         )
+    for d, (lower, upper) in enumerate(zip(matrices, matrices[1:]), start=1):
+        if upper.rows != lower.cols:
+            raise ValueError(
+                f"boundary into degree {d} has {upper.rows} rows, but the "
+                f"boundary out of degree {d} has {lower.cols} columns"
+            )
     sizes = [matrices[0].rows] + [m.cols for m in matrices]
-    forms = [smith_normal_form(m) for m in matrices]
+    forms = []
+    cleared: list[int] = []  # unit pivot rows of the boundary above
+    for matrix in reversed(matrices):
+        form, cleared = _smith_and_unit_rows(matrix, set(cleared))
+        forms.append(form)
+    forms.reverse()
     ranks = [0] + [f.rank for f in forms]  # ranks[d] = rank of boundary from degree d
     betti = []
     torsion = []

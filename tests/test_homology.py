@@ -18,10 +18,17 @@ from random import Random
 import pytest
 
 from thetaran import homology
-from thetaran.harness import _enumerate_w, minor_gcd, ordered_betti_oracle
+from thetaran.harness import (
+    ORDERED_CASES,
+    UNORDERED_FIXTURES,
+    _enumerate_w,
+    minor_gcd,
+    ordered_betti_oracle,
+)
 from thetaran.homology import (
     CategoryValidation,
     FiniteCategoryView,
+    HomologyResult,
     IntegerMatrix,
     build_category,
     chain_poset,
@@ -417,6 +424,29 @@ class TestBuildCategory:
         assert homology._object_count("w_hlt", 2, 20, 2**18) == 2**18 + 1
         assert time.monotonic() - started < 1.0
 
+    @pytest.mark.parametrize("kind", ["w_hlt", "nord"])
+    def test_missing_identity_or_composite_raises(self, monkeypatch, kind):
+        # the table looks arrows up by source, target and row id; an arrow
+        # left out of a hom-set must raise, never stand in for another
+        cat = build_category("w_hlt", 2, 3)
+        units = set(cat.identities)
+        gf = next(gf for (g, f), gf in cat.composition.items()
+                  if not {f, g, gf} & units)
+        for a, c, dropped in (cat.morphisms[cat.identities[1]], cat.morphisms[gf]):
+            source, target = cat.objects[a], cat.objects[c]
+            listed = homology.w_hom_rows
+
+            def without(s, t, cap, source=source, target=target, dropped=dropped):
+                rows = listed(s, t, cap)
+                if (s, t) == (source, target):
+                    rows = [row for row in rows if row != dropped]
+                return rows
+
+            monkeypatch.setattr(homology, "w_hom_rows", without)
+            with pytest.raises(KeyError):
+                build_category(kind, 2, 3)
+            monkeypatch.undo()
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             build_category("mystery", 2, 2)
@@ -710,6 +740,92 @@ class TestHomology:
                 [IntegerMatrix.from_rows([()], 0)], max_degree=1
             )
 
+    def test_boundary_shapes_must_chain(self):
+        # ∂_2 has 3 rows but ∂_1 has 2 columns: 1-cells disagree
+        lower = IntegerMatrix.from_rows([[1, -1], [-1, 1]])
+        upper = IntegerMatrix.from_rows([[1], [0], [0]])
+        with pytest.raises(ValueError, match="degree 1 has 3 rows.* 2 columns"):
+            homology_from_boundaries([lower, upper], max_degree=1)
+        third = IntegerMatrix.from_rows([[0]], 1)
+        with pytest.raises(ValueError, match="degree 2 has 1 rows.* 0 columns"):
+            homology_from_boundaries(
+                [lower, IntegerMatrix.from_rows([[], []], 0), third], max_degree=1
+            )
+
+
+def separate_smith_homology(
+    matrices: list[IntegerMatrix], max_degree: int
+) -> HomologyResult:
+    """``homology_from_boundaries`` without clearing: one Smith form of
+    each whole boundary matrix, every degree on its own."""
+    sizes = [matrices[0].rows] + [m.cols for m in matrices]
+    forms = [smith_normal_form(m) for m in matrices]
+    ranks = [0] + [f.rank for f in forms]
+    betti = []
+    torsion = []
+    for d in range(max_degree + 1):
+        betti_d = sizes[d] - ranks[d] - ranks[d + 1]
+        assert betti_d >= 0
+        betti.append(betti_d)
+        torsion.append(tuple(v for v in forms[d].divisors if v > 1))
+    return HomologyResult(max_degree, tuple(betti), tuple(torsion), tuple(sizes))
+
+
+FIXTURE_NERVES = (
+    [("nord", n, k) for n, k in ORDERED_CASES]
+    + [("w_hlt", n, k) for n, k in UNORDERED_FIXTURES]
+    + [("w_hlt", 2, 4), ("w_hlt", 3, 3)]
+)
+
+
+@pytest.mark.parametrize("kind,n,k", FIXTURE_NERVES)
+def test_clearing_matches_separate_smith_on_fixture_nerves(kind, n, k):
+    matrices = nerve_chain_complex(build_category(kind, n, k), 4)
+    assert homology_from_boundaries(matrices, 3) == separate_smith_homology(
+        matrices, 3
+    )
+
+
+def random_poset(rng: Random) -> FiniteCategoryView:
+    """Up to 12 elements, each i < j a generating relation at rate 1/4:
+    over seeds 0..29, nerves up to dimension 5 and H_1 up to Z^4."""
+    size = rng.randint(3, 12)
+    relations = [(i, j) for i in range(size) for j in range(i + 1, size)
+                 if rng.random() < 0.25]
+    return poset_category(range(size), relations)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_clearing_matches_separate_smith_on_random_posets(seed):
+    rng = Random(seed)
+    cat = random_poset(rng)
+    top = len(nerve_cell_counts(cat)) - 1
+    perm = list(range(len(cat.objects)))
+    rng.shuffle(perm)
+    results = []
+    for view in (cat, cat.permuted(tuple(perm))):
+        matrices = nerve_chain_complex(view, top + 1)
+        result = homology_from_boundaries(matrices, top)
+        assert result == separate_smith_homology(matrices, top)
+        results.append(result)
+    assert results[0] == results[1]
+
+
+def test_clearing_empties_columns_of_w_hlt_33(monkeypatch):
+    # reduced from the top down: ∂_4 (448 x 192) clears nothing, its 191
+    # unit pivot rows clear as many of ∂_3's 448 columns, and so on down
+    seen = []
+    reduce = homology._smith_and_unit_rows
+
+    def recorded(matrix, cleared):
+        seen.append((matrix.rows, matrix.cols, len(cleared)))
+        return reduce(matrix, cleared)
+
+    monkeypatch.setattr(homology, "_smith_and_unit_rows", recorded)
+    result = homology_of_category(build_category("w_hlt", 3, 3), 3)
+    assert str(result) == "(Z, Z/2, 0, Z/3)"
+    assert seen == [(448, 192, 0), (344, 448, 191), (96, 344, 256), (9, 96, 87)]
+
 
 def nerve_cell_counts(cat: FiniteCategoryView) -> tuple[int, ...]:
     """Cells of the whole nerve by dimension, counted without listing them:
@@ -748,6 +864,7 @@ FULL_DEGREE_CASES = [
     ("nord", 3, 3, (1, 0, 3, 0, 2), ((),) * 5),
     ("nord", 2, 4, (1, 6, 11, 6), ((),) * 4),
     ("w_hlt", 2, 5, (1, 1, 0, 0, 0), ((), (), (2,), (), ())),
+    ("w_hlt", 4, 3, (1, 0, 0, 1, 0, 0, 0), ((), (2,), (), (3,), (), (), ())),
 ]
 
 
@@ -765,3 +882,13 @@ def test_full_degree_homology(kind, n, k, betti, torsion):
         assert betti == ordered_betti_oracle(n, k)
     else:
         assert euler(betti) == 0
+
+
+@pytest.mark.parametrize("kind,n,k,betti,torsion", FULL_DEGREE_CASES)
+def test_full_degree_clearing_matches_separate_smith(kind, n, k, betti, torsion):
+    top = len(betti) - 1
+    matrices = nerve_chain_complex(build_category(kind, n, k), top + 1)
+    assert matrices[-1].cols == 0
+    assert homology_from_boundaries(matrices, top) == separate_smith_homology(
+        matrices, top
+    )

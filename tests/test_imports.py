@@ -7,8 +7,9 @@ instead.  Reading them also keeps every import pointing down the layers,
 so no production module reaches the harness's reference enumerations.
 The same kind of source check keeps exit-path validation free of float
 arithmetic, every exported name in use by the package itself, so no
-API lives on only for its own tests, and every memoized function named in
-one inventory, so no cache is added unseen.
+API lives on only for its own tests, every memoized function named in
+one inventory, so no cache is added unseen, and the Smith elimination
+that clears columns called only where clearing is exact.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ def test_every_export_has_a_reader():
 CAP_RAISERS = {("theta", "check_cap"), ("theta", "_printable")}
 
 
-def _cap_errors_built(tree: ast.Module):
-    """(enclosing function, line) of each ResourceCapError(...) call."""
+def _calls_of(tree: ast.Module, callee: str):
+    """(enclosing function, line) of each call of ``callee``, by bare name
+    or as an attribute."""
 
     def visit(node: ast.AST, function: str | None):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -166,7 +168,7 @@ def _cap_errors_built(tree: ast.Module):
         if isinstance(node, ast.Call):
             called = node.func
             name = getattr(called, "id", None) or getattr(called, "attr", None)
-            if name == "ResourceCapError":
+            if name == callee:
                 yield function, node.lineno
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
@@ -174,15 +176,33 @@ def _cap_errors_built(tree: ast.Module):
     yield from visit(tree, None)
 
 
-def test_caps_are_decided_in_one_place():
-    built = [
+def _callers(callee: str):
+    return [
         (path.stem, function, line)
         for path in sorted(PACKAGE_DIR.rglob("*.py"))
-        for function, line in _cap_errors_built(
-            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function, line in _calls_of(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), callee
         )
     ]
+
+
+def test_caps_are_decided_in_one_place():
+    built = _callers("ResourceCapError")
     assert {(module, function) for module, function, _ in built} == CAP_RAISERS, built
+
+
+# who may run the elimination that also returns its unit pivot rows and
+# takes columns to clear: Smith form itself (clearing nothing), and the
+# one caller whose complex makes clearing exact (∂∂ = 0, top degree down)
+UNIT_ROW_CALLERS = {
+    ("homology", "smith_normal_form"),
+    ("homology", "homology_from_boundaries"),
+}
+
+
+def test_unit_pivot_rows_have_two_callers():
+    calls = _callers("_smith_and_unit_rows")
+    assert {(module, function) for module, function, _ in calls} == UNIT_ROW_CALLERS, calls
 
 
 # every memoized function: a cache added or dropped is an edit to this list
