@@ -103,20 +103,25 @@ _PARAM_KEYS = {
 
 
 def _check_params(name: str, params: dict) -> None:
-    """ValueError on a key the suite does not read, a negative integer
-    value, a height over ``MAX_TREE_DEPTH`` or a homology case without an
-    oracle, and ResourceCapError on a tree family past its cap (see
-    _check_family), before any case runs."""
+    """ValueError on a key the suite does not read, a value that is no
+    integer (``dims``: comma-separated integers; ``kind``: any), a negative
+    integer value, a height over ``MAX_TREE_DEPTH`` or a homology case
+    without an oracle, and ResourceCapError on a tree family past its cap
+    (see _check_family), before any case runs."""
     if name != "all":
         unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
         if unknown:
             raise ValueError(f"suite {name!r} reads no parameter {', '.join(unknown)}; "
                              f"it reads {', '.join(_PARAM_KEYS[name])}")
+        for key, value in params.items():
+            if key != "kind" and not _integral(key, value):
+                what = "comma-separated integers" if key == "dims" else "an integer"
+                raise ValueError(f"suite {name!r} needs {key} as {what}, got {value!r}")
         negative = sorted(k for k, v in params.items()
                           if isinstance(v, int) and v < 0)
         if negative:
             raise ValueError(f"suite {name!r} needs nonnegative {', '.join(negative)}")
-        check_height("max_height", int(params.get("max_height", 0)))
+        check_height("max_height", params.get("max_height", 0))
         if name in _FAMILY_DEFAULTS:
             _check_family(name, params)
         if name == "homology":
@@ -126,6 +131,19 @@ def _check_params(name: str, params: dict) -> None:
             _check_params(part, sub)
     else:
         raise ValueError("suite 'all' takes no --param, only a dict per suite name")
+
+
+def _integral(key: str, value) -> bool:
+    """An int (no bool); for ``dims`` also a nonempty sequence of ints or a
+    string of comma-separated ints."""
+    if key == "dims" and isinstance(value, str):
+        try:
+            value = tuple(int(part) for part in value.split(","))
+        except ValueError:
+            return False
+    if key == "dims" and isinstance(value, (tuple, list)):
+        return bool(value) and all(type(v) is int for v in value)
+    return type(value) is int
 
 
 def _check_homology_case(params: dict) -> None:
@@ -141,7 +159,7 @@ def _check_homology_case(params: dict) -> None:
         raise ValueError(f"unknown category kind {kind!r}; pick from {_KINDS}")
     if len(size) < 2:
         raise ValueError(f"suite 'homology' with kind={kind} needs both n and k")
-    n, k = int(params["n"]), int(params["k"])
+    n, k = params["n"], params["k"]
     if kind == "w_hlt" and (n, k) not in UNORDERED_FIXTURES:
         raise ValueError(f"no w_hlt fixture for n={n} k={k}; fixtures: "
                          f"{', '.join(map(str, UNORDERED_FIXTURES))}")
@@ -247,8 +265,8 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
     3i, 3i+1, 3i+2 on top of the suite seed, cycling the dimension through
     ``dims`` and the point count through 0..max_k.
     """
-    pairs = int(params.get("pairs", 1000))
-    max_k = int(params.get("max_k", 5))
+    pairs = params.get("pairs", 1000)
+    max_k = params.get("max_k", 5)
     dims = params.get("dims", (1, 2, 3))
     if isinstance(dims, int):
         dims = (dims,)
@@ -288,11 +306,11 @@ _PROBE_LEAF_DEFAULT = 5
 def _family_shapes(name: str, params: dict):
     """(height, ks, graft rounds): decorated_trees calls, one per k in ks."""
     leaf_default, deep_default = _FAMILY_DEFAULTS[name]
-    max_height = int(params.get("max_height", 3))
-    leaf_bound = int(params.get("leaf_bound", leaf_default))
-    extra = int(params.get("extra", 1))
-    deep_extra = int(params.get("deep_extra", 2))
-    deep_leaves = int(params.get("deep_leaf_bound", deep_default))
+    max_height = params.get("max_height", 3)
+    leaf_bound = params.get("leaf_bound", leaf_default)
+    extra = params.get("extra", 1)
+    deep_extra = params.get("deep_extra", 2)
+    deep_leaves = params.get("deep_leaf_bound", deep_default)
     for height in range(1, max_height + 1):
         yield height, range(min(deep_leaves, leaf_bound) + 1), deep_extra
         yield height, range(deep_leaves + 1, leaf_bound + 1), extra
@@ -309,9 +327,9 @@ def _check_family(name: str, params: dict) -> None:
     a lower bound of the sum, is checked first.  At height 1 each k adds one
     probe pair, and one tree if ungrafted: such runs are summed at once."""
     what = f"{name} trees by the closed-form bound"
-    max_height = int(params.get("max_height", 3))
-    leaf_bound = int(params.get("leaf_bound", _FAMILY_DEFAULTS[name][0]))
-    probe_bound = (int(params.get("probe_leaf_bound", _PROBE_LEAF_DEFAULT))
+    max_height = params.get("max_height", 3)
+    leaf_bound = params.get("leaf_bound", _FAMILY_DEFAULTS[name][0])
+    probe_bound = (params.get("probe_leaf_bound", _PROBE_LEAF_DEFAULT)
                    if name == "pruning" else -1)  # -1: no probe grid
     check_cap(max_height * (leaf_bound + probe_bound + 2), DEFAULT_HOM_CAP, what,
               exact=False)
@@ -463,10 +481,10 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
     verifier alone, whose reduction those comparisons (and the
     healthy-grid probe one size up) pin down.
     """
-    leaf_bound = int(params.get("leaf_bound", 6))
-    direct_bound = int(params.get("direct_leaf_bound", 4))
-    probe_bound = int(params.get("probe_leaf_bound", _PROBE_LEAF_DEFAULT))
-    max_height = int(params.get("max_height", 3))
+    leaf_bound = params.get("leaf_bound", 6)
+    direct_bound = params.get("direct_leaf_bound", 4)
+    probe_bound = params.get("probe_leaf_bound", _PROBE_LEAF_DEFAULT)
+    max_height = params.get("max_height", 3)
     tally = _Tally()
     for height in range(1, max_height + 1):
         for k in range(probe_bound + 1):
@@ -615,14 +633,14 @@ def _snf_agrees_with_minors(matrix: IntegerMatrix) -> tuple[bool, str | None]:
 
 
 def _run_homology(params: dict, seed: int) -> _Tally:
-    max_degree = int(params.get("max_degree", 3))
-    matrices_requested = int(params.get("matrices", 200))
+    max_degree = params.get("max_degree", 3)
+    matrices_requested = params.get("matrices", 200)
     kind = params.get("kind")
     tally = _Tally()
 
     if kind is not None:
-        n = int(params["n"])
-        k = int(params["k"])
+        n = params["n"]
+        k = params["k"]
         _homology_case(tally, kind, n, k, max_degree)
         return tally
 
@@ -716,8 +734,8 @@ def _homology_case(
 
 
 def _run_delta_laws(params: dict, seed: int) -> _Tally:
-    max_rank = int(params.get("max_rank", 5))
-    compose_rank = int(params.get("compose_rank", 4))
+    max_rank = params.get("max_rank", 5)
+    compose_rank = params.get("compose_rank", 4)
     tally = _Tally()
 
     for p in range(max_rank + 1):

@@ -720,6 +720,15 @@ class TestVerify:
             ("homology", ["kind=nord", "k=3"], "needs both n and k"),
             ("homology", ["n=2"], "reads n only with kind"),
             ("homology", ["kind=bogus", "n=2", "k=2"], "unknown category kind"),
+            ("functoriality", ["pairs=2.5"], "needs pairs as an integer, got '2.5'"),
+            ("functoriality", ["dims=1,,2"],
+             "needs dims as comma-separated integers, got '1,,2'"),
+            ("pruning", ["probe_leaf_bound=1e3"],
+             "needs probe_leaf_bound as an integer, got '1e3'"),
+            ("roundtrip", ["leaf_bound=x"], "needs leaf_bound as an integer, got 'x'"),
+            ("homology", ["kind=nord", "n=2.0", "k=2"],
+             "needs n as an integer, got '2.0'"),
+            ("delta-laws", ["max_rank=2.5"], "needs max_rank as an integer, got '2.5'"),
         ],
         ids=[
             "delta-laws-bogus=1",
@@ -729,13 +738,20 @@ class TestVerify:
             "homology-no-n",
             "homology-n-alone",
             "homology-unknown-kind",
+            "functoriality-pairs=2.5",
+            "functoriality-dims=1,,2",
+            "pruning-probe_leaf_bound=1e3",
+            "roundtrip-leaf_bound=x",
+            "homology-n=2.0",
+            "delta-laws-max_rank=2.5",
         ],
     )
     def test_unknown_param_is_usage_error(
         self, capsys, monkeypatch, suite, params, reason
     ):
         # rejected before any case runs
-        for runner in ("_run_functoriality", "_run_homology", "_run_delta_laws"):
+        for runner in ("_run_functoriality", "_run_pruning", "_run_roundtrip",
+                       "_run_homology", "_run_delta_laws"):
             monkeypatch.setattr(harness, runner, None)
         argv = [arg for param in params for arg in ("--param", param)]
         code, out, err = run(capsys, "verify", "--suite", suite, *argv)

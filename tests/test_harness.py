@@ -143,6 +143,20 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("bogus", {}, 0)
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"pairs": True}, {"pairs": "2"}, {"dims": ()}, {"dims": (1, 2.0)},
+         {"dims": "1, 2,x"}, {"max_k": None}],
+    )
+    def test_params_must_be_integers(self, params):
+        with pytest.raises(ValueError, match=f"needs {next(iter(params))} as "):
+            run_suite("functoriality", params, 0)
+
+    def test_dims_read_as_ints_strings_and_sequences(self):
+        reports = [run_suite("functoriality", {"pairs": 3, "dims": dims}, 5)
+                   for dims in (2, "2,1", (2, 1), [2, 1])]
+        assert all(report.passed and report.cases == 3 for report in reports)
+
     def test_all_aggregates_the_five(self):
         combined = run_suite("all", FAST_PARAMS, 11)
         parts = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, gcd
 from random import Random
 
@@ -283,6 +283,14 @@ def _shifted_identity(cat: FiniteCategoryView) -> FiniteCategoryView:
                               cat.composition)
 
 
+def groupoid() -> FiniteCategoryView:
+    """Two objects and an inverse pair f: x -> y, g: y -> x."""
+    morphisms = ((0, 0, "1x"), (1, 1, "1y"), (0, 1, "f"), (1, 0, "g"))
+    composition = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (3, 1): 3,
+                   (0, 3): 3, (3, 2): 0, (2, 3): 1}
+    return FiniteCategoryView(("x", "y"), morphisms, (0, 1), composition)
+
+
 ORACLE_CATEGORIES = {
     "poset-abc": lambda: poset_category("abc", [("a", "b"), ("b", "c")]),
     "chain-3": lambda: chain_poset(3),
@@ -294,10 +302,11 @@ ORACLE_CATEGORIES = {
     "w_hlt-2-4-shifted-identity": lambda: _shifted_identity(
         build_category("w_hlt", 2, 4)
     ),
+    "groupoid": groupoid,
     **{f"{kind}-{n}-{k}": lambda kind=kind, n=n, k=k: build_category(kind, n, k)
        for kind, n, k in [("w_hlt", 2, 3), ("w_hlt", 3, 2), ("w_hlt", 2, 4),
-                          ("w_hlt", 2, 5), ("w_hlt", 3, 4), ("nord", 2, 3),
-                          ("nord", 3, 3), ("nord", 1, 0)]},
+                          ("w_hlt", 2, 5), ("w_hlt", 3, 3), ("w_hlt", 3, 4),
+                          ("nord", 2, 3), ("nord", 3, 3), ("nord", 1, 0)]},
 }
 
 
@@ -348,7 +357,9 @@ def _planted_faults(cat: FiniteCategoryView, rng: Random, per_kind: int = 25):
             )
 
 
-@pytest.mark.parametrize("name", ["chain-3", "w_hlt-2-4", "nord-2-3"])
+@pytest.mark.parametrize(
+    "name", ["chain-3", "groupoid", "w_hlt-2-4", "w_hlt-3-3", "nord-2-3"]
+)
 def test_validate_matches_oracle_on_planted_faults(name):
     cat = ORACLE_CATEGORIES[name]()
     seen = Counter()
@@ -892,3 +903,67 @@ def test_full_degree_clearing_matches_separate_smith(kind, n, k, betti, torsion)
     assert homology_from_boundaries(matrices, top) == separate_smith_homology(
         matrices, top
     )
+
+
+def one_object_tables():
+    """Every table on the arrows 1 (identity), a, b of one object that
+    obeys the identity laws: the four products of a and b chosen freely,
+    3^4 = 81 tables, each with its two non-identity endomorphisms."""
+    morphisms = ((0, 0, "1"), (0, 0, "a"), (0, 0, "b"))
+    units = {(m, 0): m for m in range(3)} | {(0, m): m for m in range(3)}
+    for products in product(range(3), repeat=4):
+        table = dict(zip([(1, 1), (1, 2), (2, 1), (2, 2)], products))
+        yield FiniteCategoryView(("x",), morphisms, (0,), {**units, **table})
+
+
+def test_validate_matches_oracle_on_one_object_tables():
+    # a and b are no composite of two non-identity arrows in 27 of the 70
+    # non-associative tables; in the other 43 both are, so a check of the
+    # irreducible arrows alone would pass those: a cycle means every arrow
+    seen = Counter()
+    for cat in one_object_tables():
+        validation = cat.validate()
+        assert validation == triple_walk_validation(cat), cat.composition
+        assert validation.identities_ok and validation.composition_ok
+        reducible = {1, 2} <= {cat.composition[p] for p in product((1, 2), repeat=2)}
+        seen[validation.associativity_ok, reducible] += 1
+    assert sum(seen.values()) == 81
+    assert seen[False, True] == 43
+    assert seen[False, True] + seen[False, False] == 70
+
+
+def irreducible_arrows(cat: FiniteCategoryView) -> list[int]:
+    """Non-identity arrows that no entry of the table gives as g∘f with g
+    and f both non-identity."""
+    made = {gf for (g, f), gf in cat.composition.items()
+            if not cat.is_identity(g) and not cat.is_identity(f)}
+    return [m for m in range(len(cat.morphisms))
+            if not cat.is_identity(m) and m not in made]
+
+
+def test_associativity_compares_only_irreducible_arrows(monkeypatch):
+    # the planted fault of test_validate_catches_one_wrong_composite_in_w_hlt_34
+    # is caught through this domain
+    domains = []
+    choose = FiniteCategoryView._associativity_domain
+
+    def recorded(self, after, identities_ok):
+        domains.append(list(choose(self, after, identities_ok)))
+        return domains[-1]
+
+    monkeypatch.setattr(FiniteCategoryView, "_associativity_domain", recorded)
+    cat = build_category("w_hlt", 3, 4)
+    assert cat.validate().ok
+    assert domains[-1] == irreducible_arrows(cat)
+    assert len(domains[-1]) == 142
+    # a cycle, or a broken identity law, compares every arrow
+    groupoid().validate()
+    assert domains[-1] == [0, 1, 2, 3]
+    small = build_category("w_hlt", 2, 4)
+    broken_laws = 0
+    for kind, broken in _planted_faults(small, Random("identity")):
+        domains.clear()
+        if kind == "identity" and broken.validate().composition_ok:
+            assert domains == [list(range(len(small.morphisms)))]
+            broken_laws += 1
+    assert broken_laws > 0
