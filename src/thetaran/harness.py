@@ -60,6 +60,7 @@ from .simplex import (
 )
 from .theta import (
     DEFAULT_HOM_CAP,
+    MAX_TREE_DEPTH,
     InitialityReport,
     ThetaMorphism,
     Tree,
@@ -104,10 +105,11 @@ _PARAM_KEYS = {
 
 def _check_params(name: str, params: dict) -> None:
     """ValueError on a key the suite does not read, a value that is no
-    integer (``dims``: comma-separated integers; ``kind``: any), a negative
-    integer value, a height over ``MAX_TREE_DEPTH`` or a homology case
-    without an oracle, and ResourceCapError on a tree family past its cap
-    (see _check_family), before any case runs."""
+    integer (``dims``: comma-separated integers; ``kind``: any), a ``dims``
+    entry outside 1..``MAX_TREE_DEPTH``, a negative integer value, a height
+    over ``MAX_TREE_DEPTH`` or a homology case without an oracle, and
+    ResourceCapError on a tree family past its cap (see _check_family),
+    before any case runs."""
     if name != "all":
         unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
         if unknown:
@@ -117,6 +119,11 @@ def _check_params(name: str, params: dict) -> None:
             if key != "kind" and not _integral(key, value):
                 what = "comma-separated integers" if key == "dims" else "an integer"
                 raise ValueError(f"suite {name!r} needs {key} as {what}, got {value!r}")
+        if "dims" in params:
+            bad = [n for n in _dims(params["dims"]) if not 1 <= n <= MAX_TREE_DEPTH]
+            if bad:
+                raise ValueError(f"dimension {bad[0]} in dims is outside "
+                                 f"1..{MAX_TREE_DEPTH}")
         negative = sorted(k for k, v in params.items()
                           if isinstance(v, int) and v < 0)
         if negative:
@@ -138,12 +145,22 @@ def _integral(key: str, value) -> bool:
     string of comma-separated ints."""
     if key == "dims" and isinstance(value, str):
         try:
-            value = tuple(int(part) for part in value.split(","))
+            value = _dims(value)
         except ValueError:
             return False
     if key == "dims" and isinstance(value, (tuple, list)):
         return bool(value) and all(type(v) is int for v in value)
     return type(value) is int
+
+
+def _dims(value) -> tuple[int, ...]:
+    """The dimensions of a ``dims`` value: an int, a comma-separated
+    string or a sequence; ValueError on a string part that is no int."""
+    if isinstance(value, int):
+        return (value,)
+    if isinstance(value, str):
+        return tuple(int(v) for v in value.split(","))
+    return tuple(value)
 
 
 def _check_homology_case(params: dict) -> None:
@@ -267,11 +284,7 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
     """
     pairs = params.get("pairs", 1000)
     max_k = params.get("max_k", 5)
-    dims = params.get("dims", (1, 2, 3))
-    if isinstance(dims, int):
-        dims = (dims,)
-    elif isinstance(dims, str):
-        dims = tuple(int(v) for v in dims.split(","))
+    dims = _dims(params.get("dims", (1, 2, 3)))
     tally = _Tally()
     for i in range(pairs):
         base = seed + 3 * i

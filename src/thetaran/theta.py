@@ -29,18 +29,24 @@ JSON.
 
 Into a healthy target an active morphism is fixed by its leaf row, so w
 hom-sets are listed in one form, as rows: one walk (_injective_rows),
-base by base into one list, one row cache for the child pairs it
-recurs on (_masked_rows, with the rows also indexed by leaf mask, so
-that between equal leaf counts the last pair's row is looked up, not
-scanned for), and one reader of a tree's rows (w_hom_rows), which the
-pruning check reads once per target for a healthy tree and on both
-sides otherwise.  morphism_of_row rebuilds a row's wreath datum, for
+base by base into one tuple, which hands back the last walk's rows
+when it gathers a walk equal to it (_last_walk); one row cache for the
+child pairs it recurs on (_masked_rows, with the rows also indexed by
+leaf mask, so that between equal leaf counts the last pair's row is
+looked up, not scanned for); and one reader of a tree's rows
+(w_hom_rows), which the pruning check reads once per target for a
+healthy tree and on both sides otherwise, the pruned side reusing the
+tree's rows.  morphism_of_row rebuilds a row's wreath datum, for
 enumerate_theta_hom and for the point assignments of ``config``,
 memoized, so equal rows share one morphism and its components.  The
 wreath-level walk of the same hom-sets is the reference in ``harness``.
 
 All values are immutable; enumeration and classification are pure and
-cache aggressively, so concurrent readers are safe.
+cache aggressively.  The one mutable slot, in _last_walk, is replaced
+whole and never changed in place, and a walk reuses its rows only when
+its own walk equals the slot's in value, so a reader that sees another
+reader's walk, or a stale one, lists its own rows instead: concurrent
+readers are safe.
 """
 
 from __future__ import annotations
@@ -813,9 +819,15 @@ def _assemble_disjoint(
             for row2 in by_mask.get(cover ^ acc ^ mask, ())]
 
 
+# One slot: the last walk listed above height 1, as (walk, cover, rows),
+# replaced whole by each walk that passes the duplicate guard.  The list
+# itself stays, so the module's names are the same before and after.
+_last_walk: list[tuple] = [((), None, ())]
+
+
 def _injective_rows(
     source: Tree, target: Tree, cap: int | None = None
-) -> list[tuple[int, ...]]:
+) -> tuple[tuple[int, ...], ...]:
     """Leaf rows of the active morphisms source -> target whose leaf map
     is injective, for a healthy target, in wreath enumeration order.
 
@@ -823,28 +835,38 @@ def _injective_rows(
     level of an active morphism into it is recoverable from its leaf
     row; rows therefore stand in for morphisms one to one.  The walk
     mirrors the wreath enumeration (one row per base and component
-    choice) over the bases of _injective_bases, base by base into one
-    list; it raises ResourceCapError once a base takes the list past
+    choice) over the bases of _injective_bases: it first gathers, for
+    each base, its child pairs' _masked_rows entries (a base with an
+    empty one adds no row), then assembles them base by base into one
+    tuple.  It raises ResourceCapError once a base takes the rows past
     ``cap``, and RuntimeError on a duplicate row, which would refute that
     correspondence.  With equal leaf counts every row covers all source
-    leaves, which fixes each last child row by its mask.  Nothing is
-    cached at this level: the child pairs' rows are, in _masked_rows.
+    leaves, which fixes each last child row by its mask.
+
+    The rows are a function of the gathered walk and ``cover`` alone, so
+    a walk equal in value to the last one listed (_last_walk, read before
+    gathering, as child walks replace it) returns that walk's rows after
+    the cap check; the pruned side of verify_initiality_by_rows gathers
+    the same walk as the tree before it.  A walk the duplicate guard
+    rejects is never kept.  The child pairs' rows are cached, in
+    _masked_rows.
     """
     if source.height == 1:
         # rows of active maps [p] -> [q] are weakly increasing, so the
         # injective ones are exactly the strictly increasing q-tuples
-        rows = list(combinations(range(1, source.rank + 1), target.rank))
+        rows = tuple(combinations(range(1, source.rank + 1), target.rank))
         check_cap(len(rows), cap, "leaf rows", source, target)
         return rows
     bases = _injective_bases(source.leaf_profile, target.leaf_profile)
     if not bases:
-        return []
+        return ()
+    last_walk, last_cover, last_rows = _last_walk[0]
     offsets = tuple(accumulate(source.leaf_profile, initial=0))
     # leaves 1..k, each covered once when the leaf counts agree
     cover = (2 << source.leaf_count) - 2
     if source.leaf_count != target.leaf_count:
         cover = None
-    rows = []
+    walk = []
     for base in bases:
         entries = []
         for i, j in fiber_pairs(base):
@@ -855,8 +877,14 @@ def _injective_rows(
                 break
             entries.append(entry)
         else:
-            rows.extend(_assemble_disjoint(entries, cover))
-            check_cap(len(rows), cap, "leaf rows", source, target, exact=False)
+            walk.append(entries)
+    if cover == last_cover and walk == last_walk:
+        check_cap(len(last_rows), cap, "leaf rows", source, target, exact=False)
+        return last_rows
+    rows = []
+    for entries in walk:
+        rows.extend(_assemble_disjoint(entries, cover))
+        check_cap(len(rows), cap, "leaf rows", source, target, exact=False)
     if len(set(rows)) != len(rows):
         seen: set[tuple[int, ...]] = set()
         row = next(row for row in rows if row in seen or seen.add(row))
@@ -865,6 +893,8 @@ def _injective_rows(
             f"{format_tree(source)} -> {format_tree(target)}; "
             "rows do not determine morphisms here"
         )
+    rows = tuple(rows)
+    _last_walk[0] = (walk, cover, rows)
     return rows
 
 
@@ -877,9 +907,11 @@ def w_hom_rows(
     _injective_rows).  Between trees with equal leaf counts an injective
     leaf map is a bijection, so these are exactly the injective rows;
     with unequal counts there are none.  Raises ResourceCapError exactly
-    when there are more than ``cap`` rows.  The only reader of a tree's
-    rows: the pruning suite checks them row for row against the harness's
-    wreath-level walk where it is affordable.
+    when there are more than ``cap`` rows.  Returns the walk's tuple as
+    is, which for a walk equal to the last one is that walk's very tuple.
+    The only reader of a tree's rows: the pruning suite checks them row
+    for row against the harness's wreath-level walk where it is
+    affordable.
     """
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
@@ -890,7 +922,7 @@ def w_hom_rows(
         )
     if source.leaf_count != target.leaf_count:
         return ()
-    return tuple(_injective_rows(source, target, cap))
+    return _injective_rows(source, target, cap)
 
 
 @lru_cache(maxsize=None)
@@ -992,10 +1024,14 @@ def verify_initiality_by_rows(tree: Tree, leaf_bound: int = 6) -> InitialityRepo
     walks list the same sequence: a leafless source child has profile
     entry 0 and so an empty fiber under every base of _injective_bases,
     which therefore match the pruned tree's one for one and in order, with
-    the same child pairs below.  So the row tuples are compared as listed,
-    and sets (which pass a reordering and catch a missing, repeated or
-    foreign row) are built only when the tuples differ.  The suite
-    cross-checks the two verifiers against each other where affordable.
+    child pairs below that list equal rows by the same argument one
+    height down.  So the pruned side gathers a walk equal in value to the
+    tree's, and _injective_rows hands back the tree's rows tuple after the
+    gather and the compare, with nothing assembled.  The row tuples are
+    compared as listed, and sets (which pass a reordering and catch a
+    missing, repeated or foreign row) are built only when the tuples
+    differ.  The suite cross-checks the two verifiers against each other
+    where affordable.
     """
     if tree.leaf_count > leaf_bound:
         raise ValueError(

@@ -729,6 +729,12 @@ class TestVerify:
             ("homology", ["kind=nord", "n=2.0", "k=2"],
              "needs n as an integer, got '2.0'"),
             ("delta-laws", ["max_rank=2.5"], "needs max_rank as an integer, got '2.5'"),
+            ("functoriality", ["dims=1,-2", "pairs=3"],
+             "dimension -2 in dims is outside 1..200"),
+            ("functoriality", ["dims=0"], "dimension 0 in dims is outside 1..200"),
+            ("functoriality", ["dims=1,0"], "dimension 0 in dims is outside 1..200"),
+            ("functoriality", ["dims=201"],
+             "dimension 201 in dims is outside 1..200"),
         ],
         ids=[
             "delta-laws-bogus=1",
@@ -744,6 +750,10 @@ class TestVerify:
             "roundtrip-leaf_bound=x",
             "homology-n=2.0",
             "delta-laws-max_rank=2.5",
+            "functoriality-dims=1,-2",
+            "functoriality-dims=0",
+            "functoriality-dims=1,0",
+            "functoriality-dims=201",
         ],
     )
     def test_unknown_param_is_usage_error(
@@ -801,7 +811,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite,params,message",
         [
-            ("functoriality", ["dims=250", "pairs=3"], f"dimension 250 {BOUND}"),
+            ("functoriality", ["dims=250", "pairs=3"],
+             "dimension 250 in dims is outside 1..200"),
             ("roundtrip", ["max_height=1200", "leaf_bound=1", "extra=0",
                            "deep_leaf_bound=0"], f"max_height 1200 {BOUND}"),
             ("pruning", ["max_height=1200", "leaf_bound=1", "extra=0",

@@ -8,8 +8,10 @@ so no production module reaches the harness's reference enumerations.
 The same kind of source check keeps exit-path validation free of float
 arithmetic, every exported name in use by the package itself, so no
 API lives on only for its own tests, every memoized function named in
-one inventory, so no cache is added unseen, and the Smith elimination
-that clears columns called only where clearing is exact.
+one inventory, so no cache is added unseen, the one module-level memo
+(the last leaf-row walk) the only module state any function changes,
+and the Smith elimination that clears columns called only where
+clearing is exact.
 """
 
 from __future__ import annotations
@@ -241,3 +243,54 @@ def test_caches_are_inventoried():
     ]
     assert len(cached) == len(set(cached)) == 16
     assert set(cached) == LRU_CACHED, sorted(set(cached) ^ LRU_CACHED)
+
+
+# every module-level object a function rebinds or changes: the one
+# leaf-row walk memo, whose single slot _injective_rows replaces whole; a
+# second hidden cache would be another
+MEMO_SLOTS = {("theta", "_last_walk")}
+
+_MUTATORS = {"add", "append", "clear", "extend", "insert", "pop", "popitem",
+             "remove", "setdefault", "update"}
+
+
+def _module_state_changes(tree: ast.Module):
+    """Module-level names that a function declares global, stores into by
+    item or attribute, or calls a mutating method on."""
+    module_names = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                yield from node.names
+            elif isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+                node.ctx, (ast.Store, ast.Del)
+            ):
+                base = node.value
+                if isinstance(base, ast.Name) and base.id in module_names:
+                    yield base.id
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in module_names
+            ):
+                yield node.func.value.id
+
+
+def test_module_state_is_inventoried():
+    changed = [
+        (path.stem, name)
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        for name in _module_state_changes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    # one store, the slot's replacement
+    assert changed == sorted(MEMO_SLOTS), changed

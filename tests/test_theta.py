@@ -676,10 +676,13 @@ class TestHomRows:
 
     def test_cap_boundary(self):
         # the singleton fan has 3! = 6 rows: a cap of 6 lists them all,
-        # a cap of 5 raises
+        # a cap of 5 raises, also when the walk repeats the last one and
+        # its rows are reused (the same tuple comes back)
         source, target = parse_tree("[1]([3])"), parse_tree("[3]([1],[1],[1])")
-        assert len(w_hom_rows(source, target, cap=6)) == 6
-        with pytest.raises(ResourceCapError):
+        listed = w_hom_rows(source, target, cap=6)
+        assert len(listed) == 6
+        assert w_hom_rows(source, target) is listed
+        with pytest.raises(ResourceCapError, match="more than 5 leaf rows"):
             w_hom_rows(source, target, cap=5)
 
     def test_no_base_reads_no_child_rows(self, monkeypatch):
@@ -704,12 +707,33 @@ class TestHomRows:
             }
 
         monkeypatch.setattr(theta, "_masked_rows", doubled)
-        with pytest.raises(RuntimeError) as info:
-            w_hom_rows(parse_tree("[1]([2])"), parse_tree("[2]([1],[1])"))
-        assert str(info.value) == (
-            "duplicate leaf row (1, 2) for distinct morphisms "
-            "[1]([2]) -> [2]([1],[1]); rows do not determine morphisms here"
-        )
+        # a rejected walk is not kept, so repeating it raises again
+        for _ in range(2):
+            with pytest.raises(RuntimeError) as info:
+                w_hom_rows(parse_tree("[1]([2])"), parse_tree("[2]([1],[1])"))
+            assert str(info.value) == (
+                "duplicate leaf row (1, 2) for distinct morphisms "
+                "[1]([2]) -> [2]([1],[1]); rows do not determine morphisms here"
+            )
+
+    def test_repeated_walk_with_another_cover_is_listed_anew(self, monkeypatch):
+        # [1]([2]) and [2]([2],[1]) gather one and the same child pair into
+        # [1]([2]), but only the first covers every source leaf, so after
+        # a repeat that is reused, each walk is assembled again
+        assembled = Counter()
+
+        def counted(entries, cover=None):
+            assembled[cover] += 1
+            return _assemble_disjoint(entries, cover)
+
+        monkeypatch.setattr(theta, "_assemble_disjoint", counted)
+        target = parse_tree("[1]([2])")
+        covering, wider = parse_tree("[1]([2])"), parse_tree("[2]([2],[1])")
+        assert _injective_rows(covering, target) == ((1, 2),)
+        assembled.clear()
+        for source in (covering, wider, covering):
+            assert _injective_rows(source, target) == ((1, 2),)
+        assert assembled == {None: 1, 0b110: 1}
 
     def test_rows_pinned_in_order(self):
         # one-graft decorated sources of height 1-3 with at most 5 leaves
@@ -825,6 +849,31 @@ class TestHomRows:
         report = verify_initiality_by_rows(tree, 4)
         assert report.passed is (counterexample is None)
         assert report.counterexample == counterexample
+
+    def test_row_verifier_lists_a_changed_pruned_walk(self, monkeypatch):
+        # [1]([2]([0],[3])) prunes to [1]([1]([3])): one child pair each
+        # into [1]([3]([1],[1],[1])), equal in value, so the pruned walk
+        # reuses the tree's rows; a row dropped from the pruned child's
+        # rows alone is a different walk, listed anew and caught
+        tree = parse_tree("[1]([2]([0],[3]))")
+        child = prune(tree).pruned.children[0]
+        target_child = parse_tree("[3]([1],[1],[1])")
+        masked_rows = theta._masked_rows
+
+        def dropped(source, target, offset):
+            masked, by_mask = masked_rows(source, target, offset)
+            if (source, target) != (child, target_child):
+                return masked, by_mask
+            gone = masked[-1][1]
+            return masked[:-1], {**by_mask, gone: by_mask[gone][:-1]}
+
+        monkeypatch.setattr(theta, "_masked_rows", dropped)
+        report = verify_initiality_by_rows(tree, 4)
+        assert not report.passed
+        assert report.counterexample == (
+            "tree=[1]([2]([0],[3])) target=[1]([3]([1],[1],[1])) "
+            "rows: 6 direct vs 5 factored, 5 shared"
+        )
 
     def test_pruning_unit_row_is_the_identity(self):
         # pruning drops leafless branches only, so over the criterion-4
