@@ -405,7 +405,7 @@ def random_configuration(
             raise SamplingBudgetError(
                 f"could not draw {size} distinct points in {budget} attempts"
             )
-        seen.add(tuple(rng.randint(0, span) for _ in range(dimension)))
+        seen.add(tuple([rng.randrange(span + 1) for _ in range(dimension)]))
     return Configuration._from_grid(dimension, list(seen), 1)
 
 
@@ -437,14 +437,14 @@ def random_exit_path(source: Configuration, seed: int) -> ExitPath:
     points: list[tuple[int, ...]] = []
     origins: list[int] = []
     for s_idx, base_point in enumerate(source.grid):
-        multiplicity = rng.choices((0, 1, 2, 3), weights=(1, 6, 3, 1))[0]
+        multiplicity = rng.choices((0, 1, 2, 3), cum_weights=(1, 7, 10, 11))[0]
         offsets: set[tuple[int, ...]] = set()
         while len(offsets) < multiplicity:
-            offsets.add(tuple(rng.randint(-3, 3) for _ in range(source.dimension)))
+            offsets.add(tuple([rng.randrange(7) - 3 for _ in range(source.dimension)]))
         for off in offsets:
             points.append(tuple(16 * c + step * o for c, o in zip(base_point, off)))
             origins.append(s_idx)
-    shift = tuple(unit * rng.randint(-2, 2) for _ in range(source.dimension))
+    shift = tuple([unit * (rng.randrange(5) - 2) for _ in range(source.dimension)])
     shifted = [tuple(c + s for c, s in zip(p, shift)) for p in points]
     order = sorted(range(len(shifted)), key=shifted.__getitem__)
     target = Configuration._from_grid(source.dimension, shifted, unit)

@@ -26,7 +26,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 from math import factorial, gcd
 from random import Random
 
@@ -64,6 +64,7 @@ from .theta import (
     InitialityReport,
     ThetaMorphism,
     Tree,
+    _base_of,
     _enumerate_plain,
     _injective_bases,
     check_cap,
@@ -71,7 +72,6 @@ from .theta import (
     compose_theta,
     count_filtered_hom,
     decorated_trees,
-    fiber_pairs,
     format_tree,
     healthy_trees,
     identity_theta,
@@ -384,8 +384,9 @@ def _w_candidates(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
 @lru_cache(maxsize=None)
 def _enumerate_w(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
     """The w hom-set walked datum by datum: every base of
-    _injective_bases, every choice of injective components, kept when the
-    component rows are disjoint and cover the source leaves."""
+    _injective_bases, rebuilt from its fiber plan, every choice of
+    injective components, kept when the component rows are disjoint and
+    cover the source leaves."""
     if source.leaf_count != target.leaf_count:
         return ()
     if source.height == 1:
@@ -394,20 +395,18 @@ def _enumerate_w(source: Tree, target: Tree) -> tuple[ThetaMorphism, ...]:
             return (identity_theta(source),)
         return ()
     out = []
-    for base in _injective_bases(source.leaf_profile, target.leaf_profile):
-        pairs = fiber_pairs(base)
+    for plan in _injective_bases(source.leaf_profile, target.leaf_profile):
         candidate_lists = [
-            _w_candidates(source.children[i - 1], target.children[j - 1])
-            for i, j in pairs
+            _w_candidates(source.children[i], target.children[j])
+            for i, j, _ in plan
         ]
         if any(not c for c in candidate_lists):
             continue
-        leaf_offsets = tuple(accumulate(source.leaf_profile, initial=0))
+        base = _base_of([i + 1 for i, _, _ in plan], source.rank, target.rank)
         for combo in product(*candidate_lists):
             seen: set[int] = set()
             ok = True
-            for (i, _), comp in zip(pairs, combo):
-                off = leaf_offsets[i - 1]
+            for (_, _, off), comp in zip(plan, combo):
                 for v in leaf_row(comp):
                     shifted = v + off
                     if shifted in seen:

@@ -30,7 +30,9 @@ JSON.
 Into a healthy target an active morphism is fixed by its leaf row, so w
 hom-sets are listed in one form, as rows: one walk (_injective_rows),
 base by base into one tuple, which hands back the last walk's rows
-when it gathers a walk equal to it (_last_walk); one row cache for the
+when it gathers a walk equal to it (_last_walk); one fiber plan per
+base, its (source child, target child, leaf offset) triples, cached per
+pair of leaf profiles (_injective_bases); one row cache for the
 child pairs it recurs on (_masked_rows, with the rows also indexed by
 leaf mask, so that between equal leaf counts the last pair's row is
 looked up, not scanned for); and one reader of a tree's rows
@@ -728,9 +730,12 @@ class InitialityReport:
 @lru_cache(maxsize=None)
 def _injective_bases(
     src_profile: tuple[int, ...], tgt_profile: tuple[int, ...]
-) -> tuple[MonotoneMap, ...]:
-    """Active bases under which each source child receives at most as
-    many target leaves as it has, in lexicographic order of values.
+) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The fiber plans of the active bases under which each source child
+    receives at most as many target leaves as it has, in lexicographic
+    order of the base values: for each base, one (i, j, offset) per target
+    child j (zero-based, ascending), with i the source child it lies over
+    and offset the source leaves before child i.
 
     An injective leaf map sends the target leaves over a fiber into its
     source child, so every morphism with one has such a base.  Depth
@@ -740,12 +745,14 @@ def _injective_bases(
     followed past its first failing value, and the C(p+q-1, p-1) active
     bases are never all listed.  With equal leaf totals the prefix sums of
     the profiles must agree at each v_i: one base if no target child is
-    leafless.  Keyed by the profiles, so tree pairs share the walk.
+    leafless.  Keyed by the profiles, so tree pairs share the walk; the
+    base itself is _base_of the plan's source children, one-based.
     """
     p, q = len(src_profile), len(tgt_profile)
     if not p:
-        return (MonotoneMap(0, 0, (0,)),) if not q else ()
+        return ((),) if not q else ()
     tgt_prefix = tuple(accumulate(tgt_profile, initial=0))
+    src_prefix = tuple(accumulate(src_profile, initial=0))
     total = tgt_prefix[-1]
     # room[i]: the leaves of source children i + 1, ..., p
     room = tuple(accumulate(reversed(src_profile), initial=0))[::-1]
@@ -755,7 +762,8 @@ def _injective_bases(
         values = stack.pop()
         i = len(values)  # the value to choose next
         if i > p:
-            out.append(MonotoneMap(p, q, values))
+            out.append(tuple((c, j, src_prefix[c]) for c in range(p)
+                             for j in range(values[c], values[c + 1])))
             continue
         last = values[-1]
         step = []
@@ -772,12 +780,13 @@ def _injective_bases(
 def _masked_rows(source: Tree, target: Tree, offset: int) -> tuple[tuple, dict]:
     """Injective-morphism rows shifted into the global leaf numbering,
     each paired with the bitmask of the leaves it uses, and the same rows
-    grouped by mask (in list order).  The one row cache: child pairs
-    recur across bases and across trees."""
+    grouped by mask (in list order); at offset 0 the child's row tuples
+    themselves.  The one row cache: child pairs recur across bases and
+    across trees."""
     out = []
     by_mask: dict[int, list[tuple[int, ...]]] = {}
     for row in _injective_rows(source, target):
-        shifted = tuple(v + offset for v in row)
+        shifted = tuple(v + offset for v in row) if offset else row
         mask = 0
         for v in shifted:
             mask |= 1 << v
@@ -835,10 +844,10 @@ def _injective_rows(
     level of an active morphism into it is recoverable from its leaf
     row; rows therefore stand in for morphisms one to one.  The walk
     mirrors the wreath enumeration (one row per base and component
-    choice) over the bases of _injective_bases: it first gathers, for
-    each base, its child pairs' _masked_rows entries (a base with an
-    empty one adds no row), then assembles them base by base into one
-    tuple.  It raises ResourceCapError once a base takes the rows past
+    choice) over the fiber plans of _injective_bases: it first gathers,
+    for each base, the _masked_rows entry of each of its (source child,
+    target child, leaf offset) triples (a base with an empty one adds no
+    row), then assembles them base by base into one tuple.  It raises ResourceCapError once a base takes the rows past
     ``cap``, and RuntimeError on a duplicate row, which would refute that
     correspondence.  With equal leaf counts every row covers all source
     leaves, which fixes each last child row by its mask.
@@ -861,18 +870,16 @@ def _injective_rows(
     if not bases:
         return ()
     last_walk, last_cover, last_rows = _last_walk[0]
-    offsets = tuple(accumulate(source.leaf_profile, initial=0))
     # leaves 1..k, each covered once when the leaf counts agree
     cover = (2 << source.leaf_count) - 2
     if source.leaf_count != target.leaf_count:
         cover = None
+    children, target_children = source.children, target.children
     walk = []
-    for base in bases:
+    for plan in bases:
         entries = []
-        for i, j in fiber_pairs(base):
-            entry = _masked_rows(
-                source.children[i - 1], target.children[j - 1], offsets[i - 1]
-            )
+        for i, j, offset in plan:
+            entry = _masked_rows(children[i], target_children[j], offset)
             if not entry[0]:
                 break
             entries.append(entry)
@@ -933,20 +940,18 @@ def _injective_row_bound(source: Tree, target: Tree, bits: int) -> int:
     through _printable.
 
     At height 1 the rows are the q-subsets of the p source leaves, a
-    binomial.  Above it each base of _injective_bases adds the product of
-    its child pairs' bounds (disjointness only removes rows); the walk
-    lists child pairs up to the first empty one, and the scan up to the
-    first zero bound.
+    binomial.  Above it each fiber plan of _injective_bases adds the
+    product of its child pairs' bounds (disjointness only removes rows);
+    the walk lists child pairs up to the first empty one, and the scan up
+    to the first zero bound.
     """
     if source.height == 1:
         return _binomial(source.rank, target.rank, bits)
     rows = largest = 0
-    for base in _injective_bases(source.leaf_profile, target.leaf_profile):
+    for plan in _injective_bases(source.leaf_profile, target.leaf_profile):
         term = 1
-        for i, j in fiber_pairs(base):
-            child = _injective_row_bound(
-                source.children[i - 1], target.children[j - 1], bits
-            )
+        for i, j, _ in plan:
+            child = _injective_row_bound(source.children[i], target.children[j], bits)
             largest = max(largest, child)
             term = _saturated(term * child, bits)
             if term == 0:
@@ -1022,10 +1027,11 @@ def verify_initiality_by_rows(tree: Tree, leaf_bound: int = 6) -> InitialityRepo
     which is what is_healthy decides, so a healthy tree's rows are listed
     once per target and not compared with themselves.  Otherwise both
     walks list the same sequence: a leafless source child has profile
-    entry 0 and so an empty fiber under every base of _injective_bases,
-    which therefore match the pruned tree's one for one and in order, with
-    child pairs below that list equal rows by the same argument one
-    height down.  So the pruned side gathers a walk equal in value to the
+    entry 0, so no target child lies over it in any fiber plan of
+    _injective_bases, and the tree's plans are the pruned tree's, in
+    order, with the same target children and leaf offsets and only the
+    source children renumbered; those child pairs list equal rows by the
+    same argument one height down.  So the pruned side gathers a walk equal in value to the
     tree's, and _injective_rows hands back the tree's rows tuple after the
     gather and the compare, with nothing assembled.  The row tuples are
     compared as listed, and sets (which pass a reordering and catch a

@@ -553,7 +553,9 @@ class TestHomRows:
 
     def test_bases_match_the_active_base_scan(self):
         # the scan of every active base, kept as the oracle: same bases in
-        # the same order, leafless children on either side included
+        # the same order, leafless children on either side included; each
+        # base read as its fiber plan, pairs from fiber_pairs made
+        # zero-based, offsets the source leaves before the source child
         def scan(src, tgt):
             prefix = (0, *accumulate(tgt))
             return tuple(
@@ -566,12 +568,19 @@ class TestHomRows:
                 )
             )
 
+        def plan(src, base):
+            offsets = (0, *accumulate(src))
+            return tuple(
+                (i - 1, j - 1, offsets[i - 1]) for i, j in theta.fiber_pairs(base)
+            )
+
         for top, rank in ((1, 5), (3, 3)):
             profiles = [
                 p for r in range(rank + 1) for p in product(range(top + 1), repeat=r)
             ]
             for src, tgt in product(profiles, repeat=2):
-                assert _injective_bases(src, tgt) == scan(src, tgt)
+                plans = tuple(plan(src, base) for base in scan(src, tgt))
+                assert _injective_bases(src, tgt) == plans
 
     def test_injective_rows_match_plain_enumeration(self):
         # the base filter skips bases that cannot carry an injective leaf
@@ -591,6 +600,79 @@ class TestHomRows:
                         rows = tuple(_injective_rows(source, target))
                         assert len(rows) == len(oracle)
                         assert set(rows) == set(oracle)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda plan: (plan[0][:2] + (plan[0][2] + 1,),) + plan[1:],
+            lambda plan: plan[:-1],
+        ],
+        ids=["shifted", "dropped"],
+    )
+    def test_planted_plan_fault_is_caught_by_plain_enumeration(
+        self, monkeypatch, fault
+    ):
+        # one offset shifted, or one triple dropped, in the first fiber
+        # plan of every profile pair: the rows disagree with the plain
+        # enumeration's; the row verifier cannot see such a fault, as the
+        # tree and its pruning read the same faulty plans, so only the
+        # oracle catches it
+        plans_of = theta._injective_bases
+
+        def planted(src, tgt):
+            plans = plans_of(src, tgt)
+            if not plans or not plans[0]:
+                return plans
+            return (fault(plans[0]),) + plans[1:]
+
+        source, target = parse_tree("[2]([1],[2])"), parse_tree("[3]([1],[1],[1])")
+        oracle = {
+            row
+            for row in map(leaf_row, _enumerate_plain(source, target, True))
+            if len(set(row)) == len(row)
+        }
+        assert oracle == set(_injective_rows(source, target)) == {
+            (1, 2, 3), (1, 3, 2)
+        }
+        monkeypatch.setattr(theta, "_injective_bases", planted)
+        assert set(_injective_rows(source, target)) != oracle
+        unhealthy = parse_tree("[3]([1],[0],[2])")
+        assert prune(unhealthy).pruned == source
+        assert verify_initiality_by_rows(unhealthy, 4).passed
+
+    def test_masked_rows_shift_and_group(self, monkeypatch):
+        # each entry is a child row shifted by the offset with the OR of
+        # its leaves' bits; by_mask groups the same rows by mask in list
+        # order; at offset 0 the row tuples are the child's own (checked
+        # uncached, on rows handed in)
+        pairs = [
+            (Tree(1, 4), Tree(1, 2)),
+            (parse_tree("[2]([2],[2])"), parse_tree("[2]([1],[2])")),
+            (parse_tree("[1]([3])"), parse_tree("[3]([1],[1],[1])")),
+        ]
+        for source, target in pairs:
+            rows = _injective_rows(source, target)
+            assert len(rows) > 1
+            for offset in (0, 3):
+                masked, by_mask = theta._masked_rows(source, target, offset)
+                shifted = [tuple(v + offset for v in row) for row in rows]
+                masks = []
+                for row in shifted:
+                    mask = 0
+                    for v in row:
+                        mask |= 1 << v
+                    masks.append(mask)
+                assert masked == tuple(zip(shifted, masks))
+                grouped = {}
+                for row, mask in zip(shifted, masks):
+                    grouped.setdefault(mask, []).append(row)
+                assert list(by_mask.items()) == [
+                    (mask, tuple(group)) for mask, group in grouped.items()
+                ]
+            monkeypatch.setattr(theta, "_injective_rows", lambda s, t: rows)
+            masked, _ = theta._masked_rows.__wrapped__(source, target, 0)
+            assert all(a is b for (a, _), b in zip(masked, rows, strict=True))
+            monkeypatch.undo()
 
     def test_row_bounds_cover_rows(self):
         for height, k in product((1, 2, 3), range(4)):
