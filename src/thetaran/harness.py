@@ -41,6 +41,7 @@ from .config import (
 )
 from .homology import (
     _KINDS,
+    DEFAULT_CHAIN_CAP,
     _object_count,
     FiniteCategoryView,
     HomologyResult,
@@ -108,8 +109,9 @@ def _check_params(name: str, params: dict) -> None:
     integer (``dims``: comma-separated integers; ``kind``: any), a ``dims``
     entry outside 1..``MAX_TREE_DEPTH``, a negative integer value, a height
     over ``MAX_TREE_DEPTH`` or a homology case without an oracle, and
-    ResourceCapError on a tree family past its cap (see _check_family),
-    before any case runs."""
+    ResourceCapError on a tree family past its cap (see _check_family) or
+    on the homology suite's nerve degrees, max_degree + 2 per nerve, past
+    ``DEFAULT_CHAIN_CAP``, before any case runs."""
     if name != "all":
         unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
         if unknown:
@@ -133,6 +135,9 @@ def _check_params(name: str, params: dict) -> None:
             _check_family(name, params)
         if name == "homology":
             _check_homology_case(params)
+            nerves = 1 if "kind" in params else _HOMOLOGY_NERVES
+            check_cap(nerves * (params.get("max_degree", 3) + 2), DEFAULT_CHAIN_CAP,
+                      "nerve degrees in suite 'homology'")
     elif all(k in _PARAM_KEYS and isinstance(v, dict) for k, v in params.items()):
         for part, sub in params.items():
             _check_params(part, sub)
@@ -576,6 +581,11 @@ UNORDERED_FIXTURES = {
 }
 
 ORDERED_CASES = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
+
+# the nerves the homology suite builds without ``kind``: one per oracle
+# case, five chain posets and the circle, and two categories with a
+# relabeled copy of each
+_HOMOLOGY_NERVES = len(ORDERED_CASES) + len(UNORDERED_FIXTURES) + 6 + 2 * 2
 
 
 def _pad(values: tuple, length: int, fill=0) -> tuple:

@@ -3,16 +3,19 @@
 The bridge from combinatorics to topology: a finite category presented as
 an object list, a morphism list, and a composition table has a normalized
 nerve whose d-chains are composable strings of d non-identity morphisms.
-Boundary matrices are sparse integer columns, one ``{row: coefficient}``
-dict per chain, straight from the nerve, and one sparse elimination loop
-over those columns gives their Smith normal form.  Homology reduces them
+The table is laid out one way, per arrow f: the composites g∘f for the
+arrows g out of f's target, in arrow order (``composites``).  The build
+fills it; ``validate`` and the nerve read it.  Boundary matrices are
+sparse integer columns, one ``{row: coefficient}`` dict per chain,
+straight from the nerve, and one sparse elimination loop over those
+columns gives their Smith normal form.  Homology reduces them
 from the top degree down, and the unit pivots of each degree clear
 columns of the one below (``homology_from_boundaries``).  Betti numbers
 plus torsion coefficients drop out degree by degree.  Only the brute-force
 oracles and tests build a dense view of a matrix.  ``validate`` checks
 every category law in full.  Associativity is decided by Light's test:
 the composable triples whose first arrow is irreducible, compared one
-composable pair's list of composites at a time and never stored.
+composable pair's tuple of composites at a time and never stored.
 
 Two category builders connect back to the tree machinery.  ``w_hlt``
 takes the unlabeled healthy height-n trees with k leaves and all active
@@ -33,6 +36,7 @@ shortcuts.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations, repeat
@@ -53,10 +57,10 @@ DEFAULT_CHAIN_CAP = 500_000
 
 # Composition-table entries (composable arrow pairs) allowed in one
 # build, counted before the table is built.  Measured peak RSS of the
-# build alone with its row ids and row-pair memo, Python 3.11: 176 MB on
-# w_hlt(2,7) (1,391,088 entries) and 910 MB on nord(4,4) (7,315,200),
-# 0.12 and 0.13 KB per entry, so a table at the cap stays within about
-# 1.3 GB.
+# build alone, one composites tuple per arrow with its row ids and
+# row-pair memo, Python 3.11: 64 MB on w_hlt(2,7) (1,391,088 entries) and
+# 139 MB on nord(4,4) (7,315,200), 0.05 and 0.02 KB per entry with the
+# interpreter's 18 MB, so a table at the cap stays within about 0.5 GB.
 COMPOSITION_CAP = 10_000_000
 
 
@@ -238,17 +242,36 @@ def _add_multiple(columns, holders, other: int, factor: int, column) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FiniteCategoryView:
-    """A category as plain data: objects, arrows, and a composition table.
+    """A category as plain data: objects, arrows, and their composites.
 
     ``morphisms[m]`` is (source index, target index, label); ``identities``
-    picks the identity arrow of each object; ``composition`` maps the pair
-    (second, first) of composable arrow indices to their composite's index.
+    picks the identity arrow of each object.  ``composites[f]`` holds one
+    slot per arrow g in ``outgoing[target f]``, in that order: the index of
+    g∘f, or None where a hand-made table has no entry.  ``from_table``
+    makes these lists from a dict {(g, f): g∘f}, and ``composition`` reads
+    them back as that dict, read-only.
     """
 
     objects: tuple
     morphisms: tuple[tuple[int, int, object], ...]
     identities: tuple[int, ...]
-    composition: dict[tuple[int, int], int]
+    composites: tuple[tuple[int | None, ...], ...]
+
+    @classmethod
+    def from_table(cls, objects, morphisms, identities, table) -> FiniteCategoryView:
+        """The view of a table {(g, f): g∘f}; pairs that do not compose are
+        dropped, composable pairs without an entry get None."""
+        out = _outgoing(len(objects), morphisms)
+        return cls(objects, morphisms, identities, tuple(
+            tuple(table.get((g, f)) for g in out[b])
+            for f, (_, b, _) in enumerate(morphisms)
+        ))
+
+    @property
+    def composition(self) -> Mapping[tuple[int, int], int]:
+        """The table {(g, f): g∘f} over ``composites``, f by f and each g in
+        ``outgoing`` order; its length is counted, never listed."""
+        return _Composition(self)
 
     def target(self, m: int) -> int:
         return self.morphisms[m][1]
@@ -264,10 +287,17 @@ class FiniteCategoryView:
     @cached_property
     def outgoing(self) -> tuple[tuple[int, ...], ...]:
         """The arrows out of each object, in arrow order."""
-        buckets: list[list[int]] = [[] for _ in self.objects]
-        for m, (a, _, _) in enumerate(self.morphisms):
-            buckets[a].append(m)
-        return tuple(tuple(ms) for ms in buckets)
+        return _outgoing(len(self.objects), self.morphisms)
+
+    @cached_property
+    def position(self) -> tuple[int, ...]:
+        """Each arrow's place in ``outgoing`` of its source: g∘f is
+        ``composites[f][position[g]]``."""
+        place = [0] * len(self.morphisms)
+        for ms in self.outgoing:
+            for i, m in enumerate(ms):
+                place[m] = i
+        return tuple(place)
 
     @cached_property
     def outgoing_non_identity(self) -> tuple[tuple[int, ...], ...]:
@@ -276,13 +306,16 @@ class FiniteCategoryView:
         )
 
     def permuted(self, perm: tuple[int, ...]) -> FiniteCategoryView:
-        """Relabel object positions: object i moves to position perm[i]."""
+        """Relabel object positions: object i moves to position perm[i].
+
+        Arrows keep their indices, so the arrows out of each object keep
+        their order and ``composites`` carries over as it is."""
         moved_from = sorted(range(len(perm)), key=perm.__getitem__)
         return FiniteCategoryView(
             tuple(self.objects[i] for i in moved_from),
             tuple((perm[a], perm[b], label) for a, b, label in self.morphisms),
             tuple(self.identities[i] for i in moved_from),
-            dict(self.composition),
+            self.composites,
         )
 
     def validate(self, seed: int = 0) -> CategoryValidation:
@@ -290,12 +323,12 @@ class FiniteCategoryView:
 
         The identity laws hold on every arrow, every composable pair has a
         composite with the right endpoints, and every composable triple
-        h, g, f has h(gf) = (hg)f.  One pass reads the table into
-        ``after[f]``: the composites g∘f for g in ``outgoing[target f]``, in
-        that order, None where an entry is missing.  Associativity at f is
-        one list compare per composable pair (f, g): ``after[gf]`` lists
-        h(gf) for every h out of g's target, and ``after[g]`` mapped through
-        f's g' ↦ g'f lists (hg)f for the same h in the same order.  So each
+        h, g, f has h(gf) = (hg)f.  ``composites[f]`` lists the composites
+        g∘f for g in ``outgoing[target f]``, in that order, None where an
+        entry is missing.  Associativity at f is one list compare per
+        composable pair (f, g): ``composites[gf]`` lists h(gf) for every h
+        out of g's target, and ``composites[g]`` mapped through f's
+        g' ↦ g'f lists (hg)f for the same h in the same order.  So each
         triple is compared inside a list compare and none is stored.
 
         Light's test (Clifford-Preston, *The Algebraic Theory of
@@ -315,33 +348,33 @@ class FiniteCategoryView:
         and never read: the benchmark's category workload still passes it.
         """
         arrows, out, units = self.morphisms, self.outgoing, self.identities
-        get = self.composition.get
+        composites, position = self.composites, self.position
         if any(arrows[m][:2] != (i, i) for i, m in enumerate(units)):
             return CategoryValidation(False, False, False)
         identities_ok = all(
-            get((m, units[a])) == m == get((units[b], m))
+            composites[units[a]][position[m]] == m == composites[m][position[units[b]]]
             for m, (a, b, _) in enumerate(arrows)
         )
-        after = [[get((g, f)) for g in out[b]] for f, (_, b, _) in enumerate(arrows)]
         for f, (a, b, _) in enumerate(arrows):
-            for g, gf in zip(out[b], after[f]):
+            for g, gf in zip(out[b], composites[f]):
                 if gf is None or arrows[gf][:2] != (a, arrows[g][1]):
                     return CategoryValidation(identities_ok, False, False)
-        for f in self._associativity_domain(after, identities_ok):
-            b = arrows[f][1]
-            then_f = dict(zip(out[b], after[f])).__getitem__
-            for g, gf in zip(out[b], after[f]):
-                if after[gf] != list(map(then_f, after[g])):
+        for f in self._associativity_domain(identities_ok):
+            after_f, out_b = composites[f], out[arrows[f][1]]
+            then_f = dict(zip(out_b, after_f)).__getitem__
+            for g, gf in zip(out_b, after_f):
+                if composites[gf] != tuple(map(then_f, composites[g])):
                     return CategoryValidation(identities_ok, True, False)
         return CategoryValidation(identities_ok, True, True)
 
-    def _associativity_domain(self, after, identities_ok: bool):
-        """The arrows f whose associativity ``validate`` compares, given
-        its complete table ``after``: the irreducible arrows when the
-        identity laws hold and Kahn's topological sort orders every object
-        along the non-identity arrows, else every arrow.  Each non-identity
-        f is counted once in its own list, as id∘f = f, and once more for
-        each g∘f' = f of two non-identity arrows."""
+    def _associativity_domain(self, identities_ok: bool):
+        """The arrows f whose associativity ``validate`` compares, once
+        every composable pair has a composite: the irreducible arrows when
+        the identity laws hold and Kahn's topological sort orders every
+        object along the non-identity arrows, else every arrow.  Each
+        non-identity f is counted once in its own ``composites``, as
+        id∘f = f, and once more for each g∘f' = f of two non-identity
+        arrows."""
         arrows, out = self.morphisms, self.outgoing_non_identity
         if identities_ok:
             waiting = Counter(arrows[f][1] for ms in out for f in ms)
@@ -356,9 +389,47 @@ class FiniteCategoryView:
                 made = Counter()
                 for ms in out:
                     for f in ms:
-                        made.update(after[f])
+                        made.update(self.composites[f])
                 return [f for ms in out for f in ms if made[f] == 1]
         return range(len(arrows))
+
+
+class _Composition(Mapping):
+    """A view's ``composites`` read as the table {(g, f): g∘f}."""
+
+    def __init__(self, cat: FiniteCategoryView) -> None:
+        self._cat = cat
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        g, f = key
+        arrows = self._cat.morphisms
+        n = len(arrows)
+        if 0 <= g < n and 0 <= f < n and arrows[g][0] == arrows[f][1]:
+            gf = self._cat.composites[f][self._cat.position[g]]
+            if gf is not None:
+                return gf
+        raise KeyError(key)
+
+    def __iter__(self):
+        out = self._cat.outgoing
+        for f, (_, b, _) in enumerate(self._cat.morphisms):
+            for g, gf in zip(out[b], self._cat.composites[f]):
+                if gf is not None:
+                    yield g, f
+
+    def __len__(self) -> int:
+        return sum(len(after) - after.count(None) for after in self._cat.composites)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)})"
+
+
+def _outgoing(objects: int, morphisms) -> tuple[tuple[int, ...], ...]:
+    """The arrows out of each of ``objects`` objects, in arrow order."""
+    buckets: list[list[int]] = [[] for _ in range(objects)]
+    for m, (a, _, _) in enumerate(morphisms):
+        buckets[a].append(m)
+    return tuple(tuple(ms) for ms in buckets)
 
 
 @dataclass(frozen=True)
@@ -396,7 +467,7 @@ def poset_category(elements, relations) -> FiniteCategoryView:
         for (i, j), f in arrow.items()
         for k in above[j]
     }
-    return FiniteCategoryView(elements, morphisms, identities, composition)
+    return FiniteCategoryView.from_table(elements, morphisms, identities, composition)
 
 
 def chain_poset(length: int) -> FiniteCategoryView:
@@ -432,7 +503,10 @@ def build_category(
 
     ``cap`` bounds the number of w rows in each hom-set.  Objects and
     arrows come in a fixed order (arrows by source, then target), so
-    rebuilt categories are identical.
+    rebuilt categories are identical.  The table is written straight
+    into ``composites``: for each arrow f in order, one tuple of the
+    composites g∘f for g in ``outgoing[target f]``, found by source,
+    target and row id; no pair is keyed by (g, f).
 
     Objects are the nerve's 0-cells and non-identity arrows its 1-cells,
     so both are held to ``DEFAULT_CHAIN_CAP``.  After the usage checks
@@ -499,20 +573,21 @@ def build_category(
              for i, ((a, b, _), r) in enumerate(zip(arrows, ids))}
     unit = row_id[tuple(range(1, k + 1))]
     identities = tuple(index[(a * count + a) * width + unit] for a in range(count))
-    cat = FiniteCategoryView(objects, tuple(arrows), identities, {})
-    # composable pairs only, found through the view's own outgoing index; a
+    # composable pairs only, f by f and each g in outgoing order; a
     # composite that is no arrow raises KeyError in row_id or index
-    table, memo = cat.composition, {}
+    out, composites, memo = _outgoing(count, arrows), [], {}
     for f, (a, b, _) in enumerate(arrows):
         first, source = rows[ids[f]], a * count
         after = memo.setdefault(ids[f], {})
-        for g in cat.outgoing[b]:
+        slots = []
+        for g in out[b]:
             second = ids[g]
             row = after.get(second)
             if row is None:
                 row = after[second] = row_id[tuple(first[v - 1] for v in rows[second])]
-            table[(g, f)] = index[(source + arrows[g][1]) * width + row]
-    return cat
+            slots.append(index[(source + arrows[g][1]) * width + row])
+        composites.append(tuple(slots))
+    return FiniteCategoryView(objects, tuple(arrows), identities, tuple(composites))
 
 
 def _object_count(kind: str, n: int, k: int, bound: int) -> int:
@@ -533,6 +608,7 @@ def _object_count(kind: str, n: int, k: int, bound: int) -> int:
 
 def _nerve_bases(cat: FiniteCategoryView, max_dim: int) -> list[tuple]:
     """Composable strings of non-identity arrows, degree by degree."""
+    check_cap(max_dim + 1, DEFAULT_CHAIN_CAP, f"nerve degrees 0..{max_dim}")
     bases: list[tuple] = [tuple(range(len(cat.objects)))]
     total = len(bases[0])
     current: tuple = tuple((m,) for a in range(len(cat.objects))
@@ -554,11 +630,15 @@ def nerve_chain_complex(
 
     A d-chain is a string of d composable non-identity arrows; the i-th
     face composes at the i-th joint, and faces that produce an identity
-    vanish in the normalized complex.  The cells through each dimension
-    are held to ``DEFAULT_CHAIN_CAP`` before the next is listed.
+    vanish in the normalized complex.  The composite at a joint g after f
+    is ``composites[f][position[g]]``.  Each degree lists a basis and a
+    boundary even when it has no cells, so the degrees 0..max_dim are held
+    to ``DEFAULT_CHAIN_CAP`` before the first is listed, and the cells
+    through each dimension before the next is listed.
     """
     bases = _nerve_bases(cat, max_dim)
-    arrows, table, units = cat.morphisms, cat.composition, cat.identities
+    arrows, units = cat.morphisms, cat.identities
+    composites, place = cat.composites, cat.position
     matrices = []
     for d in range(1, max_dim + 1):
         lower = bases[d - 1]
@@ -574,7 +654,7 @@ def nerve_chain_complex(
                 coeffs[position[chain[1:]]] += 1
                 sign = -1
                 for i in range(1, d):
-                    composite = table[(chain[i], chain[i - 1])]
+                    composite = composites[chain[i - 1]][place[chain[i]]]
                     if units[arrows[composite][0]] != composite:
                         face = chain[: i - 1] + (composite,) + chain[i + 1 :]
                         coeffs[position[face]] += sign

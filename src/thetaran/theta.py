@@ -221,6 +221,7 @@ def parse_tree(text: str, height: int | None = None) -> Tree:
     if pos != len(text):
         raise ValueError(f"trailing input at position {pos}: {text[pos:]!r}")
     if height is not None:
+        check_height("height", height)
         tree = _promote(tree, height)
     return tree
 

@@ -83,6 +83,20 @@ class TestTree:
         assert code == 2
         assert "nested deeper than" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--leaves", "--prune", "--json"]])
+    def test_height_over_tree_bound_is_usage_error(self, capsys, extra):
+        # --height lifts a rank-0 tree without building a level, so it is
+        # checked on its own before the lift
+        for height in ("201", "100000"):
+            code, out, err = run(capsys, "tree", "--tree", "[0]",
+                                 "--height", height, *extra)
+            assert code == 2
+            assert (out, err) == ("", f"error: height {height} {BOUND}\n")
+        code, out, _ = run(capsys, "tree", "--tree", "[0]", "--height", "200",
+                           "--leaves", "--json")
+        assert code == 0
+        assert json.loads(out)["height"] == 200
+
 
 class TestHom:
     def test_count(self, capsys):
@@ -326,6 +340,13 @@ class TestHom:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("height", ["201", "100000"])
+    def test_height_over_tree_bound_is_usage_error(self, capsys, height):
+        code, out, err = run(capsys, "hom", "--source", "[0]", "--target", "[0]",
+                             "--height", height)
+        assert code == 2
+        assert (out, err) == ("", f"error: height {height} {BOUND}\n")
 
 
 class TestConfig:
@@ -643,6 +664,18 @@ class TestHomology:
         assert code == 2
         assert (out, err) == ("", f"error: height 2000 {BOUND}\n")
 
+    def test_degrees_are_counted_before_listing(self, capsys, monkeypatch):
+        # every degree lists a basis and a boundary, empty or not: degrees
+        # 0..10^6 + 1 pass the cell cap before the first is listed
+        monkeypatch.setattr(homology, "IntegerMatrix", None)
+        started = time.monotonic()
+        code, out, err = run(capsys, "homology", "--category", "w_hlt", "--n", "2",
+                             "--k", "3", "--max-degree", "1000000")
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert (out, err) == ("", "resource cap: 1000002 nerve degrees "
+                                  "0..1000001 exceed the cap of 500000\n")
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys, tmp_path):
@@ -863,6 +896,38 @@ class TestVerify:
         assert out == ""
         assert err == ("resource cap: more than 1000000 pruning trees by the "
                        "closed-form bound exceed the cap of 1000000\n")
+
+    @pytest.mark.parametrize("params,degrees,cap", [
+        (["max_degree=100000"], 18 * 100_002, 500_000),
+        (["max_degree=499999", "kind=nord", "n=2", "k=2"], 500_001, 500_000),
+        ([], 18 * 5, 89),
+    ])
+    def test_homology_degrees_are_capped_before_any_case(
+        self, capsys, monkeypatch, params, degrees, cap
+    ):
+        # max_degree + 2 degrees for each of the suite's nerves (18 without
+        # kind; max_degree 3 by default), counted against the cell cap
+        # before any category is built
+        monkeypatch.setattr(harness, "_run_homology", None)
+        monkeypatch.setattr(harness, "DEFAULT_CHAIN_CAP", cap)
+        argv = [arg for p in params for arg in ("--param", p)]
+        started = time.monotonic()
+        code, out, err = run(capsys, "verify", "--suite", "homology", *argv)
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert (out, err) == ("", f"resource cap: {degrees} nerve degrees in "
+                                  f"suite 'homology' exceed the cap of {cap}\n")
+
+    def test_homology_suite_nerve_count(self, capsys, monkeypatch):
+        # the count the degree cap multiplies is the suite's nerves
+        built = []
+        nerve = harness.nerve_chain_complex
+        monkeypatch.setattr(harness, "nerve_chain_complex",
+                            lambda cat, top: built.append(top) or nerve(cat, top))
+        code, _, _ = run(capsys, "verify", "--suite", "homology",
+                         "--param", "max_degree=1", "--param", "matrices=0")
+        assert code == 0
+        assert built == [2] * harness._HOMOLOGY_NERVES == [2] * 18
 
     def test_one_tree_shapes_are_counted_at_once(self, capsys, monkeypatch):
         # 10^7 + 1 height-1 shapes of one tree each: their count alone

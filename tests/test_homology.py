@@ -192,7 +192,7 @@ class TestFiniteCategories:
 
     def test_validate_flags_broken_composition(self):
         cat = poset_category("ab", [("a", "b")])
-        broken = FiniteCategoryView(
+        broken = FiniteCategoryView.from_table(
             cat.objects, cat.morphisms, cat.identities, {}
         )
         validation = broken.validate()
@@ -215,7 +215,7 @@ class TestFiniteCategories:
         g = arrow[(two, three, (1, 2, 4, 3))]
         wrong = arrow[(one, three, (1, 2, 3, 4))]
         assert cat.composition[(g, f)] == arrow[(one, three, (1, 2, 4, 3))]
-        broken = FiniteCategoryView(
+        broken = FiniteCategoryView.from_table(
             cat.objects, cat.morphisms, cat.identities,
             {**cat.composition, (g, f): wrong},
         )
@@ -235,6 +235,29 @@ class TestFiniteCategories:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_composition_view_reads_composites(self):
+        # one slot per g out of f's target, in outgoing order; a missing
+        # entry is None and a pair that does not compose is dropped; the
+        # mapping lists the filled slots f by f, and looks each up by place
+        cat = groupoid()
+        assert cat.outgoing == ((0, 2), (1, 3)) and cat.position == (0, 0, 1, 1)
+        assert cat.composites == ((0, 2), (1, 3), (2, 0), (3, 1))
+        table = dict(cat.composition)
+        del table[(2, 3)]
+        view = FiniteCategoryView.from_table(
+            cat.objects, cat.morphisms, cat.identities, {**table, (2, 2): 0}
+        )
+        assert view.composites == ((0, 2), (1, 3), (2, 0), (3, None))
+        assert list(view.composition.items()) == [
+            ((0, 0), 0), ((2, 0), 2), ((1, 1), 1), ((3, 1), 3),
+            ((1, 2), 2), ((3, 2), 0), ((0, 3), 3),
+        ]
+        assert len(view.composition) == len(table) == 7
+        assert view.composition == table
+        for absent in [(2, 3), (2, 2), (4, 0), (0, 4), (-1, 0), (1, -1)]:
+            assert absent not in view.composition
+        assert not view.validate().composition_ok
 
     def test_permuted_preserves_laws(self):
         cat = build_category("w_hlt", 2, 2)
@@ -280,7 +303,7 @@ def _shifted_identity(cat: FiniteCategoryView) -> FiniteCategoryView:
     """Object 0's identity replaced by object 1's, an arrow 1 -> 1."""
     identities = (cat.identities[1],) + cat.identities[1:]
     return FiniteCategoryView(cat.objects, cat.morphisms, identities,
-                              cat.composition)
+                              cat.composites)
 
 
 def groupoid() -> FiniteCategoryView:
@@ -288,13 +311,13 @@ def groupoid() -> FiniteCategoryView:
     morphisms = ((0, 0, "1x"), (1, 1, "1y"), (0, 1, "f"), (1, 0, "g"))
     composition = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (3, 1): 3,
                    (0, 3): 3, (3, 2): 0, (2, 3): 1}
-    return FiniteCategoryView(("x", "y"), morphisms, (0, 1), composition)
+    return FiniteCategoryView.from_table(("x", "y"), morphisms, (0, 1), composition)
 
 
 ORACLE_CATEGORIES = {
     "poset-abc": lambda: poset_category("abc", [("a", "b"), ("b", "c")]),
     "chain-3": lambda: chain_poset(3),
-    "empty-table": lambda: FiniteCategoryView(
+    "empty-table": lambda: FiniteCategoryView.from_table(
         chain_poset(1).objects, chain_poset(1).morphisms,
         chain_poset(1).identities, {}
     ),
@@ -352,7 +375,7 @@ def _planted_faults(cat: FiniteCategoryView, rng: Random, per_kind: int = 25):
                 del table[key]
             else:
                 table[key] = value
-            yield kind, FiniteCategoryView(
+            yield kind, FiniteCategoryView.from_table(
                 cat.objects, arrows, cat.identities, table
             )
 
@@ -500,7 +523,9 @@ def wreath_category(kind: str, n: int, k: int) -> FiniteCategoryView:
         for g, (b2, c, second) in enumerate(arrows)
         if b2 == b
     }
-    return FiniteCategoryView(tuple(objects), tuple(arrows), identities, composition)
+    return FiniteCategoryView.from_table(
+        tuple(objects), tuple(arrows), identities, composition
+    )
 
 
 ORACLE_CASES = [
@@ -913,7 +938,7 @@ def one_object_tables():
     units = {(m, 0): m for m in range(3)} | {(0, m): m for m in range(3)}
     for products in product(range(3), repeat=4):
         table = dict(zip([(1, 1), (1, 2), (2, 1), (2, 2)], products))
-        yield FiniteCategoryView(("x",), morphisms, (0,), {**units, **table})
+        yield FiniteCategoryView.from_table(("x",), morphisms, (0,), {**units, **table})
 
 
 def test_validate_matches_oracle_on_one_object_tables():
@@ -947,8 +972,8 @@ def test_associativity_compares_only_irreducible_arrows(monkeypatch):
     domains = []
     choose = FiniteCategoryView._associativity_domain
 
-    def recorded(self, after, identities_ok):
-        domains.append(list(choose(self, after, identities_ok)))
+    def recorded(self, identities_ok):
+        domains.append(list(choose(self, identities_ok)))
         return domains[-1]
 
     monkeypatch.setattr(FiniteCategoryView, "_associativity_domain", recorded)

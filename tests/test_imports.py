@@ -294,3 +294,34 @@ def test_module_state_is_inventoried():
     ]
     # one store, the slot's replacement
     assert changed == sorted(MEMO_SLOTS), changed
+
+
+def _composition_reads(tree: ast.Module) -> list[int]:
+    """Lines that read an ``x.composition`` table other than by ``len``."""
+    counted = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+        and len(node.args) == 1
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "composition"
+        and id(node) not in counted
+    ]
+
+
+def test_composites_are_the_one_table_read():
+    # the composition mapping is a view for tests and for counting; every
+    # reader in the package takes g∘f from composites[f][position[g]], so
+    # no lookup goes by (g, f) key, .get or .items
+    reads = {
+        path.stem: lines
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+        if (lines := _composition_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert reads == {}
+    planted = "x = len(cat.composition)\ny = cat.composition[(g, f)]\n"
+    planted += "z = cat.composition.get((g, f))\nw = list(cat.composition.items())\n"
+    assert _composition_reads(ast.parse(planted)) == [2, 3, 4]

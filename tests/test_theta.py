@@ -9,9 +9,11 @@ obtained.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
+import sys
 from collections import Counter
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -581,6 +583,64 @@ class TestHomRows:
             for src, tgt in product(profiles, repeat=2):
                 plans = tuple(plan(src, base) for base in scan(src, tgt))
                 assert _injective_bases(src, tgt) == plans
+
+    def test_walk_pops_only_prefixes_whose_sums_agree(self):
+        # with equal leaf totals every fiber must fill its source child:
+        # the fit test bounds the prefix sum at v_i from above by the source
+        # leaves through child i, and the room test from below, so the walk
+        # pops exactly the prefixes (0, v_1, ..., v_i) whose sums agree with
+        # the source's (v_p = q), counted here over all nondecreasing tuples;
+        # a weaker room test follows prefixes that leave the children after
+        # v_i more target leaves than they hold.  Pops are counted by
+        # tracing the uncached walk's line events.
+        walk = _injective_bases.__wrapped__
+        lines, first = inspect.getsourcelines(walk)
+        pop_line = first + next(
+            n for n, line in enumerate(lines) if "= stack.pop()" in line
+        )
+        pops = 0
+
+        def count(frame, event, arg):
+            nonlocal pops
+            pops += event == "line" and frame.f_lineno == pop_line
+            return count
+
+        def enter(frame, event, arg):
+            return count if frame.f_code is walk.__code__ else None
+
+        profiles = [p for r in (1, 2, 3) for p in product(range(3), repeat=r)]
+        pairs = [(src, tgt) for src, tgt in product(profiles, repeat=2)
+                 if sum(src) == sum(tgt)]
+        pruned = 0
+        for src, tgt in pairs:
+            p, q = len(src), len(tgt)
+            src_prefix = tuple(accumulate(src, initial=0))
+            tgt_prefix = tuple(accumulate(tgt, initial=0))
+            agreeing = sum(
+                all(v == q if j == p else tgt_prefix[v] == src_prefix[j]
+                    for j, v in enumerate(values, start=1))
+                for i in range(p + 1)
+                for values in combinations_with_replacement(range(q + 1), i)
+            )
+            fitting = sum(
+                all(tgt_prefix[v] - tgt_prefix[u] <= src[j - 1]
+                    for j, (u, v) in enumerate(zip((0,) + values, values), start=1))
+                for i in range(p + 1)
+                for values in combinations_with_replacement(range(q + 1), i)
+                if i < p or values[-1] == q
+            )
+            pops = 0
+            traced = sys.gettrace()
+            sys.settrace(enter)
+            try:
+                plans = walk(src, tgt)
+            finally:
+                sys.settrace(traced)
+            assert plans == _injective_bases(src, tgt)
+            assert pops == agreeing, (src, tgt)
+            pruned += fitting > agreeing
+        # without the room test the walk would pop more on most of these
+        assert (len(pairs), pruned) == (285, 228)
 
     def test_injective_rows_match_plain_enumeration(self):
         # the base filter skips bases that cannot carry an injective leaf
