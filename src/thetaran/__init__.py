@@ -6,159 +6,6 @@ morphisms, classification, pruning, enumeration), ``config``
 (rational configurations, exact exit-path validation, the tree functor),
 ``homology`` (finite categories, nerves, Smith normal form), and
 ``harness`` (seeded suites and reports).  The ``theta-ran`` console
-script fronts all of it.
+script fronts all of it.  Each name is imported from its module, as in
+``from thetaran.theta import parse_tree``.
 """
-
-from .simplex import (
-    CompositionError,
-    MonotoneMap,
-    PointedMap,
-    compose_delta,
-    compose_pointed,
-    enumerate_delta_hom,
-    identity_delta,
-    simplicial_circle,
-)
-from .theta import (
-    DEFAULT_HOM_CAP,
-    InitialityReport,
-    LayerDiagram,
-    MorphismFlags,
-    PruneResult,
-    ResourceCapError,
-    ThetaMorphism,
-    Tree,
-    classify_morphism,
-    compose_theta,
-    count_filtered_hom,
-    decorated_trees,
-    empty_tree,
-    enumerate_theta_hom,
-    fiber_pairs,
-    format_tree,
-    healthy_trees,
-    identity_theta,
-    leaf_row,
-    leaves,
-    morphism_of_row,
-    morphism_to_json,
-    parse_tree,
-    prune,
-)
-from .config import (
-    Configuration,
-    ExitPath,
-    InvalidExitPathError,
-    LevelCheck,
-    PathVerdict,
-    SamplingBudgetError,
-    build_exit_path,
-    compose_point_maps,
-    configuration_from_json,
-    exit_path_from_json,
-    induced_morphism,
-    morphism_of_exit_path,
-    random_configuration,
-    random_exit_path,
-    realize_tree,
-    tree_of_configuration,
-    validate_exit_path,
-)
-from .homology import (
-    DEFAULT_CHAIN_CAP,
-    CategoryValidation,
-    FiniteCategoryView,
-    HomologyResult,
-    IntegerMatrix,
-    SmithNormalForm,
-    build_category,
-    chain_poset,
-    homology_from_boundaries,
-    homology_of_category,
-    nerve_chain_complex,
-    poset_category,
-    smith_normal_form,
-)
-from .harness import (
-    SUITE_NAMES,
-    SuiteReport,
-    canonical_report,
-    emit_fixture_tables,
-    minor_gcd,
-    ordered_betti_oracle,
-    run_suite,
-    verify_initiality,
-)
-
-__all__ = [
-    "CompositionError",
-    "MonotoneMap",
-    "PointedMap",
-    "compose_delta",
-    "compose_pointed",
-    "enumerate_delta_hom",
-    "identity_delta",
-    "simplicial_circle",
-    "DEFAULT_HOM_CAP",
-    "InitialityReport",
-    "LayerDiagram",
-    "MorphismFlags",
-    "PruneResult",
-    "ResourceCapError",
-    "ThetaMorphism",
-    "Tree",
-    "classify_morphism",
-    "compose_theta",
-    "count_filtered_hom",
-    "decorated_trees",
-    "empty_tree",
-    "enumerate_theta_hom",
-    "fiber_pairs",
-    "format_tree",
-    "healthy_trees",
-    "identity_theta",
-    "leaf_row",
-    "leaves",
-    "morphism_of_row",
-    "morphism_to_json",
-    "parse_tree",
-    "prune",
-    "Configuration",
-    "ExitPath",
-    "InvalidExitPathError",
-    "LevelCheck",
-    "PathVerdict",
-    "SamplingBudgetError",
-    "build_exit_path",
-    "compose_point_maps",
-    "configuration_from_json",
-    "exit_path_from_json",
-    "induced_morphism",
-    "morphism_of_exit_path",
-    "random_configuration",
-    "random_exit_path",
-    "realize_tree",
-    "tree_of_configuration",
-    "validate_exit_path",
-    "DEFAULT_CHAIN_CAP",
-    "CategoryValidation",
-    "FiniteCategoryView",
-    "HomologyResult",
-    "IntegerMatrix",
-    "SmithNormalForm",
-    "build_category",
-    "chain_poset",
-    "homology_from_boundaries",
-    "homology_of_category",
-    "nerve_chain_complex",
-    "poset_category",
-    "smith_normal_form",
-    "SUITE_NAMES",
-    "SuiteReport",
-    "canonical_report",
-    "emit_fixture_tables",
-    "minor_gcd",
-    "ordered_betti_oracle",
-    "run_suite",
-    "verify_initiality",
-]

@@ -62,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags its handler reads
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine output")
-    cap_flag = argparse.ArgumentParser(add_help=False)
-    cap_flag.add_argument(
-        "--cap", type=_nonnegative_int, default=DEFAULT_HOM_CAP,
-        help="enumeration size cap",
-    )
     parser = argparse.ArgumentParser(
         prog="theta-ran",
         description="planar level trees, exit paths, and nerve homology",
@@ -79,15 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
     tree_p.add_argument("--prune", action="store_true", help="show the pruning")
     tree_p.add_argument("--leaves", action="store_true", help="show layer sizes")
 
-    hom_p = sub.add_parser(
-        "hom", parents=[json_flag, cap_flag], help="hom-sets between trees"
-    )
+    hom_p = sub.add_parser("hom", parents=[json_flag], help="hom-sets between trees")
     hom_p.add_argument("--source", required=True)
     hom_p.add_argument("--target", required=True)
     hom_p.add_argument("--height", type=int)
     hom_p.add_argument("--filter", choices=_FILTERS, default="all")
     hom_p.add_argument(
         "--enumerate", action="store_true", help="list morphisms, not just count"
+    )
+    hom_p.add_argument(
+        "--cap", type=_nonnegative_int, default=DEFAULT_HOM_CAP,
+        help="enumeration size cap",
     )
 
     config_p = sub.add_parser("config", help="configurations and exit paths")
@@ -104,9 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cv.add_argument("--path", required=True, help="JSON exit-path file")
 
-    h_p = sub.add_parser(
-        "homology", parents=[json_flag, cap_flag], help="category homology"
-    )
+    h_p = sub.add_parser("homology", parents=[json_flag], help="category homology")
     h_p.add_argument("--category", choices=_KINDS, required=True)
     h_p.add_argument("--n", type=int, required=True, help="tree height")
     h_p.add_argument("--k", type=int, required=True, help="leaf count")
@@ -273,7 +268,7 @@ def _handle_config(args) -> int:
 
 def _handle_homology(args) -> int:
     started = time.perf_counter()
-    cat = build_category(args.category, args.n, args.k, args.cap)
+    cat = build_category(args.category, args.n, args.k)
     result = homology_of_category(cat, args.max_degree)
     wall_ms = (time.perf_counter() - started) * 1000.0
     doc = {

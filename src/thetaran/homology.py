@@ -26,8 +26,7 @@ of ``w_hlt``: its objects are trees with leaves labeled by {1..k}, and
 each w-arrow lifts to exactly one arrow out of each labeling of its
 source.  Their classifying spaces have the homology of unordered and
 ordered configuration spaces of k points in R^n, which is what the
-acceptance fixtures check.  The enumeration cap (``--cap`` on the
-command line) bounds the number of w rows in each hom-set.
+acceptance fixtures check.
 
 Everything is exact: arbitrary-precision integers, no floats, no modular
 shortcuts.
@@ -42,7 +41,7 @@ from functools import cached_property
 from itertools import chain, permutations, repeat
 from math import factorial, gcd
 
-from .theta import DEFAULT_HOM_CAP, check_cap, check_height, healthy_trees, w_hom_rows
+from .theta import check_cap, check_height, healthy_trees, w_hom_rows
 
 # Nerve cells allowed in one build.  Measured peak RSS above the bare
 # interpreter (~18 MB), full degree, Python 3.11: 0.6 KB per cell on
@@ -484,9 +483,7 @@ def chain_poset(length: int) -> FiniteCategoryView:
 _KINDS = ("nord", "w_hlt")
 
 
-def build_category(
-    kind: str, n: int, k: int, cap: int = DEFAULT_HOM_CAP
-) -> FiniteCategoryView:
+def build_category(kind: str, n: int, k: int) -> FiniteCategoryView:
     """Configuration categories on healthy height-n trees with k leaves.
 
     Every arrow is ``(source, target, row)`` with ``row`` the leaf row of
@@ -501,11 +498,10 @@ def build_category(
     labeling is ``lab[v - 1] for v in row``.  So nord has k! times as
     many arrows as w_hlt, at most one per object pair.
 
-    ``cap`` bounds the number of w rows in each hom-set.  Objects and
-    arrows come in a fixed order (arrows by source, then target), so
-    rebuilt categories are identical.  The table is written straight
-    into ``composites``: for each arrow f in order, one tuple of the
-    composites g∘f for g in ``outgoing[target f]``, found by source,
+    Objects and arrows come in a fixed order (arrows by source, then
+    target), so rebuilt categories are identical.  The table is written
+    straight into ``composites``: for each arrow f in order, one tuple of
+    the composites g∘f for g in ``outgoing[target f]``, found by source,
     target and row id; no pair is keyed by (g, f).
 
     Objects are the nerve's 0-cells and non-identity arrows its 1-cells,
@@ -541,7 +537,7 @@ def build_category(
     arrow_count = 0
     for tree_a in trees:
         out = [(b, row) for b, tree_b in enumerate(trees)
-               for row in w_hom_rows(tree_a, tree_b, cap)]
+               for row in w_hom_rows(tree_a, tree_b)]
         rows_out.append(out)
         arrow_count += lifts * len(out)
         check_cap(arrow_count, DEFAULT_CHAIN_CAP, f"{name} arrows", exact=False)

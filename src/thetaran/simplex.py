@@ -64,11 +64,6 @@ class MonotoneMap:
     def __hash__(self) -> int:
         return self._hash
 
-    def __call__(self, i: int) -> int:
-        if not (0 <= i <= self.source_rank):
-            raise ValueError(f"{i} is not an element of [{self.source_rank}]")
-        return self.values[i]
-
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 

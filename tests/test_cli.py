@@ -546,22 +546,6 @@ class TestHomology:
         )
         assert code == 2
 
-    def test_cap_exceeded(self, capsys):
-        code, _, err = run(
-            capsys,
-            "homology",
-            "--category",
-            "w_hlt",
-            "--n",
-            "2",
-            "--k",
-            "2",
-            "--cap",
-            "1",
-        )
-        assert code == 3
-        assert "resource cap" in err
-
     def test_negative_degree_is_usage_error(self, capsys):
         code, _, err = run(
             capsys,
@@ -830,16 +814,14 @@ class TestVerify:
             code, out, err = run(capsys, "verify", "--suite", suite, "--param", param)
             assert code == 2
             assert out == "" and param.split("=")[0] in err
-        # and a negative --cap is rejected by the parser
-        for argv in [
-            ("hom", "--source", "[2]", "--target", "[2]", "--cap", "-1"),
-            ("homology", "--category", "w_hlt", "--n", "2", "--k", "2",
-             "--cap", "-1"),
-        ]:
+        # and a negative or non-integer --cap is rejected by the parser,
+        # which names the value
+        for value in ("-1", "abc"):
             with pytest.raises(SystemExit) as exc:
-                main(list(argv))
+                main(["hom", "--source", "[1]", "--target", "[1]", "--cap", value])
             assert exc.value.code == 2
-            assert "nonnegative" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"need a nonnegative integer, got {value!r}" in err
 
     @pytest.mark.parametrize(
         "suite,params,message",
@@ -972,6 +954,8 @@ class TestFlags:
             ("homology", "--category", "w_hlt", "--n", "2", "--k", "2",
              "--seed", "1"),
             ("config", "validate", "--path", "p.json", "--cap", "1"),
+            ("homology", "--category", "w_hlt", "--n", "2", "--k", "2",
+             "--cap", "1"),
         ],
     )
     def test_unread_flags_are_usage_errors(self, capsys, argv):

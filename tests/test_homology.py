@@ -470,8 +470,8 @@ class TestBuildCategory:
             source, target = cat.objects[a], cat.objects[c]
             listed = homology.w_hom_rows
 
-            def without(s, t, cap, source=source, target=target, dropped=dropped):
-                rows = listed(s, t, cap)
+            def without(s, t, source=source, target=target, dropped=dropped):
+                rows = listed(s, t)
                 if (s, t) == (source, target):
                     rows = [row for row in rows if row != dropped]
                 return rows
@@ -662,9 +662,9 @@ class TestNerve:
         listed = homology.w_hom_rows
         calls = []
 
-        def counted(source, target, cap):
+        def counted(source, target):
             calls.append((source, target))
-            return listed(source, target, cap)
+            return listed(source, target)
 
         monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 80)
         monkeypatch.setattr(homology, "w_hom_rows", counted)

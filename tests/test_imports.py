@@ -5,13 +5,15 @@ numpy and sympy may be installed alongside it, so an accidental import of
 either would still run; this test reads every module's import statements
 instead.  Reading them also keeps every import pointing down the layers,
 so no production module reaches the harness's reference enumerations.
-The same kind of source check keeps exit-path validation free of float
-arithmetic, every exported name in use by the package itself, so no
-API lives on only for its own tests, every memoized function named in
-one inventory, so no cache is added unseen, the one module-level memo
-(the last leaf-row walk) the only module state any function changes,
-and the Smith elimination that clears columns called only where
-clearing is exact.
+The package's ``__init__`` imports nothing, so each name has one import
+path, ``thetaran.<module>.<name>``.  The same kind of source check keeps
+exit-path validation free of float arithmetic, every module-level
+function, class and constant read by the package itself outside its own
+definition, so no API lives on only for its own tests, every memoized
+function named in one inventory, so no cache is added unseen, the one
+module-level memo (the last leaf-row walk) the only module state any
+function changes, and the Smith elimination that clears columns called
+only where clearing is exact.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ def test_runtime_imports_are_stdlib_only():
     assert not foreign, foreign
 
 
-# the package modules each module may import; __init__ and cli take any
+# the package modules each module may import; cli takes any
 LAYERS = {
+    "__init__": set(),
     "simplex": set(),
     "theta": {"simplex"},
     "config": {"theta", "simplex"},
@@ -78,7 +81,7 @@ def _package_imports(path: Path):
 
 def test_imports_go_down_the_layers():
     modules = {path.stem: path for path in PACKAGE_DIR.glob("*.py")}
-    assert set(modules) == set(LAYERS) | {"__init__", "cli"}
+    assert set(modules) == set(LAYERS) | {"cli"}
     upward = [
         f"{name}.py:{line} imports {target}"
         for name, allowed in LAYERS.items()
@@ -145,14 +148,48 @@ def _reads_outside_own_definition(tree: ast.Module):
     return reads
 
 
-def test_every_export_has_a_reader():
-    reads = set()
-    for path in PACKAGE_DIR.glob("*.py"):
-        if path.name != "__init__.py":
-            source = path.read_text(encoding="utf-8")
-            reads |= _reads_outside_own_definition(ast.parse(source))
-    unread = sorted(set(thetaran.__all__) - reads)
-    assert not unread, unread
+def _module_level_names(tree: ast.Module):
+    """Functions, classes and constants a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id
+
+
+def _unread_module_names(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name for each module-level name no module reads outside its
+    own definition."""
+    reads = set().union(*map(_reads_outside_own_definition, trees.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _module_level_names(tree)
+        if name not in reads
+    )
+
+
+def test_every_module_name_has_a_reader():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    defined = {
+        f"{module}.{name}" for module, tree in trees.items()
+        for name in _module_level_names(tree)
+    }
+    # a constant, a class and a function are all in view
+    assert {"theta.DEFAULT_HOM_CAP", "homology.FiniteCategoryView",
+            "cli.main"} <= defined
+    assert _unread_module_names(trees) == []
+    # read only by itself, as a recursive function is, is unread
+    planted = "LIMIT = 3\n\ndef used(x):\n    return x + LIMIT\n"
+    planted += "\ndef unread(x):\n    return unread(x - 1) if x else used(x)\n"
+    assert _unread_module_names({"planted": ast.parse(planted)}) == ["planted.unread"]
 
 
 # where ResourceCapError may be built: the one cap decision, and the rule

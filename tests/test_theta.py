@@ -804,6 +804,10 @@ class TestHomRows:
         assert w_hom_rows(empty_tree(2), empty_tree(2)) == ((),)
         assert w_hom_rows(parse_tree("[2]([0],[0])"), empty_tree(2)) == ((),)
 
+    def test_leaf_count_mismatch_has_no_rows(self):
+        # equal heights, healthy target, two leaves into one
+        assert w_hom_rows(parse_tree("[1]([2])"), parse_tree("[1]([1])")) == ()
+
     def test_rejects_unhealthy_target(self):
         with pytest.raises(ValueError):
             w_hom_rows(parse_tree("[1]([2])"), parse_tree("[2]([0],[2])"))
