@@ -5,7 +5,11 @@ an object list, a morphism list, and a composition table has a normalized
 nerve whose d-chains are composable strings of d non-identity morphisms.
 The table is laid out one way, per arrow f: the composites g∘f for the
 arrows g out of f's target, in arrow order (``composites``).  The build
-fills it; ``validate`` and the nerve read it.  Boundary matrices are
+fills it; ``validate`` and the nerve read it.  The nerve counts its
+cells per degree before listing any, stops at its first empty degree,
+and lists chains as indices, never tuples: a chain is its prefix plus
+one arrow, and its faces follow from its prefix's by index arithmetic
+(``nerve_chain_complex``).  Boundary matrices are
 sparse integer columns, one ``{row: coefficient}`` dict per chain,
 straight from the nerve, and one sparse elimination loop over those
 columns gives their Smith normal form.  Homology reduces them
@@ -44,11 +48,11 @@ from math import factorial, gcd
 from .theta import check_cap, check_height, healthy_trees, w_hom_rows
 
 # Nerve cells allowed in one build.  Measured peak RSS above the bare
-# interpreter (~18 MB), full degree, Python 3.11: 0.6 KB per cell on
-# nord(2,4) (12,288 cells) and w_hlt(2,5) (14,048 cells); 0.8 KB on
-# w_hlt(3,4) (403,853 cells, 319 MB), 0.4 KB of it the nerve and the rest
-# Smith-form fill-in left after clearing.  So a build at the cap can take
-# about 0.4 GB.
+# interpreter (~17 MB), full degree, Python 3.11: 0.5 KB per cell on
+# nord(2,4) (12,288 cells) and w_hlt(2,5) (14,048 cells); 0.74 KB on
+# w_hlt(3,4) (403,853 cells, 309 MB), 0.37 KB of it the nerve and the
+# rest Smith-form fill-in left after clearing.  So a build at the cap can
+# take about 0.4 GB.
 # build_category counts a category's objects (0-cells) and k row entries
 # per object before listing them, and its arrows (1-cells) as it lists
 # them, against this cap.
@@ -602,23 +606,6 @@ def _object_count(kind: str, n: int, k: int, bound: int) -> int:
 # nerves and homology
 
 
-def _nerve_bases(cat: FiniteCategoryView, max_dim: int) -> list[tuple]:
-    """Composable strings of non-identity arrows, degree by degree."""
-    check_cap(max_dim + 1, DEFAULT_CHAIN_CAP, f"nerve degrees 0..{max_dim}")
-    bases: list[tuple] = [tuple(range(len(cat.objects)))]
-    total = len(bases[0])
-    current: tuple = tuple((m,) for a in range(len(cat.objects))
-                           for m in cat.outgoing_non_identity[a])
-    for d in range(1, max_dim + 1):
-        if d > 1:
-            current = tuple(chain + (m,) for chain in current
-                            for m in cat.outgoing_non_identity[cat.target(chain[-1])])
-        bases.append(current)
-        total += len(current)
-        check_cap(total, DEFAULT_CHAIN_CAP, f"nerve cells in dimensions 0..{d}")
-    return bases
-
-
 def nerve_chain_complex(
     cat: FiniteCategoryView, max_dim: int
 ) -> list[IntegerMatrix]:
@@ -627,38 +614,112 @@ def nerve_chain_complex(
     A d-chain is a string of d composable non-identity arrows; the i-th
     face composes at the i-th joint, and faces that produce an identity
     vanish in the normalized complex.  The composite at a joint g after f
-    is ``composites[f][position[g]]``.  Each degree lists a basis and a
-    boundary even when it has no cells, so the degrees 0..max_dim are held
-    to ``DEFAULT_CHAIN_CAP`` before the first is listed, and the cells
-    through each dimension before the next is listed.
+    is ``composites[f][position[g]]``.
+
+    Chains are indices, never tuples.  A d-chain x is its prefix p, a
+    (d-1)-chain, plus its last arrow m, and the chains extending p are
+    listed together from ``starts[p]``, one per non-identity arrow out of
+    p's end in ``outgoing_non_identity`` order; so x is
+    ``starts[p] + rank[m]``, m's place in that list.  Face i < d-1 of x is
+    face i of p extended by m (None, degenerate, where that one is), face
+    d-1 is p's prefix extended by m after p's last arrow (None if that is
+    an identity), and face d is p.  Each degree keeps its chains' faces
+    until the next is built, and a column is its faces with signs
+    +1, -1, ... in face order, equal faces summed.
+
+    The cells of every degree are counted first, by tallying chains per
+    end object, and held to ``DEFAULT_CHAIN_CAP`` (the degrees 0..max_dim,
+    then the cells through each dimension) before any chain is listed.
+    A d-chain holds a (d-1)-chain, so the nerve stops at its first empty
+    degree: that one gets a matrix with no columns, and each degree above
+    it one shared 0 x 0 matrix.
     """
-    bases = _nerve_bases(cat, max_dim)
-    arrows, units = cat.morphisms, cat.identities
-    composites, place = cat.composites, cat.position
+    check_cap(max_dim + 1, DEFAULT_CHAIN_CAP, f"nerve degrees 0..{max_dim}")
+    arrows, out = cat.morphisms, cat.outgoing_non_identity
+    targets = [b for _, b, _ in arrows]
+    ending = [1] * len(cat.objects)  # ending[a]: top-degree chains ending at a
+    sizes = [len(ending)]
+    total = sizes[0]
+    while len(sizes) <= max_dim:
+        step = [0] * len(ending)
+        for ms, here in zip(out, ending):
+            for m in ms:
+                step[targets[m]] += here
+        count = sum(step)
+        total += count
+        check_cap(total, DEFAULT_CHAIN_CAP, f"nerve cells in dimensions 0..{len(sizes)}")
+        if not count:
+            break
+        sizes.append(count)
+        ending = step
+    top = len(sizes) - 1
     matrices = []
-    for d in range(1, max_dim + 1):
-        lower = bases[d - 1]
-        upper = bases[d]
-        position = {chain: i for i, chain in enumerate(lower)}
+    if top:
+        # rank[m]: m's place among the non-identity arrows out of its
+        # source, None for an identity
+        rank: list[int | None] = [None] * len(arrows)
+        starts: list[int] = []  # starts[y]: the first chain extending y
+        faces: list[tuple] = []
+        lasts: list[int] = []
         columns: list[dict[int, int]] = []
-        for chain in upper:
-            coeffs: dict[int, int] = defaultdict(int)
-            if d == 1:
-                coeffs[arrows[chain[0]][1]] += 1
-                coeffs[arrows[chain[0]][0]] -= 1
-            else:
-                coeffs[position[chain[1:]]] += 1
-                sign = -1
-                for i in range(1, d):
-                    composite = composites[chain[i - 1]][place[chain[i]]]
-                    if units[arrows[composite][0]] != composite:
-                        face = chain[: i - 1] + (composite,) + chain[i + 1 :]
-                        coeffs[position[face]] += sign
-                    sign = -sign
-                coeffs[position[chain[:-1]]] += sign
-            columns.append({i: v for i, v in coeffs.items() if v})
-        matrices.append(IntegerMatrix(len(lower), len(upper), tuple(columns)))
+        for a, ms in enumerate(out):
+            starts.append(len(lasts))
+            for r, m in enumerate(ms):
+                rank[m] = r
+                b = targets[m]
+                faces.append((b, a))
+                columns.append({b: 1, a: -1} if a != b else {})
+            lasts.extend(ms)
+        matrices.append(IntegerMatrix(sizes[0], sizes[1], tuple(columns)))
+        # one int object per chain index, shared by every column that reads it
+        index = list(range(max(sizes)))
+    if top > 1:
+        # joint[f][r]: the rank of the r-th arrow out of f's target after
+        # f; read only from degree 2 on, so ∂_1 needs no composite
+        composites, place = cat.composites, cat.position
+        joint: list = [None] * len(arrows)
+        for ms in out:
+            for f in ms:
+                after = composites[f]
+                joint[f] = [rank[after[place[g]]] for g in out[targets[f]]]
+    for d in range(2, top + 1):
+        signs = (1, -1) * d
+        next_starts: list[int] = []
+        next_faces: list[tuple] = []
+        next_lasts: list[int] = []
+        for p, face, last in zip(index, faces, lasts):
+            next_starts.append(len(next_lasts))
+            ms = out[targets[last]]
+            if not ms:
+                continue
+            size = len(ms)
+            lanes: list = [repeat(None, size) if f is None
+                           else index[starts[f]:starts[f] + size] for f in face[:-1]]
+            base = starts[face[-1]]
+            lanes.append([None if t is None else index[base + t] for t in joint[last]])
+            lanes.append(repeat(p, size))
+            next_faces.extend(zip(*lanes))
+            next_lasts.extend(ms)
+        columns = [dict(zip(face, signs)) for face in next_faces]
+        for x in [x for x, column in enumerate(columns)
+                  if len(column) <= d or None in column]:
+            columns[x] = _summed_column(next_faces[x], signs)
+        matrices.append(IntegerMatrix(sizes[d - 1], sizes[d], tuple(columns)))
+        starts, faces, lasts = next_starts, next_faces, next_lasts
+    if top < max_dim:
+        matrices.append(IntegerMatrix(sizes[top], 0, ()))
+        matrices.extend(repeat(IntegerMatrix(0, 0, ()), max_dim - top - 1))
     return matrices
+
+
+def _summed_column(faces: tuple, signs: tuple[int, ...]) -> dict[int, int]:
+    """A boundary column from faces that repeat or vanish (None): each
+    face's signs summed, keys in first-face order, zeros dropped."""
+    coeffs: dict[int, int] = {}
+    for face, sign in zip(faces, signs):
+        if face is not None:
+            coeffs[face] = coeffs.get(face, 0) + sign
+    return {i: v for i, v in coeffs.items() if v}
 
 
 @dataclass(frozen=True)
@@ -721,7 +782,9 @@ def homology_from_boundaries(
     at every earlier pivot row.  So those columns restricted to the pivot
     rows form a unimodular triangular matrix, and ∂_d ∂_(d+1) = 0 writes
     each cleared column of ∂_d as an integer combination of the kept
-    ones: column operations empty it without touching the rest.
+    ones: column operations empty it without touching the rest.  A
+    boundary with no columns, as the nerve gives every degree past its
+    top, has rank 0 and clears nothing, so it is never reduced.
 
     A negative Betti number raises ``AssertionError``.  No Euler check:
     b_d = c_d - r_d - r_(d+1) telescopes, so the cells and Betti numbers
@@ -742,8 +805,12 @@ def homology_from_boundaries(
     sizes = [matrices[0].rows] + [m.cols for m in matrices]
     forms = []
     cleared: list[int] = []  # unit pivot rows of the boundary above
+    no_columns = SmithNormalForm((), 0)
     for matrix in reversed(matrices):
-        form, cleared = _smith_and_unit_rows(matrix, set(cleared))
+        if matrix.cols:
+            form, cleared = _smith_and_unit_rows(matrix, set(cleared))
+        else:
+            form, cleared = no_columns, []
         forms.append(form)
     forms.reverse()
     ranks = [0] + [f.rank for f in forms]  # ranks[d] = rank of boundary from degree d

@@ -454,6 +454,7 @@ class TestBuildCategory:
         assert homology._object_count("w_hlt", 3, 10**7, 500_000) == 500_001
         assert homology._object_count("nord", 1, 10**6, 500_000) == 500_001
         assert homology._object_count("w_hlt", 1, 10**7, 500_000) == 1
+        assert homology._object_count("w_hlt", 1, 10**9, 500_000) == 1
         assert homology._object_count("w_hlt", 2, 19, 2**18) == 2**18
         assert homology._object_count("w_hlt", 2, 20, 2**18) == 2**18 + 1
         assert time.monotonic() - started < 1.0
@@ -567,14 +568,24 @@ def row_composition_oracle(cat: FiniteCategoryView) -> dict[tuple[int, int], int
 
 
 def method_call_boundaries(cat: FiniteCategoryView, max_dim: int) -> list:
-    """``nerve_chain_complex``'s columns through the view's methods, one
-    call per endpoint, composite and identity test."""
-    bases = homology._nerve_bases(cat, max_dim)
+    """``nerve_chain_complex``'s boundaries from tuple chains, one
+    ``(rows, columns)`` per degree: each degree's strings of non-identity
+    arrows listed afresh, and each face sliced out of its chain and looked
+    up in a position dict, through the view's methods (one call per
+    endpoint, composite and identity test)."""
+    def extensions(a):
+        return [m for m in cat.outgoing[a] if not cat.is_identity(m)]
+
+    bases = [tuple((m,) for a in range(len(cat.objects)) for m in extensions(a))]
+    for _ in range(1, max_dim):
+        bases.append(tuple(chain + (m,) for chain in bases[-1]
+                           for m in extensions(cat.target(chain[-1]))))
     out = []
     for d in range(1, max_dim + 1):
-        position = {chain: i for i, chain in enumerate(bases[d - 1])}
+        lower = bases[d - 2] if d > 1 else range(len(cat.objects))
+        position = {chain: i for i, chain in enumerate(lower)}
         columns = []
-        for chain in bases[d]:
+        for chain in bases[d - 1]:
             coeffs = Counter()
             if d == 1:
                 coeffs[cat.target(chain[0])] += 1
@@ -590,8 +601,21 @@ def method_call_boundaries(cat: FiniteCategoryView, max_dim: int) -> list:
                     sign = -sign
                 coeffs[position[chain[:-1]]] += sign
             columns.append({i: v for i, v in coeffs.items() if v})
-        out.append(columns)
+        out.append((len(lower), columns))
     return out
+
+
+def assert_nerve_matches_oracle(cat: FiniteCategoryView, max_dim: int) -> None:
+    """Every boundary column of ``nerve_chain_complex``, key order
+    included, and every matrix shape, equal ``method_call_boundaries``'s."""
+    matrices = nerve_chain_complex(cat, max_dim)
+    for matrix, (rows, columns) in zip(
+        matrices, method_call_boundaries(cat, max_dim), strict=True
+    ):
+        assert (matrix.rows, matrix.cols) == (rows, len(columns))
+        assert [list(c.items()) for c in matrix.columns] == [
+            list(c.items()) for c in columns
+        ]
 
 
 @pytest.mark.parametrize("kind,n,k", [
@@ -603,13 +627,7 @@ def test_composition_table_matches_row_oracle(kind, n, k):
     oracle = row_composition_oracle(cat)
     assert cat.composition == oracle
     assert list(cat.composition.items()) == list(oracle.items())
-    matrices = nerve_chain_complex(cat, 4)
-    for matrix, columns in zip(matrices, method_call_boundaries(cat, 4),
-                               strict=True):
-        assert list(matrix.columns) == columns
-        assert [list(c.items()) for c in matrix.columns] == [
-            list(c.items()) for c in columns
-        ]
+    assert_nerve_matches_oracle(cat, 4)
 
 
 class TestNerve:
@@ -723,6 +741,73 @@ class TestNerve:
         # 3 non-identity arrows, one composable pair, nothing longer
         assert [m.cols for m in matrices] == [3, 1, 0]
 
+    def test_boundary_one_reads_no_composite(self):
+        # a hand-made table without g∘f: ∂_1 needs only endpoints, so it is
+        # built without reading a composite
+        morphisms = ((0, 0, "1a"), (1, 1, "1b"), (2, 2, "1c"),
+                     (0, 1, "f"), (1, 2, "g"))
+        table = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (1, 3): 3,
+                 (4, 1): 4, (2, 4): 4}
+        cat = FiniteCategoryView.from_table("abc", morphisms, (0, 1, 2), table)
+        assert cat.composites[3] == (3, None)
+        (boundary,) = nerve_chain_complex(cat, 1)
+        assert boundary.columns == ({1: 1, 0: -1}, {2: 1, 1: -1})
+
+    def test_nerve_stops_at_first_empty_degree(self, monkeypatch):
+        # chain_poset(2) has cells (3, 3, 1): degree 3 gets one row per
+        # 2-cell and no column, and the degrees above, just under the
+        # degree cap, one shared 0 x 0 matrix
+        made = []
+        matrix = homology.IntegerMatrix
+
+        def recorded(rows, cols, columns):
+            made.append((rows, cols))
+            return matrix(rows, cols, columns)
+
+        monkeypatch.setattr(homology, "IntegerMatrix", recorded)
+        matrices = nerve_chain_complex(chain_poset(2), 499_999)
+        assert len(matrices) == 499_999
+        assert made == [(3, 3), (3, 1), (1, 0), (0, 0)]
+        assert [(m.rows, m.cols) for m in matrices[:5]] == made + [(0, 0)]
+        assert len({id(m) for m in matrices}) == 4
+        with pytest.raises(ResourceCapError,
+                           match="^500001 nerve degrees 0..500000 exceed the cap of 500000$"):
+            nerve_chain_complex(chain_poset(2), 500_000)
+        made.clear()
+        # no arrows at all: degree 1 is the first empty one
+        matrices = nerve_chain_complex(poset_category("ab", []), 3)
+        assert made == [(2, 0), (0, 0)]
+        assert [(m.rows, m.cols) for m in matrices] == [(2, 0), (0, 0), (0, 0)]
+        assert nerve_chain_complex(chain_poset(2), 0) == []
+
+    def test_chain_cap_counts_before_listing(self, monkeypatch):
+        # w_hlt(2, 3) has cells (4, 16, 12): 32 through dimension 2, and
+        # past its top no degree adds a cell.  One under that raises on
+        # the counts, before any boundary is made
+        cat = build_category("w_hlt", 2, 3)
+        made = []
+        monkeypatch.setattr(homology, "IntegerMatrix", lambda *args: made.append(args))
+        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 31)
+        with pytest.raises(ResourceCapError,
+                           match="^32 nerve cells in dimensions 0..2 exceed the cap of 31$"):
+            nerve_chain_complex(cat, 6)
+        assert made == []
+        monkeypatch.undo()
+        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 32)
+        assert [m.cols for m in nerve_chain_complex(cat, 6)] == [16, 12, 0, 0, 0, 0]
+
+    def test_chain_cap_counts_objects_at_an_empty_first_degree(self, monkeypatch):
+        # three objects and no arrow: degree 1 is empty, yet its count
+        # through dimension 1 is the objects', held to the cap as before
+        cat = poset_category("abc", [])
+        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 2)
+        assert nerve_chain_complex(cat, 0) == []
+        with pytest.raises(ResourceCapError,
+                           match="^3 nerve cells in dimensions 0..1 exceed the cap of 2$"):
+            nerve_chain_complex(cat, 1)
+        monkeypatch.setattr(homology, "DEFAULT_CHAIN_CAP", 3)
+        assert [(m.rows, m.cols) for m in nerve_chain_complex(cat, 2)] == [(3, 0), (0, 0)]
+
 
 class TestHomology:
     def test_posets_are_contractible(self):
@@ -771,7 +856,7 @@ class TestHomology:
         assert str(res) == "(Z, Z/2, 0)"
 
     def test_boundary_list_too_short(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need boundaries through degree 2, got 1$"):
             homology_from_boundaries(
                 [IntegerMatrix.from_rows([()], 0)], max_degree=1
             )
@@ -831,20 +916,36 @@ def random_poset(rng: Random) -> FiniteCategoryView:
     return poset_category(range(size), relations)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_clearing_matches_separate_smith_on_random_posets(seed):
+def random_poset_views(seed: int) -> tuple[FiniteCategoryView, FiniteCategoryView]:
+    """``random_poset`` of the seed, and the same poset with its objects
+    shuffled by the same generator."""
     rng = Random(seed)
     cat = random_poset(rng)
-    top = len(nerve_cell_counts(cat)) - 1
     perm = list(range(len(cat.objects)))
     rng.shuffle(perm)
+    return cat, cat.permuted(tuple(perm))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_clearing_matches_separate_smith_on_random_posets(seed):
+    views = random_poset_views(seed)
+    top = len(nerve_cell_counts(views[0])) - 1
     results = []
-    for view in (cat, cat.permuted(tuple(perm))):
+    for view in views:
         matrices = nerve_chain_complex(view, top + 1)
         result = homology_from_boundaries(matrices, top)
         assert result == separate_smith_homology(matrices, top)
         results.append(result)
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_nerve_matches_tuple_chain_oracle_on_random_posets(seed):
+    views = random_poset_views(seed)
+    top = len(nerve_cell_counts(views[0])) - 1
+    for view in views:
+        for max_dim in (0, 1, top + 2):
+            assert_nerve_matches_oracle(view, max_dim)
 
 
 def test_clearing_empties_columns_of_w_hlt_33(monkeypatch):
@@ -861,6 +962,23 @@ def test_clearing_empties_columns_of_w_hlt_33(monkeypatch):
     result = homology_of_category(build_category("w_hlt", 3, 3), 3)
     assert str(result) == "(Z, Z/2, 0, Z/3)"
     assert seen == [(448, 192, 0), (344, 448, 191), (96, 344, 256), (9, 96, 87)]
+
+
+def test_homology_reduces_only_boundaries_with_columns(monkeypatch):
+    # w_hlt(2,3) has cells (4, 16, 12): of its nine boundaries only ∂_2
+    # and then ∂_1 reach the elimination
+    seen = []
+    reduce = homology._smith_and_unit_rows
+
+    def recorded(matrix, cleared):
+        seen.append((matrix.rows, matrix.cols, len(cleared)))
+        return reduce(matrix, cleared)
+
+    monkeypatch.setattr(homology, "_smith_and_unit_rows", recorded)
+    result = homology_of_category(build_category("w_hlt", 2, 3), 8)
+    assert str(result) == "(Z, Z, 0, 0, 0, 0, 0, 0, 0)"
+    assert result.chain_sizes == (4, 16, 12) + (0,) * 7
+    assert seen == [(16, 12, 0), (4, 16, 12)]
 
 
 def nerve_cell_counts(cat: FiniteCategoryView) -> tuple[int, ...]:
@@ -890,6 +1008,21 @@ def test_cover_euler_characteristics(n, k):
     ordered = euler(nerve_cell_counts(build_category("nord", n, k)))
     unordered = euler(nerve_cell_counts(build_category("w_hlt", n, k)))
     assert ordered == factorial(k) * unordered == euler(ordered_betti_oracle(n, k))
+
+
+@pytest.mark.parametrize("kind,n,k", [
+    (kind, n, k) for kind in ("w_hlt", "nord") for n in range(1, 5)
+    for k in range(1, 5) if kind == "w_hlt" or n * k <= 12
+])
+def test_nerve_top_degree_is_closed_form(kind, n, k):
+    # every non-identity arrow raises the tree's vertex count, which runs
+    # from n-1+k (one chain, then k leaves) to nk (k separate chains)
+    cat = build_category(kind, n, k)
+    cells = nerve_cell_counts(cat)
+    assert len(cells) - 1 == (n - 1) * (k - 1)
+    if sum(cells) <= 20_000:
+        matrices = nerve_chain_complex(cat, len(cells) + 1)
+        assert [m.cols for m in matrices] == list(cells[1:]) + [0, 0]
 
 
 # Full-degree homology: max_degree is the nerve's top nonempty dimension,
@@ -955,6 +1088,14 @@ def test_validate_matches_oracle_on_one_object_tables():
     assert sum(seen.values()) == 81
     assert seen[False, True] == 43
     assert seen[False, True] + seen[False, False] == 70
+
+
+def test_nerve_matches_tuple_chain_oracle_on_one_object_tables():
+    # a and b are endomorphisms, so every degree has cells; their faces
+    # repeat, cancel and vanish (where a product is the identity)
+    for cat in one_object_tables():
+        for max_dim in (0, 1, 5):
+            assert_nerve_matches_oracle(cat, max_dim)
 
 
 def irreducible_arrows(cat: FiniteCategoryView) -> list[int]:
