@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from random import Random
 
 from .config import (
@@ -41,6 +41,7 @@ from .config import (
 )
 from .homology import (
     _KINDS,
+    COMPOSITION_CAP,
     DEFAULT_CHAIN_CAP,
     _object_count,
     FiniteCategoryView,
@@ -109,9 +110,10 @@ def _check_params(name: str, params: dict) -> None:
     integer (``dims``: comma-separated integers; ``kind``: any), a ``dims``
     entry outside 1..``MAX_TREE_DEPTH``, a negative integer value, a height
     over ``MAX_TREE_DEPTH`` or a homology case without an oracle, and
-    ResourceCapError on a tree family past its cap (see _check_family) or
-    on the homology suite's nerve degrees, max_degree + 2 per nerve, past
-    ``DEFAULT_CHAIN_CAP``, before any case runs."""
+    ResourceCapError on a tree family past its cap (see _check_family), on
+    the homology suite's nerve degrees, max_degree + 2 per nerve, past
+    ``DEFAULT_CHAIN_CAP``, or on the delta-laws suite's maps or composed
+    pairs past theirs (see _check_delta_laws), before any case runs."""
     if name != "all":
         unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
         if unknown:
@@ -138,6 +140,8 @@ def _check_params(name: str, params: dict) -> None:
             nerves = 1 if "kind" in params else _HOMOLOGY_NERVES
             check_cap(nerves * (params.get("max_degree", 3) + 2), DEFAULT_CHAIN_CAP,
                       "nerve degrees in suite 'homology'")
+        if name == "delta-laws":
+            _check_delta_laws(params)
     elif all(k in _PARAM_KEYS and isinstance(v, dict) for k, v in params.items()):
         for part, sub in params.items():
             _check_params(part, sub)
@@ -753,6 +757,23 @@ def _homology_case(
 
 # ---------------------------------------------------------------------------
 # simplicial-circle laws
+
+
+def _check_delta_laws(params: dict) -> None:
+    """ResourceCapError once the delta-laws suite would list more than
+    ``DEFAULT_HOM_CAP`` maps, sum of |hom(p, q)| = C(p + q + 1, q) over
+    p, q <= max_rank, or compose more than ``COMPOSITION_CAP`` pairs,
+    |hom(p, q)| * |hom(q, r)| over p, q, r <= compose_rank; summed by the
+    hockey-stick identity once the shape counts, lower bounds, pass.  The
+    message gives no count, which can run to hundreds of digits."""
+    m, c = params.get("max_rank", 5), params.get("compose_rank", 4)
+    what = "delta-laws maps"
+    check_cap((m + 1) ** 2, DEFAULT_HOM_CAP, what, exact=False)
+    check_cap(comb(2 * m + 3, m + 1) - m - 2, DEFAULT_HOM_CAP, what, exact=False)
+    what = "delta-laws composed pairs"
+    check_cap((c + 1) ** 3, COMPOSITION_CAP, what, exact=False)
+    check_cap(sum((comb(q + c + 2, c + 1) - 1) * comb(q + c + 2, c)
+                  for q in range(c + 1)), COMPOSITION_CAP, what, exact=False)
 
 
 def _run_delta_laws(params: dict, seed: int) -> _Tally:

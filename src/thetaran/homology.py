@@ -276,9 +276,6 @@ class FiniteCategoryView:
         ``outgoing`` order; its length is counted, never listed."""
         return _Composition(self)
 
-    def target(self, m: int) -> int:
-        return self.morphisms[m][1]
-
     def is_identity(self, m: int) -> bool:
         return self.identities[self.morphisms[m][0]] == m
 
@@ -681,7 +678,12 @@ def nerve_chain_complex(
         for ms in out:
             for f in ms:
                 after = composites[f]
-                joint[f] = [rank[after[place[g]]] for g in out[targets[f]]]
+                try:
+                    joint[f] = [rank[after[place[g]]] for g in out[targets[f]]]
+                except TypeError:  # rank[None]: the table has no g∘f
+                    g = next(g for g in out[targets[f]] if after[place[g]] is None)
+                    raise ValueError(f"arrow {g} ({arrows[g][2]!r}) after arrow {f} "
+                                     f"({arrows[f][2]!r}) has no composite") from None
     for d in range(2, top + 1):
         signs = (1, -1) * d
         next_starts: list[int] = []

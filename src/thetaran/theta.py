@@ -29,26 +29,20 @@ JSON.
 
 Into a healthy target an active morphism is fixed by its leaf row, so w
 hom-sets are listed in one form, as rows: one walk (_injective_rows),
-base by base into one tuple, which hands back the last walk's rows
-when it gathers a walk equal to it (_last_walk); one fiber plan per
-base, its (source child, target child, leaf offset) triples, cached per
-pair of leaf profiles (_injective_bases); one row cache for the
-child pairs it recurs on (_masked_rows, with the rows also indexed by
-leaf mask, so that between equal leaf counts the last pair's row is
-looked up, not scanned for); and one reader of a tree's rows
-(w_hom_rows), which the pruning check reads once per target for a
-healthy tree and on both sides otherwise, the pruned side reusing the
-tree's rows.  morphism_of_row rebuilds a row's wreath datum, for
-enumerate_theta_hom and for the point assignments of ``config``,
-memoized, so equal rows share one morphism and its components.  The
-wreath-level walk of the same hom-sets is the reference in ``harness``.
+gathered over fiber plans cached per pair of leaf profiles
+(_injective_bases) and assembled base by base into one tuple; one row
+cache for the child pairs it recurs on (_masked_rows, the rows also
+indexed by leaf mask, so that between equal leaf counts the last pair's
+row is looked up, not scanned for); and one reader of a tree's rows
+(w_hom_rows).  The pruning check assembles an unhealthy tree's pruned
+side only where its walk differs from the tree's.  morphism_of_row
+rebuilds a row's wreath datum, for enumerate_theta_hom and for the
+point assignments of ``config``, memoized, so equal rows share one
+morphism and its components.  The wreath-level walk of the same
+hom-sets is the reference in ``harness``.
 
-All values are immutable; enumeration and classification are pure and
-cache aggressively.  The one mutable slot, in _last_walk, is replaced
-whole and never changed in place, and a walk reuses its rows only when
-its own walk equals the slot's in value, so a reader that sees another
-reader's walk, or a stale one, lists its own rows instead: concurrent
-readers are safe.
+All values are immutable and no function changes module state;
+enumeration and classification are pure and cache aggressively.
 """
 
 from __future__ import annotations
@@ -829,55 +823,37 @@ def _assemble_disjoint(
             for row2 in by_mask.get(cover ^ acc ^ mask, ())]
 
 
-# One slot: the last walk listed above height 1, as (walk, cover, rows),
-# replaced whole by each walk that passes the duplicate guard.  The list
-# itself stays, so the module's names are the same before and after.
-_last_walk: list[tuple] = [((), None, ())]
-
-
 def _injective_rows(
     source: Tree, target: Tree, cap: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Leaf rows of the active morphisms source -> target whose leaf map
-    is injective, for a healthy target, in wreath enumeration order.
-
-    A healthy target has a leaf above every vertex, so the map on every
-    level of an active morphism into it is recoverable from its leaf
-    row; rows therefore stand in for morphisms one to one.  The walk
-    mirrors the wreath enumeration (one row per base and component
-    choice) over the fiber plans of _injective_bases: it first gathers,
-    for each base, the _masked_rows entry of each of its (source child,
-    target child, leaf offset) triples (a base with an empty one adds no
-    row), then assembles them base by base into one tuple.  It raises ResourceCapError once a base takes the rows past
-    ``cap``, and RuntimeError on a duplicate row, which would refute that
-    correspondence.  With equal leaf counts every row covers all source
-    leaves, which fixes each last child row by its mask.
-
-    The rows are a function of the gathered walk and ``cover`` alone, so
-    a walk equal in value to the last one listed (_last_walk, read before
-    gathering, as child walks replace it) returns that walk's rows after
-    the cap check; the pruned side of verify_initiality_by_rows gathers
-    the same walk as the tree before it.  A walk the duplicate guard
-    rejects is never kept.  The child pairs' rows are cached, in
-    _masked_rows.
-    """
+    is injective, for a healthy target, whose leaf above every vertex
+    makes each level of an active morphism into it recoverable from its
+    leaf row: rows stand in for morphisms one to one.  At height 1 they
+    are the q-subsets of the source leaves, in lexicographic order; above
+    it, one per base and component choice (_gathered_walk,
+    _assembled_rows), base by base in lexicographic order of the base
+    values, then of the choices of one row per target child, each child
+    pair's rows in this order.  So ``[1]([3]) -> [2]([1],[1])`` lists
+    (1, 2), (1, 3), (2, 1), ..., the wreath enumeration (3, 2), (3, 1),
+    ..., and enumerate_theta_hom sorts."""
     if source.height == 1:
         # rows of active maps [p] -> [q] are weakly increasing, so the
         # injective ones are exactly the strictly increasing q-tuples
         rows = tuple(combinations(range(1, source.rank + 1), target.rank))
         check_cap(len(rows), cap, "leaf rows", source, target)
         return rows
-    bases = _injective_bases(source.leaf_profile, target.leaf_profile)
-    if not bases:
-        return ()
-    last_walk, last_cover, last_rows = _last_walk[0]
-    # leaves 1..k, each covered once when the leaf counts agree
-    cover = (2 << source.leaf_count) - 2
-    if source.leaf_count != target.leaf_count:
-        cover = None
+    return _assembled_rows(_gathered_walk(source, target), source, target, cap)
+
+
+def _gathered_walk(source: Tree, target: Tree) -> list[list[tuple[tuple, dict]]]:
+    """The walk of the injective rows source -> target above height 1:
+    per fiber plan of _injective_bases, in order, the _masked_rows entry
+    of each triple; a base with an empty entry adds no row, so it stops
+    there and is left out."""
     children, target_children = source.children, target.children
     walk = []
-    for plan in bases:
+    for plan in _injective_bases(source.leaf_profile, target.leaf_profile):
         entries = []
         for i, j, offset in plan:
             entry = _masked_rows(children[i], target_children[j], offset)
@@ -886,9 +862,21 @@ def _injective_rows(
             entries.append(entry)
         else:
             walk.append(entries)
-    if cover == last_cover and walk == last_walk:
-        check_cap(len(last_rows), cap, "leaf rows", source, target, exact=False)
-        return last_rows
+    return walk
+
+
+def _assembled_rows(
+    walk: list, source: Tree, target: Tree, cap: int | None
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of a gathered walk source -> target, base by base into
+    one tuple, a function of the walk and the leaf counts.  With equal
+    counts every row covers all source leaves, which fixes each last
+    child row by its mask.  Raises ResourceCapError once a base takes the
+    rows past ``cap``, and RuntimeError on a duplicate row, which would
+    refute the correspondence of rows and morphisms."""
+    # leaves 1..k, each covered once when the leaf counts agree
+    cover = ((2 << source.leaf_count) - 2
+             if source.leaf_count == target.leaf_count else None)
     rows = []
     for entries in walk:
         rows.extend(_assemble_disjoint(entries, cover))
@@ -901,25 +889,21 @@ def _injective_rows(
             f"{format_tree(source)} -> {format_tree(target)}; "
             "rows do not determine morphisms here"
         )
-    rows = tuple(rows)
-    _last_walk[0] = (walk, cover, rows)
-    return rows
+    return tuple(rows)
 
 
 def w_hom_rows(
     source: Tree, target: Tree, cap: int = DEFAULT_HOM_CAP
 ) -> tuple[tuple[int, ...], ...]:
-    """Leaf rows of the leaf-bijective active morphisms source -> target.
+    """Leaf rows of the leaf-bijective active morphisms source -> target,
+    listed anew by each call.
 
     The target must be healthy, so rows determine morphisms (see
-    _injective_rows).  Between trees with equal leaf counts an injective
-    leaf map is a bijection, so these are exactly the injective rows;
-    with unequal counts there are none.  Raises ResourceCapError exactly
-    when there are more than ``cap`` rows.  Returns the walk's tuple as
-    is, which for a walk equal to the last one is that walk's very tuple.
-    The only reader of a tree's rows: the pruning suite checks them row
-    for row against the harness's wreath-level walk where it is
-    affordable.
+    _injective_rows).  Between equal leaf counts an injective leaf map is
+    a bijection, so these are the injective rows; with unequal counts
+    there are none.  ResourceCapError exactly when there are more than
+    ``cap`` rows.  The pruning suite checks them row for row against the
+    harness's wreath-level walk where it is affordable.
     """
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
@@ -1023,22 +1007,18 @@ def verify_initiality_by_rows(tree: Tree, leaf_bound: int = 6) -> InitialityRepo
     inside the row enumeration), so equal row sets are morphism-level
     existence and uniqueness of the factorization.
 
-    Each side is listed once, through w_hom_rows, under its default cap.
-    A tree is its own pruning exactly when it has no leafless branch,
-    which is what is_healthy decides, so a healthy tree's rows are listed
-    once per target and not compared with themselves.  Otherwise both
-    walks list the same sequence: a leafless source child has profile
-    entry 0, so no target child lies over it in any fiber plan of
-    _injective_bases, and the tree's plans are the pruned tree's, in
-    order, with the same target children and leaf offsets and only the
-    source children renumbered; those child pairs list equal rows by the
-    same argument one height down.  So the pruned side gathers a walk equal in value to the
-    tree's, and _injective_rows hands back the tree's rows tuple after the
-    gather and the compare, with nothing assembled.  The row tuples are
-    compared as listed, and sets (which pass a reordering and catch a
-    missing, repeated or foreign row) are built only when the tuples
-    differ.  The suite cross-checks the two verifiers against each other
-    where affordable.
+    A healthy tree is its own pruning (it has no leafless branch), so
+    its rows are read once per target, through w_hom_rows.  Otherwise,
+    per target, the tree's walk is gathered and assembled under the
+    default cap of w_hom_rows, and the pruned tree's walk gathered, and
+    assembled only if it differs: a leafless child has profile entry 0,
+    so no target child lies over it in any fiber plan, and the tree's
+    plans are the pruned tree's with the source children renumbered,
+    whose rows agree by the same argument one height down; and pruning
+    keeps the leaf count, so equal walks list equal rows.  The rows of
+    walks that differ are compared as sets, which pass a reordering and
+    catch a missing, repeated or foreign row.  The suite cross-checks
+    the two verifiers where affordable.
     """
     if tree.leaf_count > leaf_bound:
         raise ValueError(
@@ -1049,30 +1029,25 @@ def verify_initiality_by_rows(tree: Tree, leaf_bound: int = 6) -> InitialityRepo
     if unit_row != tuple(range(1, tree.leaf_count + 1)):
         return InitialityReport(False, 0, 0, f"tree={format_tree(tree)} unit leaf "
                                 f"row {unit_row} is not (1..{tree.leaf_count})")
-    targets_checked = 0
-    rows_checked = 0
+    targets_checked = rows_checked = 0
     for target in healthy_trees(tree.height, tree.leaf_count):
         targets_checked += 1
-        direct = w_hom_rows(tree, target)
-        rows_checked += len(direct)
         if tree.is_healthy:
+            rows_checked += len(w_hom_rows(tree, target))
             continue
-        factored = w_hom_rows(result.pruned, target)
-        if direct == factored:
+        walk = _gathered_walk(tree, target)
+        direct = _assembled_rows(walk, tree, target, DEFAULT_HOM_CAP)
+        rows_checked += len(direct)
+        factored_walk = _gathered_walk(result.pruned, target)
+        if factored_walk == walk:
             continue
-        factored_set = set(factored)
-        direct_set = set(direct)
+        factored = _assembled_rows(factored_walk, result.pruned, target, DEFAULT_HOM_CAP)
+        factored_set, direct_set = set(factored), set(direct)
         if len(factored_set) != len(factored) or factored_set != direct_set:
-            return InitialityReport(
-                False,
-                targets_checked,
-                rows_checked,
-                counterexample=(
-                    f"tree={format_tree(tree)} target={format_tree(target)} "
-                    f"rows: {len(direct)} direct vs {len(factored)} factored, "
-                    f"{len(factored_set & direct_set)} shared"
-                ),
-            )
+            return InitialityReport(False, targets_checked, rows_checked, (
+                f"tree={format_tree(tree)} target={format_tree(target)} "
+                f"rows: {len(direct)} direct vs {len(factored)} factored, "
+                f"{len(factored_set & direct_set)} shared"))
     return InitialityReport(True, targets_checked, rows_checked)
 
 

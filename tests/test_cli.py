@@ -16,7 +16,7 @@ import pytest
 
 from thetaran import harness, homology
 from thetaran.cli import main
-from thetaran.theta import _FILTERS
+from thetaran.theta import _FILTERS, ResourceCapError
 
 
 def run(capsys, *argv):
@@ -878,6 +878,58 @@ class TestVerify:
         assert out == ""
         assert err == ("resource cap: more than 1000000 pruning trees by the "
                        "closed-form bound exceed the cap of 1000000\n")
+
+    @pytest.mark.parametrize("param,what,cap", [
+        ("max_rank=10", "maps", 1_000_000),
+        ("max_rank=1000000000", "maps", 1_000_000),
+        ("compose_rank=6", "composed pairs", 10_000_000),
+        ("compose_rank=1000000000", "composed pairs", 10_000_000),
+    ])
+    def test_delta_laws_are_capped_before_any_case(
+        self, capsys, monkeypatch, param, what, cap
+    ):
+        # 1,352,066 maps at max_rank 10 and 14,157,241 composed pairs at
+        # compose_rank 6, counted in closed form before any map is listed;
+        # past the shape counts, (rank + 1)^2 and (rank + 1)^3, no binomial
+        # is built
+        monkeypatch.setattr(harness, "_run_delta_laws", None)
+        started = time.monotonic()
+        code, out, err = run(capsys, "verify", "--suite", "delta-laws",
+                             "--param", param)
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert (out, err) == ("", f"resource cap: more than {cap} delta-laws "
+                                  f"{what} exceed the cap of {cap}\n")
+
+    @pytest.mark.parametrize("params", [
+        {}, {"max_rank": 0, "compose_rank": 5}, {"max_rank": 1, "compose_rank": 0},
+        {"max_rank": 2, "compose_rank": 1}, {"max_rank": 3, "compose_rank": 2},
+        {"max_rank": 6, "compose_rank": 3}, {"max_rank": 7, "compose_rank": 6},
+    ])
+    def test_delta_laws_counts_are_exact(self, monkeypatch, params):
+        # the closed forms equal the sums Σ C(p+q+1, q) of maps and
+        # Σ |hom(p,q)|·|hom(q,r)| of pairs (defaults max_rank 5 and
+        # compose_rank 4): each passes at its own value as the cap and
+        # raises one below it
+        def hom(p, q):
+            return comb(p + q + 1, q)
+
+        ranks = range(params.get("max_rank", 5) + 1)
+        maps = sum(hom(p, q) for p in ranks for q in ranks)
+        ranks = range(params.get("compose_rank", 4) + 1)
+        pairs = sum(hom(p, q) * hom(q, r) for p in ranks for q in ranks for r in ranks)
+        if not params:
+            assert (maps, pairs) == (1_709, 73_085)
+        elif params["compose_rank"] == 5:
+            assert pairs == 1_008_762
+        monkeypatch.setattr(harness, "DEFAULT_HOM_CAP", maps)
+        monkeypatch.setattr(harness, "COMPOSITION_CAP", pairs)
+        harness._check_params("delta-laws", params)
+        for name, value in (("DEFAULT_HOM_CAP", maps), ("COMPOSITION_CAP", pairs)):
+            monkeypatch.setattr(harness, name, value - 1)
+            with pytest.raises(ResourceCapError):
+                harness._check_params("delta-laws", params)
+            monkeypatch.setattr(harness, name, value)
 
     @pytest.mark.parametrize("params,degrees,cap", [
         (["max_degree=100000"], 18 * 100_002, 500_000),

@@ -579,7 +579,7 @@ def method_call_boundaries(cat: FiniteCategoryView, max_dim: int) -> list:
     bases = [tuple((m,) for a in range(len(cat.objects)) for m in extensions(a))]
     for _ in range(1, max_dim):
         bases.append(tuple(chain + (m,) for chain in bases[-1]
-                           for m in extensions(cat.target(chain[-1]))))
+                           for m in extensions(cat.morphisms[chain[-1]][1])))
     out = []
     for d in range(1, max_dim + 1):
         lower = bases[d - 2] if d > 1 else range(len(cat.objects))
@@ -588,7 +588,7 @@ def method_call_boundaries(cat: FiniteCategoryView, max_dim: int) -> list:
         for chain in bases[d - 1]:
             coeffs = Counter()
             if d == 1:
-                coeffs[cat.target(chain[0])] += 1
+                coeffs[cat.morphisms[chain[0]][1]] += 1
                 coeffs[cat.morphisms[chain[0]][0]] -= 1
             else:
                 coeffs[position[chain[1:]]] += 1
@@ -752,6 +752,29 @@ class TestNerve:
         assert cat.composites[3] == (3, None)
         (boundary,) = nerve_chain_complex(cat, 1)
         assert boundary.columns == ({1: 1, 0: -1}, {2: 1, 1: -1})
+
+    def test_missing_composite_is_named(self):
+        # the table above without g∘f, read from degree 2 on: the joint g
+        # after f names both arrows rather than failing on an index; with
+        # g∘f added the table validates and lists its one 2-chain
+        morphisms = ((0, 0, "1a"), (1, 1, "1b"), (2, 2, "1c"),
+                     (0, 1, "f"), (1, 2, "g"))
+        table = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (1, 3): 3,
+                 (4, 1): 4, (2, 4): 4}
+        cat = FiniteCategoryView.from_table("abc", morphisms, (0, 1, 2), table)
+        message = r"^arrow 4 \('g'\) after arrow 3 \('f'\) has no composite$"
+        with pytest.raises(ValueError, match=message):
+            nerve_chain_complex(cat, 2)
+        with pytest.raises(ValueError, match=message):
+            homology_of_category(cat, 1)
+        composed = ((0, 0, "1a"), (1, 1, "1b"), (2, 2, "1c"),
+                    (0, 1, "f"), (1, 2, "g"), (0, 2, "gf"))
+        full = FiniteCategoryView.from_table(
+            "abc", composed, (0, 1, 2),
+            {**table, (5, 0): 5, (2, 5): 5, (4, 3): 5})
+        assert full.validate().ok
+        _, boundary = nerve_chain_complex(full, 2)
+        assert boundary.columns == ({2: 1, 1: -1, 0: 1},)
 
     def test_nerve_stops_at_first_empty_degree(self, monkeypatch):
         # chain_poset(2) has cells (3, 3, 1): degree 3 gets one row per
@@ -990,7 +1013,7 @@ def nerve_cell_counts(cat: FiniteCategoryView) -> tuple[int, ...]:
         step = [0] * len(cat.objects)
         for a, arrows in enumerate(cat.outgoing_non_identity):
             for m in arrows:
-                step[cat.target(m)] += ending[a]
+                step[cat.morphisms[m][1]] += ending[a]
         if not any(step):
             return tuple(counts)
         counts.append(sum(step))

@@ -10,10 +10,9 @@ path, ``thetaran.<module>.<name>``.  The same kind of source check keeps
 exit-path validation free of float arithmetic, every module-level
 function, class and constant read by the package itself outside its own
 definition, so no API lives on only for its own tests, every memoized
-function named in one inventory, so no cache is added unseen, the one
-module-level memo (the last leaf-row walk) the only module state any
-function changes, and the Smith elimination that clears columns called
-only where clearing is exact.
+function named in one inventory, so no cache is added unseen, no
+module state changed by any function, and the Smith elimination that
+clears columns called only where clearing is exact.
 """
 
 from __future__ import annotations
@@ -282,10 +281,9 @@ def test_caches_are_inventoried():
     assert set(cached) == LRU_CACHED, sorted(set(cached) ^ LRU_CACHED)
 
 
-# every module-level object a function rebinds or changes: the one
-# leaf-row walk memo, whose single slot _injective_rows replaces whole; a
-# second hidden cache would be another
-MEMO_SLOTS = {("theta", "_last_walk")}
+# every module-level object a function rebinds or changes: none, so a
+# hidden cache or slot would be the first
+MEMO_SLOTS: set[tuple[str, str]] = set()
 
 _MUTATORS = {"add", "append", "clear", "extend", "insert", "pop", "popitem",
              "remove", "setdefault", "update"}
@@ -329,8 +327,11 @@ def test_module_state_is_inventoried():
         for path in sorted(PACKAGE_DIR.rglob("*.py"))
         for name in _module_state_changes(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    # one store, the slot's replacement
     assert changed == sorted(MEMO_SLOTS), changed
+    planted = ("_slot = [None]\n_seen = {}\nLIMIT = 3\n"
+               "def f(x):\n    global LIMIT\n    _slot[0] = x\n"
+               "    _seen.setdefault(x, x)\n    local = []\n    local.append(x)\n")
+    assert list(_module_state_changes(ast.parse(planted))) == ["LIMIT", "_slot", "_seen"]
 
 
 def _composition_reads(tree: ast.Module) -> list[int]:

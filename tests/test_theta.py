@@ -822,12 +822,10 @@ class TestHomRows:
 
     def test_cap_boundary(self):
         # the singleton fan has 3! = 6 rows: a cap of 6 lists them all,
-        # a cap of 5 raises, also when the walk repeats the last one and
-        # its rows are reused (the same tuple comes back)
+        # a cap of 5 raises, also right after the same walk was listed
         source, target = parse_tree("[1]([3])"), parse_tree("[3]([1],[1],[1])")
         listed = w_hom_rows(source, target, cap=6)
         assert len(listed) == 6
-        assert w_hom_rows(source, target) is listed
         with pytest.raises(ResourceCapError, match="more than 5 leaf rows"):
             w_hom_rows(source, target, cap=5)
 
@@ -862,24 +860,16 @@ class TestHomRows:
                 "[1]([2]) -> [2]([1],[1]); rows do not determine morphisms here"
             )
 
-    def test_repeated_walk_with_another_cover_is_listed_anew(self, monkeypatch):
-        # [1]([2]) and [2]([2],[1]) gather one and the same child pair into
-        # [1]([2]), but only the first covers every source leaf, so after
-        # a repeat that is reused, each walk is assembled again
-        assembled = Counter()
+    def test_duplicate_row_is_the_repeated_one(self, monkeypatch):
+        # the named row is the first one seen twice, not the first listed:
+        # a base assembling its last row twice lists (1, 2), (2, 1), (2, 1)
+        def repeated(entries, cover=None):
+            rows = _assemble_disjoint(entries, cover)
+            return rows + rows[-1:]
 
-        def counted(entries, cover=None):
-            assembled[cover] += 1
-            return _assemble_disjoint(entries, cover)
-
-        monkeypatch.setattr(theta, "_assemble_disjoint", counted)
-        target = parse_tree("[1]([2])")
-        covering, wider = parse_tree("[1]([2])"), parse_tree("[2]([2],[1])")
-        assert _injective_rows(covering, target) == ((1, 2),)
-        assembled.clear()
-        for source in (covering, wider, covering):
-            assert _injective_rows(source, target) == ((1, 2),)
-        assert assembled == {None: 1, 0b110: 1}
+        monkeypatch.setattr(theta, "_assemble_disjoint", repeated)
+        with pytest.raises(RuntimeError, match=r"^duplicate leaf row \(2, 1\) "):
+            w_hom_rows(parse_tree("[1]([2])"), parse_tree("[2]([1],[1])"))
 
     def test_rows_pinned_in_order(self):
         # one-graft decorated sources of height 1-3 with at most 5 leaves
@@ -934,23 +924,40 @@ class TestHomRows:
     )
     def test_row_verifier_walks_each_side_once(self, monkeypatch, text, healthy):
         # a healthy tree is its own pruning, so its rows are listed once
-        # per target; an unhealthy tree's rows and its pruning's both are
+        # per target through w_hom_rows; an unhealthy tree's rows are
+        # assembled once per target, and its pruning's walk, equal to the
+        # tree's, is gathered and never assembled
         tree = parse_tree(text)
         pruned = prune(tree).pruned
         assert (pruned == tree) is healthy
-        listed = theta.w_hom_rows
-        calls = Counter()
+        read, gathered, assembled = Counter(), Counter(), Counter()
+        w_hom_rows, gather, assemble = (
+            theta.w_hom_rows, theta._gathered_walk, theta._assembled_rows)
 
-        def counted(source, target, cap=theta.DEFAULT_HOM_CAP):
-            calls[source] += 1
-            return listed(source, target, cap)
+        def counted_read(source, target, cap=theta.DEFAULT_HOM_CAP):
+            read[source] += 1
+            return w_hom_rows(source, target, cap)
 
-        monkeypatch.setattr(theta, "w_hom_rows", counted)
+        def counted_gather(source, target):
+            gathered[source] += 1
+            return gather(source, target)
+
+        def counted_assemble(walk, source, target, cap):
+            assembled[source] += 1
+            return assemble(walk, source, target, cap)
+
+        monkeypatch.setattr(theta, "w_hom_rows", counted_read)
+        monkeypatch.setattr(theta, "_gathered_walk", counted_gather)
+        monkeypatch.setattr(theta, "_assembled_rows", counted_assemble)
         report = verify_initiality_by_rows(tree, 4)
         targets = len(healthy_trees(2, 3))
         assert report.passed and report.targets_checked == targets
-        expected = {tree: targets} if healthy else {tree: targets, pruned: targets}
-        assert calls == expected
+        if healthy:
+            assert read == gathered == assembled == {tree: targets}
+        else:
+            assert read == {}
+            assert gathered == {tree: targets, pruned: targets}
+            assert assembled == {tree: targets}
 
     @pytest.mark.parametrize(
         "patch, counterexample",
@@ -978,20 +985,27 @@ class TestHomRows:
         self, monkeypatch, patch, counterexample
     ):
         # a reordering of the factored rows passes; a missing, repeated or
-        # foreign row fails with the counts
+        # foreign row fails with the counts.  The pruned walk into the
+        # patched target comes back as a tuple, never equal to the tree's
+        # list, so it is assembled, and the patch applies to its rows
         tree = parse_tree("[2]([0],[3])")
         pruned = prune(tree).pruned
         patched = parse_tree("[3]([1],[1],[1])")
-        w_hom_rows = theta.w_hom_rows
+        gather, assemble = theta._gathered_walk, theta._assembled_rows
 
-        def factored(source, target, cap=theta.DEFAULT_HOM_CAP):
-            rows = w_hom_rows(source, target, cap)
-            if (source, target) == (pruned, patched):
+        def gathered(source, target):
+            walk = gather(source, target)
+            return tuple(walk) if (source, target) == (pruned, patched) else walk
+
+        def factored(walk, source, target, cap):
+            rows = assemble(list(walk), source, target, cap)
+            if isinstance(walk, tuple):
                 assert len(rows) == 6
                 return patch(rows)
             return rows
 
-        monkeypatch.setattr(theta, "w_hom_rows", factored)
+        monkeypatch.setattr(theta, "_gathered_walk", gathered)
+        monkeypatch.setattr(theta, "_assembled_rows", factored)
         report = verify_initiality_by_rows(tree, 4)
         assert report.passed is (counterexample is None)
         assert report.counterexample == counterexample
@@ -1049,7 +1063,7 @@ class TestHomRows:
         monkeypatch.setattr(theta, "leaf_row", swapped)
         report = verify_initiality_by_rows(tree, 4)
         assert not report.passed
-        assert report.targets_checked == 0
+        assert report.targets_checked == report.morphisms_checked == 0
         assert report.counterexample == (
             "tree=[2]([0],[2]) unit leaf row (2, 1) is not (1..2)"
         )
@@ -1057,6 +1071,10 @@ class TestHomRows:
     def test_row_verifier_bound(self):
         with pytest.raises(ValueError):
             verify_initiality_by_rows(parse_tree("[5]([1],[1],[1],[1],[1])"), 4)
+        # six leaves by default
+        assert verify_initiality_by_rows(Tree(1, 6)).passed
+        with pytest.raises(ValueError, match="7 leaves, above the bound 6"):
+            verify_initiality_by_rows(Tree(1, 7))
 
 
 class TestMorphismOfRow:
