@@ -17,12 +17,14 @@ generators work on those; each collision test is a rational linear system
 solved by cross-multiplication.  Fractions return only for text, JSON
 and collision times, and floating point never enters a verdict.
 
-A valid path induces a morphism of the two trees whose leaf row is the
-point assignment, read target-to-source; ``theta.morphism_of_row``
-rebuilds it one level at a time: the base map counts, for each source
-prefix, how many target prefixes sit over it, and the components recurse
-into the matched fibers with the leading coordinate dropped.  Trees are
-interned, so the memoized rebuild finds equal shapes by identity.
+An ExitPath runs the validator once, when it is built, and carries the
+verdict.  A valid path induces a morphism of the two trees whose leaf
+row is the point assignment, read target-to-source;
+``theta.morphism_of_row`` rebuilds it one level at a time: the base map
+counts, for each source prefix, how many target prefixes sit over it,
+and the components recurse into the matched fibers with the leading
+coordinate dropped.  Trees are interned, so the memoized rebuild finds
+equal shapes by identity.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, groupby, pairwise
@@ -225,20 +227,22 @@ class PathVerdict:
 
 @dataclass(frozen=True)
 class ExitPath:
-    """A straight-line path datum with an optional validity certificate.
+    """A straight-line path datum with its validity certificate.
 
     ``mapping[t]`` is the canonical index of the source point that target
-    point t travels from.  The certificate is only ever attached by
-    ``build_exit_path`` after running the validator.
+    point t travels from.  Construction runs ``validate_exit_path``, which
+    raises ValueError on a misshapen mapping, and stores its ``verdict``,
+    valid or not; only a valid one induces a morphism.
     """
 
     source: Configuration
     target: Configuration
     mapping: tuple[int, ...]
-    verdict: PathVerdict | None = None
+    verdict: PathVerdict = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_shape(self.source, self.target, self.mapping)
+        verdict = validate_exit_path(self.source, self.target, self.mapping)
+        object.__setattr__(self, "verdict", verdict)
 
     @property
     def dimension(self) -> int:
@@ -319,22 +323,13 @@ def validate_exit_path(
     return PathVerdict(all(lv.ok for lv in levels), levels)
 
 
-def build_exit_path(
-    source: Configuration, target: Configuration, mapping
-) -> ExitPath:
-    """Construct a path and attach its validation certificate."""
-    mapping = tuple(mapping)
-    verdict = validate_exit_path(source, target, mapping)
-    return ExitPath(source, target, mapping, verdict)
-
-
 def _reindexed_path(dimension: int, src_points, tgt_points, mapping) -> ExitPath:
-    """A certified path between points listed in any order, ``mapping``
-    indexing them as listed; both sides go to canonical sorted order."""
+    """A path between points listed in any order, ``mapping`` indexing
+    them as listed; both sides go to canonical sorted order."""
     src_order = sorted(range(len(src_points)), key=src_points.__getitem__)
     tgt_order = sorted(range(len(tgt_points)), key=tgt_points.__getitem__)
     src_rank = {old: new for new, old in enumerate(src_order)}
-    return build_exit_path(
+    return ExitPath(
         Configuration(dimension, tuple(src_points)),
         Configuration(dimension, tuple(tgt_points)),
         tuple(src_rank[mapping[old]] for old in tgt_order),
@@ -346,8 +341,8 @@ def _reindexed_path(dimension: int, src_points, tgt_points, mapping) -> ExitPath
 
 
 def morphism_of_exit_path(path: ExitPath) -> ThetaMorphism:
-    """The tree morphism induced by a certified exit path."""
-    if path.verdict is None or not path.verdict.valid:
+    """The tree morphism induced by a valid exit path."""
+    if not path.verdict.valid:
         raise InvalidExitPathError(
             "morphisms are only extracted from paths with a passing certificate"
         )
@@ -363,7 +358,7 @@ def induced_morphism(
     order, and ``mapping`` (0-based origins) is the leaf row less one.
     morphism_of_row rebuilds the morphism from it and checks that every
     level map is well defined and monotone, raising ValueError otherwise;
-    certified paths and compositions of their assignments pass.
+    valid paths and compositions of their assignments pass.
     """
     if source.dimension != target.dimension:
         raise ValueError("endpoints must share a dimension")
@@ -416,7 +411,7 @@ def _minimum_gap(points: list[tuple[int, ...]], dimension: int) -> int:
 
 
 def random_exit_path(source: Configuration, seed: int) -> ExitPath:
-    """A certified path out of ``source``: split, keep, or drop each point.
+    """A valid path out of ``source``: split, keep, or drop each point.
 
     Every target point stays within a box of radius gap/4 around its
     origin, where gap is the smallest positive coordinate difference in
@@ -428,8 +423,6 @@ def random_exit_path(source: Configuration, seed: int) -> ExitPath:
     stays on the integer grid: the target's scale is 16 times the source's.
     """
     rng = Random(seed)
-    if source.size == 0:
-        return build_exit_path(source, Configuration(source.dimension, ()), ())
     # integers in units of 1/(16 scale): offsets are multiples of
     # gap/16, at most 3 per axis
     unit = 16 * source.scale
@@ -448,7 +441,7 @@ def random_exit_path(source: Configuration, seed: int) -> ExitPath:
     shifted = [tuple(c + s for c, s in zip(p, shift)) for p in points]
     order = sorted(range(len(shifted)), key=shifted.__getitem__)
     target = Configuration._from_grid(source.dimension, shifted, unit)
-    path = build_exit_path(source, target, tuple(origins[i] for i in order))
+    path = ExitPath(source, target, tuple(origins[i] for i in order))
     if not path.verdict.valid:
         raise InvalidExitPathError(
             f"the drawn exit path from {source} (seed {seed}) fails validation"

@@ -9,7 +9,9 @@ give byte-identical reports.
 The "all" suite strings together exactly the five batteries the
 acceptance checklist draws from: exit-path functoriality, pruning
 initiality, the geometric round trip, homology fixtures with engine
-sanity, and the simplicial-circle laws.
+sanity, and the simplicial-circle laws.  Each is one entry of the suite
+table ``_SUITES``, its runner and its parameters' defaults, stated there
+only; the cap checks and the runner read the same merged params.
 
 The pruning suite keeps its own reference for the w hom-sets that
 ``theta`` lists as leaf rows: the wreath-level walk (_enumerate_w over
@@ -83,30 +85,11 @@ from .theta import (
     w_hom_rows,
 )
 
-SUITE_NAMES = (
-    "functoriality",
-    "pruning",
-    "roundtrip",
-    "homology",
-    "delta-laws",
-    "all",
-)
+def _check_params(name: str, params: dict) -> dict:
+    """The given params merged over the suite's defaults in _SUITES (for
+    "all": such a dict per suite, in table order), once they pass.
 
-
-_TREE_KEYS = ("max_height", "leaf_bound", "extra", "deep_extra", "deep_leaf_bound")
-
-# the parameter keys each suite reads
-_PARAM_KEYS = {
-    "functoriality": ("pairs", "max_k", "dims"),
-    "pruning": _TREE_KEYS + ("direct_leaf_bound", "probe_leaf_bound"),
-    "roundtrip": _TREE_KEYS,
-    "homology": ("max_degree", "matrices", "kind", "n", "k"),
-    "delta-laws": ("max_rank", "compose_rank"),
-}
-
-
-def _check_params(name: str, params: dict) -> None:
-    """ValueError on a key the suite does not read, a value that is no
+    ValueError on a key the suite does not read, a value that is no
     integer (``dims``: comma-separated integers; ``kind``: any), a ``dims``
     entry outside 1..``MAX_TREE_DEPTH``, a negative integer value, a height
     over ``MAX_TREE_DEPTH`` or a homology case without an oracle, and
@@ -114,39 +97,42 @@ def _check_params(name: str, params: dict) -> None:
     the homology suite's nerve degrees, max_degree + 2 per nerve, past
     ``DEFAULT_CHAIN_CAP``, or on the delta-laws suite's maps or composed
     pairs past theirs (see _check_delta_laws), before any case runs."""
-    if name != "all":
-        unknown = sorted(set(params) - set(_PARAM_KEYS[name]))
-        if unknown:
-            raise ValueError(f"suite {name!r} reads no parameter {', '.join(unknown)}; "
-                             f"it reads {', '.join(_PARAM_KEYS[name])}")
-        for key, value in params.items():
-            if key != "kind" and not _integral(key, value):
-                what = "comma-separated integers" if key == "dims" else "an integer"
-                raise ValueError(f"suite {name!r} needs {key} as {what}, got {value!r}")
-        if "dims" in params:
-            bad = [n for n in _dims(params["dims"]) if not 1 <= n <= MAX_TREE_DEPTH]
-            if bad:
-                raise ValueError(f"dimension {bad[0]} in dims is outside "
-                                 f"1..{MAX_TREE_DEPTH}")
-        negative = sorted(k for k, v in params.items()
-                          if isinstance(v, int) and v < 0)
-        if negative:
-            raise ValueError(f"suite {name!r} needs nonnegative {', '.join(negative)}")
-        check_height("max_height", params.get("max_height", 0))
-        if name in _FAMILY_DEFAULTS:
-            _check_family(name, params)
-        if name == "homology":
-            _check_homology_case(params)
-            nerves = 1 if "kind" in params else _HOMOLOGY_NERVES
-            check_cap(nerves * (params.get("max_degree", 3) + 2), DEFAULT_CHAIN_CAP,
-                      "nerve degrees in suite 'homology'")
-        if name == "delta-laws":
-            _check_delta_laws(params)
-    elif all(k in _PARAM_KEYS and isinstance(v, dict) for k, v in params.items()):
-        for part, sub in params.items():
-            _check_params(part, sub)
-    else:
-        raise ValueError("suite 'all' takes no --param, only a dict per suite name")
+    if name == "all":
+        if not all(k in _SUITES and isinstance(v, dict) for k, v in params.items()):
+            raise ValueError("suite 'all' takes no --param, only a dict per suite name")
+        given = {part: _check_params(part, sub) for part, sub in params.items()}
+        return {part: given[part] if part in given else _check_params(part, {})
+                for part in _SUITES}
+    defaults = _SUITES[name][1]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"suite {name!r} reads no parameter {', '.join(unknown)}; "
+                         f"it reads {', '.join(defaults)}")
+    for key, value in params.items():
+        if key != "kind" and not _integral(key, value):
+            what = "comma-separated integers" if key == "dims" else "an integer"
+            raise ValueError(f"suite {name!r} needs {key} as {what}, got {value!r}")
+    if "dims" in params:
+        bad = [n for n in _dims(params["dims"]) if not 1 <= n <= MAX_TREE_DEPTH]
+        if bad:
+            raise ValueError(f"dimension {bad[0]} in dims is outside "
+                             f"1..{MAX_TREE_DEPTH}")
+    negative = sorted(k for k, v in params.items() if isinstance(v, int) and v < 0)
+    if negative:
+        raise ValueError(f"suite {name!r} needs nonnegative {', '.join(negative)}")
+    params = {**defaults, **params}
+    if "max_height" in params:
+        check_height("max_height", params["max_height"])
+    if name in ("pruning", "roundtrip"):
+        _check_family(name, params)
+    elif name == "homology":
+        _check_homology_case(params)
+        nerves = _HOMOLOGY_NERVES if params["kind"] is None else 1
+        check_cap(nerves * (params["max_degree"] + 2), DEFAULT_CHAIN_CAP,
+                  "nerve degrees in suite 'homology'")
+    elif name == "delta-laws":
+        _check_delta_laws(params)
+    return params
 
 
 def _integral(key: str, value) -> bool:
@@ -175,8 +161,8 @@ def _dims(value) -> tuple[int, ...]:
 def _check_homology_case(params: dict) -> None:
     """One homology case: a known kind with both n and k, and for w_hlt
     an (n, k) of UNORDERED_FIXTURES, its only oracle."""
-    kind = params.get("kind")
-    size = sorted({"n", "k"} & set(params))
+    kind = params["kind"]
+    size = sorted(key for key in ("n", "k") if params[key] is not None)
     if kind is None:
         if size:
             raise ValueError(f"suite 'homology' reads {', '.join(size)} only with kind")
@@ -244,30 +230,24 @@ class _Tally:
 
 
 def run_suite(name: str, params: dict | None = None, seed: int = 0) -> SuiteReport:
-    """ValueError on an unknown suite or key; "all" takes a dict per suite."""
+    """ValueError on an unknown suite or key; "all" takes a dict per suite.
+    The report records the params as given, not the defaults merged in."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
     params = dict(params or {})
-    _check_params(name, params)
+    merged = _check_params(name, params)
     started = time.perf_counter()
     if name == "all":
         tally = _Tally()
-        for part in SUITE_NAMES[:-1]:
-            sub = run_suite(part, params.get(part), seed)
+        for part, part_params in merged.items():
+            sub = _SUITES[part][0](part_params, seed)
             tally.cases += sub.cases
             tally.passes += sub.passes
-            if tally.first is None and sub.first_counterexample is not None:
-                tally.first = f"{part}: {sub.first_counterexample}"
+            if tally.first is None and sub.first is not None:
+                tally.first = f"{part}: {sub.first}"
         params = {}
     else:
-        runner = {
-            "functoriality": _run_functoriality,
-            "pruning": _run_pruning,
-            "roundtrip": _run_roundtrip,
-            "homology": _run_homology,
-            "delta-laws": _run_delta_laws,
-        }[name]
-        tally = runner(params, seed)
+        tally = _SUITES[name][0](merged, seed)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return SuiteReport(
         suite=name,
@@ -291,11 +271,10 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
     3i, 3i+1, 3i+2 on top of the suite seed, cycling the dimension through
     ``dims`` and the point count through 0..max_k.
     """
-    pairs = params.get("pairs", 1000)
-    max_k = params.get("max_k", 5)
-    dims = _dims(params.get("dims", (1, 2, 3)))
+    max_k = params["max_k"]
+    dims = _dims(params["dims"])
     tally = _Tally()
-    for i in range(pairs):
+    for i in range(params["pairs"]):
         base = seed + 3 * i
         n = dims[i % len(dims)]
         k = Random(base).randint(0, max_k)
@@ -319,23 +298,12 @@ def _run_functoriality(params: dict, seed: int) -> _Tally:
 # pruning initiality
 
 
-# leaf_bound and deep_leaf_bound defaults of the tree-family suites
-_FAMILY_DEFAULTS = {"pruning": (6, 3), "roundtrip": (8, 4)}
-# probe_leaf_bound default of the pruning suite's healthy probe grid
-_PROBE_LEAF_DEFAULT = 5
-
-
-def _family_shapes(name: str, params: dict):
+def _family_shapes(params: dict):
     """(height, ks, graft rounds): decorated_trees calls, one per k in ks."""
-    leaf_default, deep_default = _FAMILY_DEFAULTS[name]
-    max_height = params.get("max_height", 3)
-    leaf_bound = params.get("leaf_bound", leaf_default)
-    extra = params.get("extra", 1)
-    deep_extra = params.get("deep_extra", 2)
-    deep_leaves = params.get("deep_leaf_bound", deep_default)
-    for height in range(1, max_height + 1):
-        yield height, range(min(deep_leaves, leaf_bound) + 1), deep_extra
-        yield height, range(deep_leaves + 1, leaf_bound + 1), extra
+    leaf_bound, deep_leaves = params["leaf_bound"], params["deep_leaf_bound"]
+    for height in range(1, params["max_height"] + 1):
+        yield height, range(min(deep_leaves, leaf_bound) + 1), params["deep_extra"]
+        yield height, range(deep_leaves + 1, leaf_bound + 1), params["extra"]
 
 
 def _check_family(name: str, params: dict) -> None:
@@ -344,23 +312,20 @@ def _check_family(name: str, params: dict) -> None:
     h * k vertices, and a graft round multiplies by at most 2V + 1, V the
     largest vertex count, which the round raises by one.  The pruning
     suite's healthy probe grid adds its ordered tree pairs, (h^(k-1))^2 per
-    height and k up to ``probe_leaf_bound``, to the same count.  Every
-    (height, k) shape adds at least one tree or pair, so the shape count,
-    a lower bound of the sum, is checked first.  At height 1 each k adds one
-    probe pair, and one tree if ungrafted: such runs are summed at once."""
+    height and k up to ``probe_leaf_bound``, to the same count.  The count
+    is checked after each step, and every step adds at least one tree or
+    pair, growing with k, so it stops within a few thousand steps whatever
+    the bounds.  At height 1 each k adds one probe pair, and one tree if
+    ungrafted: such runs are one step."""
     what = f"{name} trees by the closed-form bound"
-    max_height = params.get("max_height", 3)
-    leaf_bound = params.get("leaf_bound", _FAMILY_DEFAULTS[name][0])
-    probe_bound = (params.get("probe_leaf_bound", _PROBE_LEAF_DEFAULT)
-                   if name == "pruning" else -1)  # -1: no probe grid
-    check_cap(max_height * (leaf_bound + probe_bound + 2), DEFAULT_HOM_CAP, what,
-              exact=False)
+    max_height = params["max_height"]
+    probe_bound = params["probe_leaf_bound"] if name == "pruning" else -1  # -1: none
     total = probe_bound + 1 if max_height else 0  # height 1: one pair per k
     for height in range(2, max_height + 1):
         for k in range(probe_bound + 1):
             total += _object_count("w_hlt", height, k, DEFAULT_HOM_CAP) ** 2
             check_cap(total, DEFAULT_HOM_CAP, what, exact=False)
-    for height, ks, rounds in _family_shapes(name, params):
+    for height, ks, rounds in _family_shapes(params):
         if height == 1 and not rounds:
             total += len(ks)
             check_cap(total, DEFAULT_HOM_CAP, what, exact=False)
@@ -373,8 +338,8 @@ def _check_family(name: str, params: dict) -> None:
                 trees *= 2 * vertices + 1
 
 
-def _decoration_family(name: str, params: dict):
-    for height, ks, rounds in _family_shapes(name, params):
+def _decoration_family(params: dict):
+    for height, ks, rounds in _family_shapes(params):
         for k in ks:
             yield from decorated_trees(height, k, rounds)
 
@@ -502,13 +467,10 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
     verifier alone, whose reduction those comparisons (and the
     healthy-grid probe one size up) pin down.
     """
-    leaf_bound = params.get("leaf_bound", 6)
-    direct_bound = params.get("direct_leaf_bound", 4)
-    probe_bound = params.get("probe_leaf_bound", _PROBE_LEAF_DEFAULT)
-    max_height = params.get("max_height", 3)
+    leaf_bound = params["leaf_bound"]
     tally = _Tally()
-    for height in range(1, max_height + 1):
-        for k in range(probe_bound + 1):
+    for height in range(1, params["max_height"] + 1):
+        for k in range(params["probe_leaf_bound"] + 1):
             grid = healthy_trees(height, k)
             agreements = 0
             pairs = 0
@@ -525,11 +487,10 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
             tally.record(agreements == pairs, lambda: (
                 f"row/direct agreement on the healthy ({height},{k}) grid", bad
             ))
-    for tree in _decoration_family("pruning", params):
-        bound = max(leaf_bound, tree.leaf_count)
-        report = verify_initiality_by_rows(tree, leaf_bound=bound)
-        if report.passed and tree.leaf_count <= direct_bound:
-            report = verify_initiality(tree, leaf_bound=bound)
+    for tree in _decoration_family(params):  # none has more than leaf_bound leaves
+        report = verify_initiality_by_rows(tree, leaf_bound=leaf_bound)
+        if report.passed and tree.leaf_count <= params["direct_leaf_bound"]:
+            report = verify_initiality(tree, leaf_bound=leaf_bound)
         tally.record(report.passed, lambda: (
             f"tree {format_tree(tree)} height {tree.height}",
             report.counterexample,
@@ -543,7 +504,7 @@ def _run_pruning(params: dict, seed: int) -> _Tally:
 
 def _run_roundtrip(params: dict, seed: int) -> _Tally:
     tally = _Tally()
-    for tree in _decoration_family("roundtrip", params):
+    for tree in _decoration_family(params):
         back = tree_of_configuration(realize_tree(tree))
         expected = prune(tree).pruned
         ok = back == expected
@@ -659,15 +620,11 @@ def _snf_agrees_with_minors(matrix: IntegerMatrix) -> tuple[bool, str | None]:
 
 
 def _run_homology(params: dict, seed: int) -> _Tally:
-    max_degree = params.get("max_degree", 3)
-    matrices_requested = params.get("matrices", 200)
-    kind = params.get("kind")
+    max_degree = params["max_degree"]
     tally = _Tally()
 
-    if kind is not None:
-        n = params["n"]
-        k = params["k"]
-        _homology_case(tally, kind, n, k, max_degree)
+    if params["kind"] is not None:
+        _homology_case(tally, params["kind"], params["n"], params["k"], max_degree)
         return tally
 
     for n, k in ORDERED_CASES:
@@ -686,7 +643,7 @@ def _run_homology(params: dict, seed: int) -> _Tally:
         )
 
     rng = Random(seed)
-    for index in range(matrices_requested):
+    for index in range(params["matrices"]):
         rows = rng.randint(1, 8)
         cols = rng.randint(1, 8)
         matrix = IntegerMatrix.from_rows(
@@ -766,7 +723,7 @@ def _check_delta_laws(params: dict) -> None:
     |hom(p, q)| * |hom(q, r)| over p, q, r <= compose_rank; summed by the
     hockey-stick identity once the shape counts, lower bounds, pass.  The
     message gives no count, which can run to hundreds of digits."""
-    m, c = params.get("max_rank", 5), params.get("compose_rank", 4)
+    m, c = params["max_rank"], params["compose_rank"]
     what = "delta-laws maps"
     check_cap((m + 1) ** 2, DEFAULT_HOM_CAP, what, exact=False)
     check_cap(comb(2 * m + 3, m + 1) - m - 2, DEFAULT_HOM_CAP, what, exact=False)
@@ -777,8 +734,7 @@ def _check_delta_laws(params: dict) -> None:
 
 
 def _run_delta_laws(params: dict, seed: int) -> _Tally:
-    max_rank = params.get("max_rank", 5)
-    compose_rank = params.get("compose_rank", 4)
+    max_rank, compose_rank = params["max_rank"], params["compose_rank"]
     tally = _Tally()
 
     for p in range(max_rank + 1):
@@ -834,6 +790,33 @@ def _run_delta_laws(params: dict, seed: int) -> _Tally:
                         break
                 tally.record(ok, lambda: (f"contravariance p={p} q={q} r={r}", witness))
     return tally
+
+
+# ---------------------------------------------------------------------------
+# the suite table
+
+
+# each suite's runner and its parameters, key -> default, in the order the
+# unknown-key message lists them; kind, n and k are None for no single
+# homology case.  The cap checks and the runner read the given params
+# merged over these (see _check_params), so each default is stated once.
+_SUITES = {
+    "functoriality": (_run_functoriality, {"pairs": 1000, "max_k": 5, "dims": (1, 2, 3)}),
+    "pruning": (_run_pruning, {
+        "max_height": 3, "leaf_bound": 6, "extra": 1, "deep_extra": 2,
+        "deep_leaf_bound": 3, "direct_leaf_bound": 4, "probe_leaf_bound": 5,
+    }),
+    "roundtrip": (_run_roundtrip, {
+        "max_height": 3, "leaf_bound": 8, "extra": 1, "deep_extra": 2,
+        "deep_leaf_bound": 4,
+    }),
+    "homology": (_run_homology, {
+        "max_degree": 3, "matrices": 200, "kind": None, "n": None, "k": None,
+    }),
+    "delta-laws": (_run_delta_laws, {"max_rank": 5, "compose_rank": 4}),
+}
+
+SUITE_NAMES = (*_SUITES, "all")
 
 
 # ---------------------------------------------------------------------------

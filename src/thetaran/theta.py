@@ -292,7 +292,10 @@ class LayerDiagram:
 
 @lru_cache(maxsize=None)
 def leaves(tree: Tree) -> LayerDiagram:
-    """The layer diagram of a tree: leaves, then each truncation's leaves."""
+    """The layer diagram of a tree: leaves, then each truncation's leaves.
+    Its parent maps hold one entry per vertex above the root's children,
+    held to ``DEFAULT_HOM_CAP`` before any is listed."""
+    check_cap(tree.vertex_count - tree.rank, DEFAULT_HOM_CAP, "parent-map entries")
     if tree.height == 1:
         return LayerDiagram((tree.rank,), ())
     child = [leaves(c) for c in tree.children]
@@ -664,19 +667,29 @@ def enumerate_theta_hom(
     Where leaf rows stand for the hom-set (see _filter_rows) it is rebuilt
     from them by morphism_of_row; every other filter keeps what
     classify_morphism passes of the active (or every) morphism, listed
-    once its closed-form count is within ``cap``.
+    once its closed-form count is within ``cap``.  Either way the values
+    the listed data hold are held to ``DEFAULT_HOM_CAP`` before the first
+    is built: a datum has a base at the root and at each target vertex
+    below the leaf level, each of at most source vertices + 1 values.
     """
     if morphism_filter not in _FILTERS:
         raise ValueError(f"unknown filter {morphism_filter!r}; pick from {_FILTERS}")
     if source.height != target.height:
         raise ValueError("hom-sets only exist between trees of equal height")
     rows = _filter_rows(source, target, morphism_filter, cap)
+    active_only = morphism_filter != "all"
+    if rows is None:
+        count = count_filtered_hom(source, target, "active" if active_only else "all")
+        check_cap(count, cap, "active morphisms" if active_only else "morphisms",
+                  source, target)
+    else:
+        count = len(rows)
+    bases = target.vertex_count - target.leaf_count + 1
+    check_cap(count * bases * (source.vertex_count + 1), DEFAULT_HOM_CAP,
+              "datum values by the closed-form bound", source, target)
     if rows is not None:
         homs = [morphism_of_row(source, target, row) for row in rows]
         return tuple(sorted(homs, key=_datum_key))
-    active_only = morphism_filter != "all"
-    check_cap(count_filtered_hom(source, target, "active" if active_only else "all"),
-              cap, "active morphisms" if active_only else "morphisms", source, target)
     homs = _enumerate_plain(source, target, active_only)
     if morphism_filter in ("all", "active"):
         return homs
@@ -702,8 +715,11 @@ def prune(tree: Tree) -> PruneResult:
     are pruned recursively.  The unit's base map sends each root position
     to the number of kept positions up to it, and its components are the
     children's units.  The result is always healthy, and the unit's leaf
-    row is the identity (1..k), as only leafless branches go.
+    row is the identity (1..k), as only leafless branches go.  The unit's
+    bases hold at most 2V + 1 values for V vertices, so V is held to
+    ``DEFAULT_HOM_CAP`` before anything is built.
     """
+    check_cap(tree.vertex_count, DEFAULT_HOM_CAP, "vertices to prune")
     if tree.height == 1:
         return PruneResult(tree, identity_theta(tree))
     results = [prune(c) for c in tree.children if c.leaf_count]
@@ -949,7 +965,9 @@ def _filter_rows(
     source: Tree, target: Tree, morphism_filter: str, cap: int
 ) -> tuple[tuple[int, ...], ...] | None:
     """The leaf rows standing for the filtered hom-set, or None where no
-    rows do; listed once _injective_row_bound is within ``cap``.
+    rows do; listed once _injective_row_bound is within ``cap``, and that
+    bound times the leaves, the values the rows hold, within
+    ``DEFAULT_HOM_CAP``.
 
     "w" into a healthy target: its rows (see _injective_rows).  "exit"
     needs healthy endpoints and a surjective leaf row (see
@@ -969,6 +987,8 @@ def _filter_rows(
     bound = _printable(lambda bits: _injective_row_bound(source, target, bits),
                        "row bound", source, target)
     check_cap(bound, cap, "leaf rows by the closed-form bound", source, target)
+    check_cap(bound * target.leaf_count, DEFAULT_HOM_CAP,
+              "leaf-row values by the closed-form bound", source, target)
     return w_hom_rows(source, target, cap)
 
 

@@ -25,6 +25,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def no_run(monkeypatch, suite):
+    """Replace the suite's runner in the suite table by None, so a case
+    that runs fails the test."""
+    monkeypatch.setitem(harness._SUITES, suite, (None, harness._SUITES[suite][1]))
+
+
 def write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
@@ -96,6 +102,54 @@ class TestTree:
                            "--leaves", "--json")
         assert code == 0
         assert json.loads(out)["height"] == 200
+
+
+class TestListedValues:
+    """A height-1 rank is a bare number, so a short text can stand for
+    millions of vertices: what a listing would hold is counted in closed
+    form and capped before anything is listed."""
+
+    @pytest.mark.parametrize("argv, counted", [
+        (("tree", "--tree", "[30000000]", "--prune"),
+         "30000000 vertices to prune"),
+        (("tree", "--tree", "[1]([30000000])", "--leaves"),
+         "30000000 parent-map entries"),
+        (("hom", "--source", "[30000000]", "--target", "[30000000]",
+          "--filter", "w"),
+         "30000000 leaf-row values by the closed-form bound for [30000000] -> "
+         "[30000000]"),
+        (("hom", "--source", "[1]([30000000])", "--target", "[1]([30000000])",
+          "--filter", "w", "--enumerate"),
+         "30000000 leaf-row values by the closed-form bound for [1]([30000000]) -> "
+         "[1]([30000000])"),
+        (("hom", "--source", "[100000]", "--target", "[1]", "--filter", "active",
+          "--enumerate"),
+         "10000100000 datum values by the closed-form bound for [100000] -> [1]"),
+    ], ids=["prune", "leaves", "rows", "rows-enumerate", "enumerate"])
+    def test_listing_is_capped_before_it_starts(self, capsys, argv, counted):
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert not out
+        assert err == f"resource cap: {counted} exceed the cap of 1000000\n"
+
+    def test_counts_and_plain_trees_still_answer(self, capsys):
+        started = time.monotonic()
+        code, out, _ = run(capsys, "tree", "--tree", "[1]([30000000])", "--json")
+        assert code == 0
+        assert json.loads(out)["vertex_count"] == 30000001
+        # a height-1 tree's layer diagram is its size alone
+        code, out, _ = run(capsys, "tree", "--tree", "[30000000]", "--leaves", "--json")
+        assert code == 0
+        assert json.loads(out)["layer_sizes"] == [30000000]
+        # C(100000, 1) active maps [100000] -> [1], C(100002, 1) in all
+        for morphism_filter, count in (("active", 100000), ("all", 100002)):
+            code, out, _ = run(capsys, "hom", "--source", "[100000]", "--target", "[1]",
+                               "--filter", morphism_filter)
+            assert code == 0
+            assert out == f"{count} morphisms ({morphism_filter})\n"
+        assert time.monotonic() - started < 1.0
 
 
 class TestHom:
@@ -777,9 +831,8 @@ class TestVerify:
         self, capsys, monkeypatch, suite, params, reason
     ):
         # rejected before any case runs
-        for runner in ("_run_functoriality", "_run_pruning", "_run_roundtrip",
-                       "_run_homology", "_run_delta_laws"):
-            monkeypatch.setattr(harness, runner, None)
+        for name in harness._SUITES:
+            no_run(monkeypatch, name)
         argv = [arg for param in params for arg in ("--param", param)]
         code, out, err = run(capsys, "verify", "--suite", suite, *argv)
         assert code == 2
@@ -791,9 +844,8 @@ class TestVerify:
     )
     def test_all_takes_no_param(self, capsys, monkeypatch, param):
         # rejected before any sub-suite runs, the last one included
-        for runner in ("_run_functoriality", "_run_pruning", "_run_roundtrip",
-                       "_run_homology", "_run_delta_laws"):
-            monkeypatch.setattr(harness, runner, None)
+        for name in harness._SUITES:
+            no_run(monkeypatch, name)
         code, out, err = run(capsys, "verify", "--suite", "all", "--param", param)
         assert code == 2
         assert out == ""
@@ -801,9 +853,8 @@ class TestVerify:
 
     def test_negative_pairs_is_usage_error(self, capsys, monkeypatch):
         # any negative count, for every suite, before any case runs
-        for runner in ("_run_functoriality", "_run_pruning", "_run_roundtrip",
-                       "_run_homology", "_run_delta_laws"):
-            monkeypatch.setattr(harness, runner, None)
+        for name in harness._SUITES:
+            no_run(monkeypatch, name)
         for suite, param in [
             ("functoriality", "pairs=-3"),
             ("roundtrip", "leaf_bound=-2"),
@@ -855,7 +906,7 @@ class TestVerify:
     def test_tree_family_is_capped_before_any_case(self, capsys, monkeypatch, suite):
         # 2^29 healthy height-2 trees with 30 leaves alone pass the cap;
         # bounded from the params, so no tree is listed and no case runs
-        monkeypatch.setattr(harness, "_run_" + suite, None)
+        no_run(monkeypatch, suite)
         started = time.monotonic()
         code, out, err = run(capsys, "verify", "--suite", suite,
                              "--param", "leaf_bound=30", "--param", "max_height=2")
@@ -865,14 +916,17 @@ class TestVerify:
         assert err == (f"resource cap: more than 1000000 {suite} trees by the "
                        "closed-form bound exceed the cap of 1000000\n")
 
+    @pytest.mark.parametrize("probe", ["9", "1000000000000"])
     def test_pruning_probe_grid_is_capped_before_any_case(self, capsys,
-                                                          monkeypatch):
+                                                          monkeypatch, probe):
         # 3^8 = 6,561 healthy height-3 trees with 9 leaves: 43 M ordered
-        # probe pairs, counted with the family before the grid is walked
-        monkeypatch.setattr(harness, "_run_pruning", None)
+        # probe pairs, counted with the family before the grid is walked;
+        # 10^12 + 1 height-1 pairs pass the cap in one step, and the count
+        # stops at the first height-2 step after it
+        no_run(monkeypatch, "pruning")
         started = time.monotonic()
         code, out, err = run(capsys, "verify", "--suite", "pruning",
-                             "--param", "probe_leaf_bound=9")
+                             "--param", f"probe_leaf_bound={probe}")
         assert time.monotonic() - started < 1.0
         assert code == 3
         assert out == ""
@@ -892,7 +946,7 @@ class TestVerify:
         # compose_rank 6, counted in closed form before any map is listed;
         # past the shape counts, (rank + 1)^2 and (rank + 1)^3, no binomial
         # is built
-        monkeypatch.setattr(harness, "_run_delta_laws", None)
+        no_run(monkeypatch, "delta-laws")
         started = time.monotonic()
         code, out, err = run(capsys, "verify", "--suite", "delta-laws",
                              "--param", param)
@@ -914,9 +968,10 @@ class TestVerify:
         def hom(p, q):
             return comb(p + q + 1, q)
 
-        ranks = range(params.get("max_rank", 5) + 1)
+        merged = {**harness._SUITES["delta-laws"][1], **params}
+        ranks = range(merged["max_rank"] + 1)
         maps = sum(hom(p, q) for p in ranks for q in ranks)
-        ranks = range(params.get("compose_rank", 4) + 1)
+        ranks = range(merged["compose_rank"] + 1)
         pairs = sum(hom(p, q) * hom(q, r) for p in ranks for q in ranks for r in ranks)
         if not params:
             assert (maps, pairs) == (1_709, 73_085)
@@ -942,7 +997,7 @@ class TestVerify:
         # max_degree + 2 degrees for each of the suite's nerves (18 without
         # kind; max_degree 3 by default), counted against the cell cap
         # before any category is built
-        monkeypatch.setattr(harness, "_run_homology", None)
+        no_run(monkeypatch, "homology")
         monkeypatch.setattr(harness, "DEFAULT_CHAIN_CAP", cap)
         argv = [arg for p in params for arg in ("--param", p)]
         started = time.monotonic()
@@ -964,9 +1019,9 @@ class TestVerify:
         assert built == [2] * harness._HOMOLOGY_NERVES == [2] * 18
 
     def test_one_tree_shapes_are_counted_at_once(self, capsys, monkeypatch):
-        # 10^7 + 1 height-1 shapes of one tree each: their count alone
-        # passes the cap, so no shape is summed
-        monkeypatch.setattr(harness, "_run_roundtrip", None)
+        # 10^7 + 1 height-1 shapes of one tree each, summed in one step
+        # per run of shapes, not walked one by one
+        no_run(monkeypatch, "roundtrip")
         started = time.monotonic()
         code, out, err = run(capsys, "verify", "--suite", "roundtrip",
                              "--param", "max_height=1",

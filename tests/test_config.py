@@ -20,7 +20,6 @@ from thetaran.config import (
     LevelCheck,
     PathVerdict,
     SamplingBudgetError,
-    build_exit_path,
     compose_point_maps,
     configuration_from_json,
     exit_path_from_json,
@@ -482,31 +481,36 @@ class TestInducedMorphism:
     def test_frozen_height_one_base(self):
         s = Configuration(1, [[0], [1], [2]])
         t = Configuration(1, [["-1/2"], ["1/2"], ["3/2"]])
-        m = morphism_of_exit_path(build_exit_path(s, t, (0, 0, 1)))
+        m = morphism_of_exit_path(ExitPath(s, t, (0, 0, 1)))
         assert m.base.values == (0, 2, 3, 3)
 
     def test_identity_path_gives_identity(self):
         cfg = Configuration(2, [[0, 0], [1, 3], [2, "1/3"]])
-        path = build_exit_path(cfg, cfg, (0, 1, 2))
+        path = ExitPath(cfg, cfg, (0, 1, 2))
         m = morphism_of_exit_path(path)
         assert m == identity_theta(tree_of_configuration(cfg))
 
     def test_frozen_height_two_collapse(self):
         s = Configuration(2, [[1, 1], [2, 1]])
         t = Configuration(2, [[1, 1], [1, 2], [2, 1]])
-        m = morphism_of_exit_path(build_exit_path(s, t, (0, 0, 1)))
+        m = morphism_of_exit_path(ExitPath(s, t, (0, 0, 1)))
         assert m.base.values == (0, 1, 2)
         assert m.components[0].base.values == (0, 2)
         assert m.components[1].base.values == (0, 1)
 
     def test_verdict_gate(self):
+        # every path carries the verdict its construction computed
         s = Configuration(1, [[0], [1]])
-        bare = ExitPath(s, s, (0, 1))  # no certificate attached
-        with pytest.raises(InvalidExitPathError):
-            morphism_of_exit_path(bare)
-        swapped = build_exit_path(s, s, (1, 0))
+        kept = ExitPath(s, s, (0, 1))
+        assert kept.verdict == validate_exit_path(s, s, (0, 1))
+        assert morphism_of_exit_path(kept) == identity_theta(Tree(1, 2))
+        swapped = ExitPath(s, s, (1, 0))
+        assert swapped.verdict == validate_exit_path(s, s, (1, 0))
+        assert not swapped.verdict.valid
         with pytest.raises(InvalidExitPathError):
             morphism_of_exit_path(swapped)
+        with pytest.raises(TypeError):
+            ExitPath(s, s, (0, 1), swapped.verdict)  # no verdict is handed in
 
     def test_induced_rejects_incoherent_data(self):
         s = Configuration(2, [[1, 1], [2, 1]])
@@ -601,6 +605,8 @@ class TestGenerators:
         path = random_exit_path(empty, 4)
         assert path.target.size == 0 and path.mapping == ()
         assert path.verdict.valid
+        # the general draw: no point to move, the empty certified path
+        assert path == ExitPath(empty, empty, ())
 
     def test_large_configuration_within_budget(self):
         # about 400 targets, so 80,000 pairs: one integer pass each, where
@@ -615,7 +621,7 @@ class TestGenerators:
         for seed in range(15):
             cfg = random_configuration(2, 4, seed)
             path = random_exit_path(cfg, seed)
-            assert path.verdict is not None and path.verdict.valid
+            assert path.verdict.valid
 
     def test_budget_errors(self):
         with pytest.raises(SamplingBudgetError):

@@ -132,10 +132,46 @@ class TestReports:
         assert doc["cases"] == 2
         assert doc["passed"] is (doc["cases"] == doc["passes"])
         assert "wall_ms" not in doc
+        assert run_suite("functoriality", {"pairs": 1}).seed == 0
 
     def test_wall_clock_is_positive(self):
+        before = time.perf_counter()
         report = run_suite("delta-laws", FAST_PARAMS["delta-laws"], 0)
-        assert report.wall_ms > 0
+        assert 0 < report.wall_ms <= (time.perf_counter() - before) * 1000
+
+
+class TestSuiteTable:
+    def test_one_entry_per_suite_in_order(self):
+        assert harness.SUITE_NAMES == (*harness._SUITES, "all") == (
+            "functoriality", "pruning", "roundtrip", "homology", "delta-laws", "all")
+
+    @pytest.mark.parametrize("name", harness.SUITE_NAMES[:-1])
+    def test_defaults_pass_the_checks(self, name):
+        # stated as given params (kind, n and k have no value but None),
+        # the defaults pass, and are what an empty params dict merges to
+        runner, defaults = harness._SUITES[name]
+        given = {key: value for key, value in defaults.items() if value is not None}
+        assert harness._check_params(name, given) == defaults
+        assert harness._check_params(name, {}) == defaults
+        assert list(defaults) == list(harness._check_params(name, {}))
+        assert runner.__name__ == "_run_" + name.replace("-", "_")
+
+    def test_all_merges_each_part_once(self):
+        merged = harness._check_params("all", {"roundtrip": {"max_height": 2}})
+        assert list(merged) == list(harness._SUITES)
+        assert merged["roundtrip"] == suite_params("roundtrip", {"max_height": 2})
+        assert merged["pruning"] == harness._SUITES["pruning"][1]
+
+    def test_given_kind_none_counts_every_nerve(self, monkeypatch):
+        # an explicit kind=None runs all the nerves, and the degree cap
+        # counts all of them, as it does without kind
+        per_nerve = harness._SUITES["homology"][1]["max_degree"] + 2
+        monkeypatch.setattr(harness, "DEFAULT_CHAIN_CAP",
+                            harness._HOMOLOGY_NERVES * per_nerve - 1)
+        for params in ({}, {"kind": None}):
+            with pytest.raises(ResourceCapError, match="nerve degrees"):
+                harness._check_params("homology", params)
+        harness._check_params("homology", {"kind": "nord", "n": 2, "k": 2})
 
 
 class TestRunSuite:
@@ -156,6 +192,8 @@ class TestRunSuite:
         reports = [run_suite("functoriality", {"pairs": 3, "dims": dims}, 5)
                    for dims in (2, "2,1", (2, 1), [2, 1])]
         assert all(report.passed and report.cases == 3 for report in reports)
+        # both ends of 1..MAX_TREE_DEPTH are dimensions
+        assert harness._check_params("functoriality", {"dims": "1,200"})["dims"] == "1,200"
 
     def test_all_aggregates_the_five(self):
         combined = run_suite("all", FAST_PARAMS, 11)
@@ -166,6 +204,31 @@ class TestRunSuite:
         assert combined.passes == sum(p.passes for p in parts)
         assert combined.passed
         assert combined.params == {}
+
+    def test_all_names_the_first_failing_part(self, monkeypatch):
+        # the parts run in table order with their merged params; the first
+        # failure is kept, prefixed with its suite, and a later one does
+        # not replace it
+        seen = []
+
+        def runner(name, fails):
+            def run(params, seed):
+                seen.append((name, params, seed))
+                tally = harness._Tally()
+                tally.record(True, None)
+                if fails:
+                    tally.record(False, lambda: (f"{name} case", "detail"))
+                return tally
+            return run
+
+        for name, (_, defaults) in list(harness._SUITES.items()):
+            fails = name in ("roundtrip", "delta-laws")
+            monkeypatch.setitem(harness._SUITES, name, (runner(name, fails), defaults))
+        report = run_suite("all", {"pruning": {"leaf_bound": 2}}, 4)
+        assert (report.cases, report.passes) == (7, 5)
+        assert report.first_counterexample == "roundtrip: roundtrip case: detail"
+        assert [name for name, _, _ in seen] == list(harness._SUITES)
+        assert seen[1] == ("pruning", suite_params("pruning", {"leaf_bound": 2}), 4)
 
     def test_homology_single_kind(self):
         report = run_suite("homology", {"kind": "nord", "n": 2, "k": 2}, 0)
@@ -219,15 +282,20 @@ class TestRunSuite:
         # 1 + 1, 1 + 5, 2: 9 + 17 = 26
         ("pruning", {"max_height": 2, "leaf_bound": 2, "probe_leaf_bound": 2,
                      "extra": 0, "deep_extra": 1, "deep_leaf_bound": 1}, 26),
-        # ten one-tree shapes: the shape count alone equals the bound
+        # ten one-tree shapes, summed in one step
         ("roundtrip", {"max_height": 1, "leaf_bound": 9, "extra": 0,
                        "deep_extra": 0}, 10),
+        # 1 + 1 + 3 for k = 0 over two graft rounds, then nine one-tree
+        # shapes whose one-step sum alone passes the cap below
+        ("roundtrip", {"max_height": 1, "leaf_bound": 9, "deep_leaf_bound": 0,
+                       "deep_extra": 2, "extra": 0}, 14),
         # the defaults, well within the cap of 1,000,000
         ("pruning", {}, 27_332),
         ("roundtrip", {}, 188_242),
     ])
     def test_family_bound_is_exact_at_the_cap(self, monkeypatch, name, params,
                                               bound):
+        params = suite_params(name, params)
         monkeypatch.setattr(harness, "DEFAULT_HOM_CAP", bound)
         harness._check_family(name, params)
         monkeypatch.setattr(harness, "DEFAULT_HOM_CAP", bound - 1)
@@ -236,8 +304,8 @@ class TestRunSuite:
 
     def test_one_tree_shapes_are_summed_in_one_step(self):
         # 10^6 height-1 shapes without grafts, exactly the cap
-        params = {"max_height": 1, "leaf_bound": 999_999, "extra": 0,
-                  "deep_extra": 0}
+        params = suite_params("roundtrip", {"max_height": 1, "leaf_bound": 999_999,
+                                            "extra": 0, "deep_extra": 0})
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
@@ -251,8 +319,9 @@ class TestRunSuite:
         grid = product(range(4), (0, 2, 5), (0, 1), (0, 2), (0, 1, 3), (0, 2))
         outcomes = set()
         for height, leaves, extra, deep_extra, deep_leaves, probe in grid:
-            params = {"max_height": height, "leaf_bound": leaves, "extra": extra,
-                      "deep_extra": deep_extra, "deep_leaf_bound": deep_leaves}
+            params = suite_params(name, {
+                "max_height": height, "leaf_bound": leaves, "extra": extra,
+                "deep_extra": deep_extra, "deep_leaf_bound": deep_leaves})
             if name == "pruning":
                 params["probe_leaf_bound"] = probe
             try:
@@ -265,22 +334,23 @@ class TestRunSuite:
         assert outcomes == {True, False}
 
 
+def suite_params(name: str, params: dict) -> dict:
+    """``params`` merged over the suite's defaults in the suite table."""
+    return {**harness._SUITES[name][1], **params}
+
+
 def per_shape_family_bound(name: str, params: dict) -> int:
     """The tree-family bound of ``_check_family`` summed one term per probe
-    (height, k) and per graft round of each (height, k) shape."""
-    leaf_default, deep_default = harness._FAMILY_DEFAULTS[name]
-    max_height = params.get("max_height", 3)
-    leaf_bound = params.get("leaf_bound", leaf_default)
-    deep_leaves = params.get("deep_leaf_bound", deep_default)
-    probe_bound = (params.get("probe_leaf_bound", harness._PROBE_LEAF_DEFAULT)
-                   if name == "pruning" else -1)
+    (height, k) and per graft round of each (height, k) shape; ``params``
+    holds every key of the suite."""
+    probe_bound = params["probe_leaf_bound"] if name == "pruning" else -1
     total = 0
-    for height in range(1, max_height + 1):
+    for height in range(1, params["max_height"] + 1):
         for k in range(probe_bound + 1):
             total += (height ** (k - 1) if k else 1) ** 2
-        for k in range(leaf_bound + 1):
-            rounds = (params.get("deep_extra", 2) if k <= deep_leaves
-                      else params.get("extra", 1))
+        for k in range(params["leaf_bound"] + 1):
+            rounds = (params["deep_extra"] if k <= params["deep_leaf_bound"]
+                      else params["extra"])
             trees = height ** (k - 1) if k else 1
             for vertices in range(height * k, height * k + rounds + 1):
                 total += trees

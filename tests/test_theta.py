@@ -529,6 +529,71 @@ class TestPruning:
             verify_initiality(parse_tree("[5]([1],[1],[1],[1],[1])"), 4)
 
 
+def datum_values(m: ThetaMorphism) -> int:
+    """The base values a wreath datum holds, counted by walking it."""
+    return len(m.base.values) + sum(map(datum_values, m.components))
+
+
+class TestListedValues:
+    """Each listing's values are held to DEFAULT_HOM_CAP, compared exactly
+    at the count (the cached functions run unwrapped, so a cached answer
+    cannot hide the check)."""
+
+    def test_prune_counts_vertices(self, monkeypatch):
+        tree = parse_tree("[2]([0],[3])")  # 2 + 3 vertices
+        monkeypatch.setattr(theta, "DEFAULT_HOM_CAP", 4)
+        with pytest.raises(ResourceCapError, match="^5 vertices to prune exceed"):
+            prune.__wrapped__(tree)
+        monkeypatch.setattr(theta, "DEFAULT_HOM_CAP", 5)
+        assert prune.__wrapped__(tree).pruned == parse_tree("[1]([3])")
+
+    def test_layer_diagram_counts_parent_entries(self, monkeypatch):
+        tree = parse_tree("[2]([3],[1])")  # 4 vertices above the root's 2
+        monkeypatch.setattr(theta, "DEFAULT_HOM_CAP", 3)
+        with pytest.raises(ResourceCapError, match="^4 parent-map entries exceed"):
+            leaves.__wrapped__(tree)
+        monkeypatch.setattr(theta, "DEFAULT_HOM_CAP", 4)
+        assert leaves.__wrapped__(tree).parent_maps == ((1, 1, 1, 2),)
+
+    def test_rows_count_rows_times_leaves(self, monkeypatch):
+        # 2 rows of 2 leaves, bounded by 2 x 2 rows (the child pair
+        # [2] -> [1] has 2 rows under each target child)
+        s, t = parse_tree("[1]([2])"), parse_tree("[2]([1],[1])")
+        assert _injective_row_bound(s, t, 0) == 4
+        monkeypatch.setattr(theta, "DEFAULT_HOM_CAP", 7)
+        with pytest.raises(ResourceCapError, match="^8 leaf-row values"):
+            count_filtered_hom(s, t, "w")
+        monkeypatch.setattr(theta, "DEFAULT_HOM_CAP", 8)
+        assert count_filtered_hom(s, t, "w") == 2
+
+    @pytest.mark.parametrize("source, target, morphism_filter, values", [
+        ("[2]", "[1]", "all", 4 * 1 * 3),  # C(4, 1) data, one base of 3
+        ("[1]([2])", "[2]([1],[1])", "w", 2 * 3 * 4),  # from 2 rows
+    ])
+    def test_listing_counts_data_times_bases(self, monkeypatch, source, target,
+                                             morphism_filter, values):
+        s, t = parse_tree(source), parse_tree(target)
+        monkeypatch.setattr(theta, "DEFAULT_HOM_CAP", values - 1)
+        with pytest.raises(ResourceCapError, match=f"^{values} datum values"):
+            enumerate_theta_hom(s, t, morphism_filter)
+        monkeypatch.setattr(theta, "DEFAULT_HOM_CAP", values)
+        assert len(enumerate_theta_hom(s, t, morphism_filter)) == values // (
+            t.vertex_count - t.leaf_count + 1) // (s.vertex_count + 1)
+
+    def test_datum_bound_holds(self):
+        # a base per target vertex below the leaf level, the root
+        # included, each of at most source vertices + 1 values
+        trees = [parse_tree(x) for x in ("[1]([0])", "[1]([2])", "[2]([1],[0])",
+                                         "[2]([1],[2])", "[3]([0],[2],[1])")]
+        checked = 0
+        for s, t in product(trees, repeat=2):
+            bound = (t.vertex_count - t.leaf_count + 1) * (s.vertex_count + 1)
+            for m in enumerate_theta_hom(s, t):
+                assert datum_values(m) <= bound
+                checked += 1
+        assert checked > 100
+
+
 class TestHomRows:
     def test_rows_match_enumeration_exhaustively(self):
         # every decorated source, every healthy target, rows versus the
