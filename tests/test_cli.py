@@ -916,13 +916,20 @@ class TestVerify:
         assert err == (f"resource cap: more than 1000000 {suite} trees by the "
                        "closed-form bound exceed the cap of 1000000\n")
 
-    @pytest.mark.parametrize("probe", ["9", "1000000000000"])
     def test_pruning_probe_grid_is_capped_before_any_case(self, capsys,
-                                                          monkeypatch, probe):
+                                                          monkeypatch):
         # 3^8 = 6,561 healthy height-3 trees with 9 leaves: 43 M ordered
-        # probe pairs, counted with the family before the grid is walked;
+        # probe pairs, counted with the family before the grid is walked
+        self._assert_probe_grid_capped(capsys, monkeypatch, 9)
+
+    def test_huge_probe_grid_stops_at_its_first_step(self, capsys,
+                                                     monkeypatch):
         # 10^12 + 1 height-1 pairs pass the cap in one step, and the count
         # stops at the first height-2 step after it
+        self._assert_probe_grid_capped(capsys, monkeypatch, 10**12)
+
+    @staticmethod
+    def _assert_probe_grid_capped(capsys, monkeypatch, probe):
         no_run(monkeypatch, "pruning")
         started = time.monotonic()
         code, out, err = run(capsys, "verify", "--suite", "pruning",

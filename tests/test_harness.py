@@ -285,13 +285,13 @@ class TestRunSuite:
         # ten one-tree shapes, summed in one step
         ("roundtrip", {"max_height": 1, "leaf_bound": 9, "extra": 0,
                        "deep_extra": 0}, 10),
+        # the defaults, well within the cap of 1,000,000
+        ("pruning", {}, 27_332),
+        ("roundtrip", {}, 188_242),
         # 1 + 1 + 3 for k = 0 over two graft rounds, then nine one-tree
         # shapes whose one-step sum alone passes the cap below
         ("roundtrip", {"max_height": 1, "leaf_bound": 9, "deep_leaf_bound": 0,
                        "deep_extra": 2, "extra": 0}, 14),
-        # the defaults, well within the cap of 1,000,000
-        ("pruning", {}, 27_332),
-        ("roundtrip", {}, 188_242),
     ])
     def test_family_bound_is_exact_at_the_cap(self, monkeypatch, name, params,
                                               bound):
