@@ -38,6 +38,7 @@ from .theta import (
     _FILTERS,
     DEFAULT_HOM_CAP,
     ResourceCapError,
+    _printable,
     count_filtered_hom,
     enumerate_theta_hom,
     format_tree,
@@ -135,6 +136,8 @@ def _emit(args, doc: dict, human: list[str]) -> None:
 
 def _handle_tree(args) -> int:
     tree = parse_tree(args.tree, args.height)
+    # every count printed below is at most the vertex count
+    _printable(lambda bits: tree.vertex_count, "vertex count of", tree)
     doc = {
         "tree": format_tree(tree),
         "height": tree.height,

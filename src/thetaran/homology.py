@@ -14,7 +14,9 @@ sparse integer columns, one ``{row: coefficient}`` dict per chain,
 straight from the nerve, and one sparse elimination loop over those
 columns gives their Smith normal form.  Homology reduces them
 from the top degree down, and the unit pivots of each degree clear
-columns of the one below (``homology_from_boundaries``).  Betti numbers
+columns of the one below (``homology_from_boundaries``).  ∂_1 never
+reaches Smith form: it is a graph's incidence matrix, ranked by a
+spanning forest (``_forest_rank``).  Betti numbers
 plus torsion coefficients drop out degree by degree.  Only the brute-force
 oracles and tests build a dense view of a matrix.  ``validate`` checks
 every category law in full.  Associativity is decided by Light's test:
@@ -38,7 +40,7 @@ shortcuts.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -171,22 +173,26 @@ def _smith_and_unit_rows(
     made empty, and the rows of its unit pivots in pivot order."""
     columns = [{} if j in cleared else dict(column)
                for j, column in enumerate(matrix.columns)]
-    holders: dict[int, set[int]] = defaultdict(set)  # row -> columns with it
+    # row -> the columns holding it; None once it pivots, held no more
+    holders: list[set[int] | None] = [set() for _ in range(matrix.rows)]
     for j, column in enumerate(columns):
         for i in column:
             holders[i].add(j)
     unit_rows = []
     for j in sorted(range(len(columns)), key=lambda j: len(columns[j])):
         column = columns[j]
-        units = [i for i, v in column.items() if v == 1 or v == -1]
-        if not units:
+        r, fewest = None, len(columns) + 1
+        for i, v in column.items():  # the first unit in a row held least
+            if (v == 1 or v == -1) and len(holders[i]) < fewest:
+                r, fewest = i, len(holders[i])
+        if r is None:
             continue
-        r = min(units, key=lambda i: len(holders[i]))
         unit = column.pop(r)
         for i in column:
             holders[i].discard(j)
-        holders[r].discard(j)
-        for other in holders.pop(r):
+        others, holders[r] = holders[r], None
+        others.discard(j)
+        for other in others:
             _add_multiple(columns, holders, other, -unit * columns[other].pop(r), column)
         columns[j] = {}
         unit_rows.append(r)
@@ -213,7 +219,7 @@ def _smith_and_unit_rows(
                 r = min((i for i in column if i != r), key=lambda i: abs(column[i]))
                 continue
             diagonal.append(abs(p))
-            del holders[r]
+            holders[r] = None
             columns[j] = {}
             break
         residual = [j for j in residual if columns[j]]
@@ -223,6 +229,32 @@ def _smith_and_unit_rows(
             diagonal[a], diagonal[b] = g, diagonal[a] // g * diagonal[b]
     divisors = (1,) * len(unit_rows) + tuple(diagonal)
     return SmithNormalForm(divisors, len(divisors)), unit_rows
+
+
+def _forest_rank(matrix: IntegerMatrix, cleared) -> int | None:
+    """The edges of a spanning forest, by union-find, if each column but
+    the ``cleared`` is empty or one +1 and one -1 (an edge), else None.
+    An edge between joined rows is a sum of forest edges, which are
+    independent, so they count the rank; an incidence matrix is totally
+    unimodular, so every divisor is 1."""
+    root = list(range(matrix.rows))
+    rank = 0
+    for j, column in enumerate(matrix.columns):
+        if not column or j in cleared:
+            continue
+        if len(column) != 2:
+            return None
+        (a, x), (b, y) = column.items()
+        if x * y != -1:
+            return None
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            rank += 1
+    return rank
 
 
 def _add_multiple(columns, holders, other: int, factor: int, column) -> None:
@@ -788,6 +820,11 @@ def homology_from_boundaries(
     boundary with no columns, as the nerve gives every degree past its
     top, has rank 0 and clears nothing, so it is never reduced.
 
+    ∂_1 clears nothing, so only its rank and divisors count.  A nerve's
+    ∂_1 is a graph's incidence matrix (arrow a -> b is the column b - a),
+    ranked by a spanning forest (``_forest_rank``) and never reduced; any
+    other ∂_1 is reduced as the degrees above it are.
+
     A negative Betti number raises ``AssertionError``.  No Euler check:
     b_d = c_d - r_d - r_(d+1) telescopes, so the cells and Betti numbers
     agree on it by construction (the harness checks it against oracles).
@@ -808,8 +845,11 @@ def homology_from_boundaries(
     forms = []
     cleared: list[int] = []  # unit pivot rows of the boundary above
     no_columns = SmithNormalForm((), 0)
-    for matrix in reversed(matrices):
-        if matrix.cols:
+    for d, matrix in reversed(list(enumerate(matrices))):
+        rank = None if d else _forest_rank(matrix, set(cleared))
+        if rank is not None:
+            form = SmithNormalForm((1,) * rank, rank)
+        elif matrix.cols:
             form, cleared = _smith_and_unit_rows(matrix, set(cleared))
         else:
             form, cleared = no_columns, []

@@ -89,11 +89,13 @@ def check_cap(count: int, cap: int | None, what: str, source=None, target=None,
     """The one cap decision, made before the counted list is built:
     ResourceCapError when ``count`` exceeds ``cap`` (None: no cap), naming
     ``what`` and the hom-set source -> target if given, with ``count`` only
-    if ``exact`` (else "more than cap").  Builds no text unless it raises."""
+    if ``exact`` (else "more than cap"; and through _printable, the digit
+    limit, if too long to print).  Builds no text unless it raises."""
     if cap is not None and count > cap:
-        amount = count if exact else f"more than {cap}"
         if source is not None:
             what += f" for {format_tree(source)} -> {format_tree(target)}"
+        amount = (_printable(lambda bits: count, f"the count of {what}") if exact
+                  else f"more than {cap}")
         raise ResourceCapError(f"{amount} {what} exceed the cap of {cap}")
 
 
@@ -632,18 +634,20 @@ def _binomial(n: int, k: int, bits: int) -> int:
     return value
 
 
-def _printable(saturated_count, what: str, source: Tree, target: Tree) -> int:
-    """saturated_count(bits), a count _saturated at 2**bits, or
-    ResourceCapError when it has more decimal digits than Python prints
+def _printable(saturated_count, what: str, *trees: Tree) -> int:
+    """saturated_count(bits), a count _saturated at 2**bits or exact, or
+    ResourceCapError naming ``what`` and the trees (source -> target) when
+    it has more decimal digits than Python prints
     (``sys.get_int_max_str_digits()``, 0 for no limit).  Saturated at
     2**(4 * limit) > 10**limit, and only a value above 2**(3 * limit) can
     reach 10**limit, so that power is rarely built."""
     limit = sys.get_int_max_str_digits()
     value = saturated_count(4 * limit)
     if limit and value.bit_length() > 3 * limit and value >= 10**limit:
+        if trees:
+            what += " " + " -> ".join(map(format_tree, trees))
         raise ResourceCapError(
-            f"{what} {format_tree(source)} -> {format_tree(target)} has more "
-            f"than {limit} decimal digits, too many to print"
+            f"{what} has more than {limit} decimal digits, too many to print"
         )
     return value
 

@@ -16,7 +16,7 @@ import pytest
 
 from thetaran import harness, homology
 from thetaran.cli import main
-from thetaran.theta import _FILTERS, ResourceCapError
+from thetaran.theta import _FILTERS, ResourceCapError, parse_tree, prune
 
 
 def run(capsys, *argv):
@@ -88,6 +88,38 @@ class TestTree:
         code, _, err = run(capsys, "tree", "--tree", deep)
         assert code == 2
         assert "nested deeper than" in err
+
+    def test_unprintable_vertex_count_is_a_cap(self, capsys):
+        # each rank has 4300 digits and parses; the vertex count has 4301
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * limit
+        tree = f"[2]([{nines}],[{nines}])"
+        for extra in ([], ["--json"], ["--leaves"]):
+            code, out, err = run(capsys, "tree", "--tree", tree, *extra)
+            assert code == 3
+            assert not out
+            assert err.startswith(f"resource cap: vertex count of {tree} has more "
+                                  f"than {limit} decimal digits")
+        # one digit less in each rank: a vertex count of exactly 4300 digits
+        code, out, _ = run(capsys, "tree", "--tree", f"[2]([{nines[1:]}],[{nines[1:]}])")
+        assert code == 0
+        assert f"{2 * 10 ** (limit - 1)} vertices" in out
+
+    def test_unprintable_vertex_count_to_prune_is_a_cap(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * limit
+        tree = f"[2]([{nines}],[{nines}])"
+        code, out, err = run(capsys, "tree", "--tree", tree, "--prune")
+        assert code == 3
+        assert not out
+        assert f"more than {limit} decimal digits" in err
+        # prune's own cap check names the limit instead of printing the count
+        with pytest.raises(ResourceCapError) as raised:
+            prune(parse_tree(tree))
+        assert str(raised.value) == (
+            f"the count of vertices to prune has more than {limit} decimal "
+            "digits, too many to print"
+        )
 
     @pytest.mark.parametrize("extra", [[], ["--leaves", "--prune", "--json"]])
     def test_height_over_tree_bound_is_usage_error(self, capsys, extra):
@@ -387,6 +419,19 @@ class TestHom:
             assert code == 3
             assert not out
             assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+
+    def test_unprintable_count_over_a_cap_names_the_digit_limit(self, capsys):
+        # the row bound is printable, but its leaf-row values (the bound
+        # times the 4301-digit leaf count) are not
+        limit = sys.get_int_max_str_digits()
+        fan = f"[2]([{'9' * limit}],[{'9' * limit}])"
+        code, out, err = run(capsys, "hom", "--source", fan, "--target", fan,
+                             "--filter", "w")
+        assert code == 3
+        assert not out
+        assert err.startswith("resource cap: the count of leaf-row values by the "
+                              "closed-form bound for ")
+        assert err.endswith(f" has more than {limit} decimal digits, too many to print\n")
 
     def test_height_mismatch(self, capsys):
         code, _, err = run(

@@ -30,6 +30,7 @@ from thetaran.homology import (
     FiniteCategoryView,
     HomologyResult,
     IntegerMatrix,
+    SmithNormalForm,
     build_category,
     chain_poset,
     homology_from_boundaries,
@@ -974,6 +975,8 @@ def test_nerve_matches_tuple_chain_oracle_on_random_posets(seed):
 def test_clearing_empties_columns_of_w_hlt_33(monkeypatch):
     # reduced from the top down: ∂_4 (448 x 192) clears nothing, its 191
     # unit pivot rows clear as many of ∂_3's 448 columns, and so on down
+    # to ∂_2, whose 87 unit pivot rows are skipped by ∂_1's spanning
+    # forest: ∂_1 (9 x 96) never reaches the elimination
     seen = []
     reduce = homology._smith_and_unit_rows
 
@@ -984,12 +987,13 @@ def test_clearing_empties_columns_of_w_hlt_33(monkeypatch):
     monkeypatch.setattr(homology, "_smith_and_unit_rows", recorded)
     result = homology_of_category(build_category("w_hlt", 3, 3), 3)
     assert str(result) == "(Z, Z/2, 0, Z/3)"
-    assert seen == [(448, 192, 0), (344, 448, 191), (96, 344, 256), (9, 96, 87)]
+    assert result.group(0) == "Z"
+    assert seen == [(448, 192, 0), (344, 448, 191), (96, 344, 256)]
 
 
 def test_homology_reduces_only_boundaries_with_columns(monkeypatch):
     # w_hlt(2,3) has cells (4, 16, 12): of its nine boundaries only ∂_2
-    # and then ∂_1 reach the elimination
+    # reaches the elimination, and ∂_1 is ranked by its spanning forest
     seen = []
     reduce = homology._smith_and_unit_rows
 
@@ -1001,7 +1005,69 @@ def test_homology_reduces_only_boundaries_with_columns(monkeypatch):
     result = homology_of_category(build_category("w_hlt", 2, 3), 8)
     assert str(result) == "(Z, Z, 0, 0, 0, 0, 0, 0, 0)"
     assert result.chain_sizes == (4, 16, 12) + (0,) * 7
-    assert seen == [(16, 12, 0), (4, 16, 12)]
+    assert result.group(0) == "Z"
+    assert seen == [(16, 12, 0)]
+
+
+def test_unit_pivot_is_the_first_unit_in_a_row_held_least():
+    # rows 0 and 1 of [[1], [1]] are each held by one column: the first
+    # unit pivots.  In [[1, 2], [-1, 0], [0, 3]] row 0 is held by two
+    # columns and row 1 by one, so column 0 pivots on row 1
+    reduce = homology._smith_and_unit_rows
+    assert reduce(IntegerMatrix.from_rows([[1], [1]]), ()) == (
+        SmithNormalForm((1,), 1), [0]
+    )
+    assert reduce(IntegerMatrix.from_rows([[1, 2], [-1, 0], [0, 3]]), ()) == (
+        SmithNormalForm((1, 1), 2), [1]
+    )
+
+
+def assert_forest_rank_is_smith_rank(monkeypatch, matrices, max_degree):
+    """Reduce the boundaries, recording each ``_forest_rank`` call: ∂_1
+    alone, with the unit pivot rows of ∂_2 as its cleared set, and its
+    forest rank, with or without them, is the rank of its Smith form,
+    whose divisors are all 1."""
+    seen = []
+    forest_rank = homology._forest_rank
+
+    def recorded(matrix, cleared):
+        seen.append((matrix, set(cleared)))
+        return forest_rank(matrix, cleared)
+
+    monkeypatch.setattr(homology, "_forest_rank", recorded)
+    homology_from_boundaries(matrices, max_degree)
+    [(matrix, cleared)] = seen
+    assert matrix is matrices[0]
+    form = smith_normal_form(matrix)
+    assert form.divisors == (1,) * form.rank
+    assert forest_rank(matrix, set()) == forest_rank(matrix, cleared) == form.rank
+    return cleared
+
+
+@pytest.mark.parametrize("kind,n,k", FIXTURE_NERVES)
+def test_forest_rank_is_smith_rank_on_fixture_nerves(monkeypatch, kind, n, k):
+    matrices = nerve_chain_complex(build_category(kind, n, k), 4)
+    cleared = assert_forest_rank_is_smith_rank(monkeypatch, matrices, 3)
+    assert cleared or matrices[1].cols == 0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_forest_rank_is_smith_rank_on_random_posets(monkeypatch, seed):
+    for view in random_poset_views(seed):
+        top = len(nerve_cell_counts(view)) - 1
+        matrices = nerve_chain_complex(view, top + 1)
+        assert_forest_rank_is_smith_rank(monkeypatch, matrices, top)
+
+
+@pytest.mark.parametrize("rows,group", [
+    ([[1, 1], [1, -1]], "Z/2"),  # a column with two +1 entries
+    ([[2]], "Z/2"),  # a column with one entry
+    ([[1, 0], [-1, 0], [0, 2], [0, -2]], "Z^2 + Z/2"),  # ±2, not ±1
+])
+def test_boundary_out_of_degree_1_that_is_no_graph_takes_smith(rows, group):
+    matrix = IntegerMatrix.from_rows(rows)
+    assert homology._forest_rank(matrix, set()) is None
+    assert homology_from_boundaries([matrix], 0).group(0) == group
 
 
 def nerve_cell_counts(cat: FiniteCategoryView) -> tuple[int, ...]:

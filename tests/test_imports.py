@@ -11,8 +11,9 @@ exit-path validation free of float arithmetic, every module-level
 function, class and constant read by the package itself outside its own
 definition, so no API lives on only for its own tests, every memoized
 function named in one inventory, so no cache is added unseen, no
-module state changed by any function, and the Smith elimination that
-clears columns called only where clearing is exact.
+module state changed by any function, the Smith elimination that
+clears columns called only where clearing is exact, and the spanning
+forest that ranks ∂_1 called only there.
 """
 
 from __future__ import annotations
@@ -241,6 +242,17 @@ UNIT_ROW_CALLERS = {
 def test_unit_pivot_rows_have_two_callers():
     calls = _callers("_smith_and_unit_rows")
     assert {(module, function) for module, function, _ in calls} == UNIT_ROW_CALLERS, calls
+
+
+# who may rank a boundary by a spanning forest: only the reduction of a
+# complex, and only on its bottom boundary ∂_1, which a nerve makes a
+# graph's incidence matrix
+FOREST_CALLERS = [("homology", "homology_from_boundaries")]
+
+
+def test_forest_rank_has_one_caller():
+    calls = _callers("_forest_rank")
+    assert [(module, function) for module, function, _ in calls] == FOREST_CALLERS, calls
 
 
 # every memoized function: a cache added or dropped is an edit to this list
